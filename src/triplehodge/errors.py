@@ -57,5 +57,5 @@ class NotCritical(TripleHodgeError):
     """A critical-locus routine received a parameter that is not critical."""
 
 
-class OutOfRange(TripleHodgeError):
+class OutOfRange(TripleHodgeError, ValueError):
     """A request parameter is outside its admissible range."""

@@ -9,7 +9,7 @@ The monomial order is fixed project-wide to graded lexicographic with
 ``u < v``: monomials compare by total degree ``a + b`` first, then by the
 exponent of ``v``.  Division and printing are deterministic under this
 order.  The canonical serialization order lists terms by total degree
-ascending, then by the ``u``-exponent ascending, e.g.::
+ascending, then by the ``v``-exponent ascending, e.g.::
 
     1 + 2*u + 2*v + 5*u*v
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -43,15 +44,9 @@ __all__ = [
 ]
 
 
-def _division_key(exponents):
-    # graded lex with u < v: total degree first, v-exponent breaks ties
-    a, b = exponents
-    return (a + b, b)
-
-
-def _serial_key(exponents):
-    # canonical output order: total degree ascending, then v-exponent ascending,
-    # matching the graded-lex division order so printing is deterministic
+def _order_key(exponents):
+    # graded lex with u < v: total degree first, v-exponent breaks ties;
+    # the same key orders division leads and canonical output
     a, b = exponents
     return (a + b, b)
 
@@ -137,7 +132,7 @@ class LaurentPoly:
         """Leading (monomial, coefficient) under the division order."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        key = max(self._terms, key=_division_key)
+        key = max(self._terms, key=_order_key)
         return key, self._terms[key]
 
     def content(self) -> int:
@@ -294,7 +289,7 @@ class LaurentPoly:
         """Terms as (a, b, coeff) in the canonical serialization order."""
         return [
             (a, b, self._terms[(a, b)])
-            for a, b in sorted(self._terms, key=_serial_key)
+            for a, b in sorted(self._terms, key=_order_key)
         ]
 
     def to_text(self, var1: str = "u", var2: str = "v") -> str:
@@ -455,9 +450,13 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     minimum exponent of a product is additive in each variable, so exact
     Laurent divisibility reduces to honest-polynomial divisibility).  The
     honest parts then go through multivariate long division under the
-    project monomial order; a nonzero remainder, or a coefficient step
-    that fails over the integers, raises ``NonDivisible`` carrying the
-    remainder ``num - q*den`` computed so far.
+    project monomial order.  Leading terms come off a min-heap keyed by
+    ``(-(a + b), -b)``, so each step takes the graded-lex largest term
+    without scanning the rest.  A term whose monomial the divisor's lead
+    does not divide, or whose coefficient its lead coefficient does not
+    divide over the integers, moves to the remainder; once every term is
+    used up, a nonzero remainder raises ``NonDivisible`` carrying
+    ``num - q*den`` for the quotient ``q`` built up to that point.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -470,39 +469,39 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     work = {(a - na, b - nb): c for (a, b), c in num.terms.items()}
     dterms = {(a - da, b - db): c for (a, b), c in den.terms.items()}
 
-    dlead = max(dterms, key=_division_key)
+    dlead = max(dterms, key=_order_key)
     dla, dlb = dlead
-    dlc = dterms[dlead]
+    dlc = dterms.pop(dlead)
 
     quotient: dict[tuple[int, int], int] = {}
     remainder: dict[tuple[int, int], int] = {}
 
-    def stash(key, coeff):
-        s = remainder.get(key, 0) + coeff
-        if s:
-            remainder[key] = s
-        else:
-            remainder.pop(key, None)
-
-    while work:
-        lead = max(work, key=_division_key)
-        la, lb = lead
-        c = work.pop(lead)
+    # Every key of ``work`` sits in the heap exactly once; a cancelled
+    # term stays in ``work`` as 0 and is skipped when popped.  The order
+    # is a monomial order, so each subtracted term lies strictly below
+    # the current lead and a popped key never re-enters ``work``.
+    heap = [(-(a + b), -b) for a, b in work]
+    heapify(heap)
+    while heap:
+        negdeg, negb = heappop(heap)
+        lb = -negb
+        la = -negdeg - lb
+        c = work.pop((la, lb))
+        if not c:
+            continue
         qa, qb = la - dla, lb - dlb
         if qa < 0 or qb < 0 or c % dlc != 0:
-            stash(lead, c)
+            remainder[(la, lb)] = c
             continue
         qc = c // dlc
-        quotient[(qa, qb)] = quotient.get((qa, qb), 0) + qc
+        quotient[(qa, qb)] = qc
         for (ta, tb), tc in dterms.items():
-            if (ta, tb) == dlead:
-                continue
             k = (ta + qa, tb + qb)
-            s = work.get(k, 0) - qc * tc
-            if s:
-                work[k] = s
+            if k in work:
+                work[k] -= qc * tc
             else:
-                work.pop(k, None)
+                work[k] = -qc * tc
+                heappush(heap, (-(ta + tb + qa + qb), -(tb + qb)))
 
     if remainder:
         rem = _raw({(a + na, b + nb): c for (a, b), c in remainder.items()})

@@ -8,9 +8,7 @@ through the command-line `verify` subcommand.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -593,14 +591,6 @@ SUITES = {
 }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HODGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_one(case: Case) -> tuple[str, str, str]:
     name, fn = case
     try:
@@ -615,12 +605,7 @@ def run_suite(suite: str, grid_name: str = "quick") -> VerifyReport:
     grid = GRIDS[grid_name]
     cases = SUITES[suite](grid)
     start = time.perf_counter()
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, cases))
-    else:
-        results = [_run_one(case) for case in cases]
+    results = [_run_one(case) for case in cases]
     return VerifyReport(
         suite=suite, cases=results, wall_time=time.perf_counter() - start
     )

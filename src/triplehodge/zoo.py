@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import NonIntegral
+from .errors import NonIntegral, OutOfRange
 from .laurent import ONE, UV, LaurentPoly, U, V, divide_exact, halve_exact
 from .series import sym_series
 
@@ -115,7 +115,7 @@ def e_projective(n: int) -> HodgeResult:
 def e_jacobian(g: int) -> HodgeResult:
     """Hodge polynomial (1+u)^g (1+v)^g of the Jacobian of a genus-g curve."""
     if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
+        raise OutOfRange(f"genus must be nonnegative, got {g}")
     poly = (ONE + U) ** g * (ONE + V) ** g
     return HodgeResult(poly=poly, dim=g, smooth_projective=True)
 
@@ -129,7 +129,7 @@ def e_sym(k: int, g: int) -> HodgeResult:
     gives the empty variety.
     """
     if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
+        raise OutOfRange(f"genus must be nonnegative, got {g}")
     if k < 0:
         return _empty_result()
     poly = sym_series(g, k + 1).coeff(k)

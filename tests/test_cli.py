@@ -179,6 +179,17 @@ def test_m3_singular_degree(capsys):
     assert "divisible by 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv", ["compute jac --g -1", "compute sym --k 2 --g -3"]
+)
+def test_negative_genus_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "genus must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert main(["compute", "nope"]) == 2
     capsys.readouterr()

@@ -139,6 +139,43 @@ def test_divide_exact_roundtrip(a, b):
     assert divide_exact(a * b, b) == a
 
 
+@given(polys, polys.filter(lambda p: not p.is_zero()))
+@settings(max_examples=100, deadline=None)
+def test_divide_exact_quotient_or_remainder(num, den):
+    try:
+        q = divide_exact(num, den)
+    except NonDivisible as exc:
+        r = exc.remainder
+        assert not r.is_zero()
+        assert divide_exact(num - r, den) * den == num - r
+    else:
+        assert q * den == num
+
+
+def _production_divisors(g):
+    jacobian = (ONE + U) ** g * (ONE + V) ** g
+    cyclotomic = ONE
+    for k in range(1, g + 1):
+        cyclotomic = cyclotomic * (ONE - UV**k)
+    return jacobian, cyclotomic
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_divide_exact_production_divisors(g):
+    jacobian, cyclotomic = _production_divisors(g)
+    shape = ONE + 2 * U - 3 * V**2 + U**-1 * V
+    for den, other in ((jacobian, cyclotomic), (cyclotomic, jacobian)):
+        q = other * shape
+        num = q * den
+        assert num.terms == oracles.pmul(q.terms, den.terms)
+        assert divide_exact(num, den) == q
+        with pytest.raises(NonDivisible) as info:
+            divide_exact(num + 1, den)
+        r = info.value.remainder
+        assert not r.is_zero()
+        assert divide_exact(num + 1 - r, den) * den == num + 1 - r
+
+
 def test_divide_exact_laurent_inputs():
     num = U**-2 - ONE
     den = U**-1 + ONE
