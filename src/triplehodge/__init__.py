@@ -67,6 +67,7 @@ from .moduli import (
     e_n31_flipsum,
     poincare,
     poincare_m3,
+    poincare_n31,
 )
 
 __version__ = "0.1.0"
@@ -117,4 +118,5 @@ __all__ = [
     "e_m3_via_pipeline",
     "poincare",
     "poincare_m3",
+    "poincare_n31",
 ]

@@ -8,7 +8,10 @@ locus S^- by S^+, and the Hodge polynomial jumps by
 For odd n both loci are projective bundles over a common base and C_n has
 a short closed form; for even n the loci stratify into six pieces indexed
 by the shape of the destabilizing filtration, and the closed form is
-cross-checked against the stratum-by-stratum sum on every call.
+cross-checked against the stratum-by-stratum sum on every call of
+``c_n_even`` or ``flip_contribution``.  The flip-sum route reads each
+jump through ``_wall_jump``, which keeps only the checked polynomial,
+so there each wall is built and checked once per process.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import NotCritical, OutOfRange, ParityError, StrataMismatch
-from .laurent import ONE, UV, FractionUV, LaurentPoly, U, V
+from .laurent import ONE, U2V, UV, UV2, FractionUV, LaurentPoly, U, V
 from .series import XSeries, sym_series
 from .stability import (
     SigmaRange,
@@ -49,9 +52,6 @@ __all__ = [
     "sigma_range",
 ]
 
-_U2V = LaurentPoly.monomial(2, 1)
-_UV2 = LaurentPoly.monomial(1, 2)
-
 
 @dataclass(frozen=True)
 class FlipContribution:
@@ -76,11 +76,19 @@ class FlipContribution:
 def _wall_kernel(g: int) -> FractionUV:
     # common rational factor of every wall-crossing term; equals
     # e(M(2,odd)) * (1 - uv) up to the (1-(uv)^2) normalization
-    num = (ONE + _U2V) ** g * (ONE + _UV2) ** g - UV**g * (ONE + U) ** g * (
+    num = (ONE + U2V) ** g * (ONE + UV2) ** g - UV**g * (ONE + U) ** g * (
         ONE + V
     ) ** g
     den = (ONE - UV) ** 2 * (ONE - UV**2)
     return FractionUV(num, den)
+
+
+@cache
+def _wall_jump(t: TripleType, n: int) -> LaurentPoly:
+    # C_n as a polynomial, computed (and for even n strata-checked) once
+    # per wall; the strata are not kept, so the cache holds one
+    # polynomial per wall
+    return flip_contribution(t, n).cn.as_polynomial()
 
 
 def _validate_critical(t: TripleType, n: int) -> None:

@@ -41,6 +41,8 @@ __all__ = [
     "U",
     "V",
     "UV",
+    "U2V",
+    "UV2",
 ]
 
 
@@ -441,6 +443,8 @@ ONE = _ONE
 U = LaurentPoly.monomial(1, 0)
 V = LaurentPoly.monomial(0, 1)
 UV = LaurentPoly.monomial(1, 1)
+U2V = LaurentPoly.monomial(2, 1)
+UV2 = LaurentPoly.monomial(1, 2)
 
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

@@ -13,17 +13,27 @@ from fractions import Fraction
 from functools import cache
 from math import comb, floor
 
-from .errors import CriticalSigma, OutOfRange
-from .laurent import ONE, UV, FractionUV, LaurentPoly, U, V, divide_exact
+from .errors import OutOfRange
+from .laurent import (
+    ONE,
+    U2V,
+    UV,
+    UV2,
+    FractionUV,
+    LaurentPoly,
+    U,
+    V,
+    divide_exact,
+)
 from .series import XSeries, sym_series
 from .stability import (
     TripleType,
     chamber_containing,
     criticals_31,
-    resolve_sigma,
     sigma_range,
+    validate_sigma,
 )
-from .flips import _wall_kernel, flip_contribution
+from .flips import _wall_jump, _wall_kernel
 from .zoo import HodgeResult, e_jacobian, e_projective
 
 __all__ = [
@@ -35,27 +45,6 @@ __all__ = [
     "poincare_m3",
     "poincare_n31",
 ]
-
-_U2V = LaurentPoly.monomial(2, 1)
-_UV2 = LaurentPoly.monomial(1, 2)
-
-
-def _prepare_31(g: int, d1: int, d2: int, sigma, chamber):
-    """Shared validation: returns (t, sigma, rng) or an empty result."""
-    t = TripleType(3, 1, d1, d2, g)
-    sigma = resolve_sigma(t, sigma, chamber)
-    rng = sigma_range(t)
-    if sigma in rng.criticals:
-        raise CriticalSigma(
-            f"sigma={sigma} is critical for (3,1,{d1},{d2})",
-            criticals=[int(s) for s in rng.criticals],
-        )
-    out = (
-        rng.empty
-        or sigma <= rng.sigma_m
-        or (rng.sigma_M is not None and sigma > rng.sigma_M)
-    )
-    return t, sigma, out
 
 
 def _indices(sigma: Fraction, d1: int, d2: int) -> tuple[int, int]:
@@ -85,7 +74,8 @@ def e_n31_closed(
     allowed range the result is empty; at a critical value
     CriticalSigma is raised.
     """
-    t, sigma, out = _prepare_31(g, d1, d2, sigma, chamber)
+    t = TripleType(3, 1, d1, d2, g)
+    sigma, out = validate_sigma(t, sigma, chamber)
     if out:
         return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
     n0, nbar0 = _indices(sigma, d1, d2)
@@ -154,15 +144,15 @@ def e_n31_flipsum(
     each wall adds -C_n; the result must agree with e_n31_closed
     exactly, which the verification suite checks chamber by chamber.
     """
-    t, sigma, out = _prepare_31(g, d1, d2, sigma, chamber)
+    t = TripleType(3, 1, d1, d2, g)
+    sigma, out = validate_sigma(t, sigma, chamber)
     if out:
         return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
     n0, _ = _indices(sigma, d1, d2)
-    total = FractionUV.zero()
+    poly = LaurentPoly.zero()
     for n, _crit in criticals_31(t):
         if n >= n0:
-            total = total - flip_contribution(t, n).cn
-    poly = total.as_polynomial()
+            poly = poly - _wall_jump(t, n)
     return HodgeResult(
         poly=poly,
         dim=_dim_31(g, d1, d2),
@@ -190,8 +180,8 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
         jac
         * (ONE + UV) ** 2
         * UV ** (2 * g - 1)
-        * (ONE + _U2V) ** g
-        * (ONE + _UV2) ** g
+        * (ONE + U2V) ** g
+        * (ONE + UV2) ** g
     )
     piece2 = (
         (ONE + U) ** (2 * g)
@@ -202,8 +192,8 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
     piece3 = (
         (ONE + LaurentPoly.monomial(2, 3)) ** g
         * (ONE + LaurentPoly.monomial(3, 2)) ** g
-        * (ONE + _U2V) ** g
-        * (ONE + _UV2) ** g
+        * (ONE + U2V) ** g
+        * (ONE + UV2) ** g
     )
     den = (ONE - UV) * (ONE - UV**2) ** 2 * (ONE - UV**3)
     poly = divide_exact(jac * (piece2 - piece1 + piece3), den)
@@ -285,7 +275,8 @@ def poincare_n31(
     A genuinely independent evaluation in the t variable (not the
     diagonal of the uv computation); the two must agree exactly.
     """
-    t, sigma, out = _prepare_31(g, d1, d2, sigma, chamber)
+    t = TripleType(3, 1, d1, d2, g)
+    sigma, out = validate_sigma(t, sigma, chamber)
     if out:
         return LaurentPoly.zero()
     n0, nbar0 = _indices(sigma, d1, d2)

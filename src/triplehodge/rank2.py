@@ -12,16 +12,26 @@ from fractions import Fraction
 from functools import cache
 from math import floor
 
-from .errors import CriticalSigma, NonIntegral, NotCritical, OutOfRange
-from .laurent import ONE, UV, FractionUV, LaurentPoly, U, V, divide_exact, halve_exact
+from .errors import NonIntegral, NotCritical, OutOfRange
+from .laurent import (
+    ONE,
+    U2V,
+    UV,
+    UV2,
+    FractionUV,
+    LaurentPoly,
+    U,
+    V,
+    divide_exact,
+    halve_exact,
+)
 from .series import XSeries, sym_series
 from .stability import (
     TripleType,
     chamber_bounds,
     chamber_containing,
     criticals_21,
-    resolve_sigma,
-    sigma_range,
+    validate_sigma,
 )
 from .zoo import HodgeResult, e_jacobian
 
@@ -34,9 +44,6 @@ __all__ = [
     "e_triples21_critical_stable",
 ]
 
-_U2V = LaurentPoly.monomial(2, 1)
-_UV2 = LaurentPoly.monomial(1, 2)
-
 
 @cache
 def e_m2_odd(g: int) -> HodgeResult:
@@ -48,7 +55,7 @@ def e_m2_odd(g: int) -> HodgeResult:
         raise OutOfRange(f"genus must be at least 2, got {g}")
     jac = e_jacobian(g).poly
     num = (
-        jac * (ONE + _U2V) ** g * (ONE + _UV2) ** g
+        jac * (ONE + U2V) ** g * (ONE + UV2) ** g
         - UV**g * (ONE + U) ** (2 * g) * (ONE + V) ** (2 * g)
     )
     den = (ONE - UV) * (ONE - UV**2)
@@ -69,8 +76,8 @@ def e_m2s_even(g: int) -> HodgeResult:
     a = (
         (ONE + U) ** g
         * (ONE + V) ** g
-        * (ONE + _U2V) ** g
-        * (ONE + _UV2) ** g
+        * (ONE + U2V) ** g
+        * (ONE + UV2) ** g
     )
     b = (ONE + U) ** (2 * g) * (ONE + V) ** (2 * g)
     c = (ONE - LaurentPoly.monomial(2, 0)) ** g * (
@@ -110,19 +117,8 @@ def e_triples21(
     space is not fine there.
     """
     t = TripleType(2, 1, d1, d2, g)
-    sigma = resolve_sigma(t, sigma, chamber)
-    rng = sigma_range(t)
-    if sigma in rng.criticals:
-        raise CriticalSigma(
-            f"sigma={sigma} is critical for (2,1,{d1},{d2})",
-            criticals=[int(s) for s in rng.criticals],
-        )
-    out_of_range = (
-        rng.empty
-        or sigma <= rng.sigma_m
-        or (rng.sigma_M is not None and sigma > rng.sigma_M)
-    )
-    if out_of_range:
+    sigma, outside = validate_sigma(t, sigma, chamber)
+    if outside:
         return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
 
     d0 = floor((sigma + d1 + d2) / 3) + 1

@@ -8,8 +8,11 @@ rational prefactors in (u, v) are applied after extraction.
 
 The module also carries the closed residue forms ``residue_f1`` and
 ``residue_f2``.  They evaluate the x^0-coefficient extractions that
-appear in the final rank-(3,1) formulas as finite sums over the poles,
-which is what makes the closed route independent of series expansion.
+appear in the final rank-(3,1) formulas as finite sums over the poles.
+No production route calls them: the closed route extracts coefficients
+from series like every other route, and only the verification suite
+and the tests compare the residue forms with ``f1_via_series`` and
+``f2_via_series``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfRange
+from .errors import CriticalSigma, OutOfRange
 
 __all__ = [
     "SigmaRange",
@@ -25,6 +25,7 @@ __all__ = [
     "criticals_31",
     "resolve_sigma",
     "sigma_range",
+    "validate_sigma",
 ]
 
 
@@ -176,6 +177,30 @@ def resolve_sigma(t: TripleType, sigma, chamber: int | None) -> Fraction:
     if sigma is None:
         raise OutOfRange("either sigma or chamber is required")
     return Fraction(sigma)
+
+
+def validate_sigma(
+    t: TripleType, sigma, chamber: int | None
+) -> tuple[Fraction, bool]:
+    """Resolve a moduli query's sigma and place it in the allowed range.
+
+    Returns the resolved sigma and whether it lies outside
+    (sigma_m, sigma_M], where the moduli space is empty.  A sigma
+    exactly at a critical value raises CriticalSigma, since the moduli
+    space is not fine there.
+    """
+    sigma = resolve_sigma(t, sigma, chamber)
+    rng = sigma_range(t)
+    if sigma in rng.criticals:
+        raise CriticalSigma(
+            f"sigma={sigma} is critical for ({t.n1},{t.n2},{t.d1},{t.d2})",
+            criticals=[int(s) for s in rng.criticals],
+        )
+    # an empty range (sigma_M < sigma_m) leaves every sigma outside
+    outside = sigma <= rng.sigma_m or (
+        rng.sigma_M is not None and sigma > rng.sigma_M
+    )
+    return sigma, outside
 
 
 def chi_triples(tq: TripleType, ts: TripleType) -> int:

@@ -41,7 +41,7 @@ from .rank2 import (
     e_triples21,
     e_triples21_critical_stable,
 )
-from .flips import c_n_even, c_n_odd, flip_contribution
+from .flips import _wall_jump, c_n_even, c_n_odd, flip_contribution
 from .moduli import (
     e_m3,
     e_m3_via_pipeline,
@@ -534,7 +534,7 @@ def _crosspath_edges(t: TripleType):
         if not above.empty:
             return ("fail", "nonempty above sigma_M")
         top = e_n31_closed(g, d1, d2, chamber=len(crits))
-        single = (-flip_contribution(t, top_n).cn).as_polynomial()
+        single = -_wall_jump(t, top_n)
         if top.poly != single:
             return ("fail", "top chamber != -C_top")
         return _ok("")

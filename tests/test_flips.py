@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from triplehodge import flips
 from triplehodge import (
     FractionUV,
     NotCritical,
@@ -16,10 +17,13 @@ from triplehodge import (
     criticals_31,
     e_jacobian,
     e_m2_odd,
+    e_n31_flipsum,
     e_projective,
     e_sym,
     flip_contribution,
 )
+from triplehodge.stability import chamber_bounds
+from triplehodge.verify import GRIDS
 
 
 def test_parity_and_criticality_errors():
@@ -108,3 +112,34 @@ def test_n2_integrality_tracks_parity():
 def test_criticals_pinned_here_too():
     assert criticals_31(TripleType(3, 1, 5, 0, 2)) == oracles.CRITICALS_3150
     assert criticals_31(TripleType(3, 1, 6, 0, 2)) == oracles.CRITICALS_3160
+
+
+def test_chamber_sweep_builds_each_wall_once(monkeypatch):
+    # sweeping every chamber of a type telescopes over the same walls;
+    # the flip-sum route must build each of them once, not once per
+    # chamber above it
+    flips._wall_jump.cache_clear()
+    calls = []
+    original = flips.flip_contribution
+
+    def counted(t, n):
+        calls.append((t, n))
+        return original(t, n)
+
+    monkeypatch.setattr(flips, "flip_contribution", counted)
+    walls = set()
+    for g in (2, 3, 4):
+        t = TripleType(3, 1, 2 * g + 3, 0, g)
+        walls |= {(t, n) for n, _sigma in criticals_31(t)}
+        for index in range(1, len(chamber_bounds(t)) + 1):
+            e_n31_flipsum(g, t.d1, 0, chamber=index)
+    assert sorted(calls, key=repr) == sorted(walls, key=repr)
+
+    quick = GRIDS["quick"]
+    for g in quick.gs:
+        for d1 in quick.d1s:
+            for d2 in quick.d2s:
+                t = TripleType(3, 1, d1, d2, g)
+                for n, _sigma in criticals_31(t):
+                    expected = original(t, n).cn.as_polynomial()
+                    assert flips._wall_jump(t, n) == expected

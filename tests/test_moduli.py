@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import triplehodge
+from triplehodge import moduli
 from triplehodge import (
     CriticalSigma,
     FractionUV,
@@ -20,9 +22,9 @@ from triplehodge import (
     flip_contribution,
     poincare,
     poincare_m3,
+    poincare_n31,
 )
 from triplehodge.laurent import ONE, UV
-from triplehodge.moduli import poincare_n31
 from triplehodge.stability import chamber_bounds
 from triplehodge.zoo import smooth_projective_failures
 
@@ -209,3 +211,9 @@ def test_m3_betti_first_values():
     assert betti[0] == 1
     assert betti[1] == 4
     assert betti[2] == 7
+
+
+def test_package_exports_every_moduli_name():
+    assert set(moduli.__all__) <= set(triplehodge.__all__)
+    for name in moduli.__all__:
+        assert getattr(triplehodge, name) is getattr(moduli, name)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from triplehodge import (
+    CriticalSigma,
     OutOfRange,
     TripleType,
     criticals_21,
@@ -18,6 +19,7 @@ from triplehodge.stability import (
     chamber_sigma,
     chi_triples,
     resolve_sigma,
+    validate_sigma,
 )
 
 
@@ -153,6 +155,25 @@ def test_resolve_sigma():
         resolve_sigma(t, 2, 1)
     with pytest.raises(OutOfRange):
         resolve_sigma(t, None, None)
+
+
+
+def test_validate_sigma():
+    t = TripleType(3, 1, 5, 0, 2)  # sigma in (5/3, 5], criticals 3 and 5
+    assert validate_sigma(t, "7/2", None) == (Fraction(7, 2), False)
+    assert validate_sigma(t, None, 1) == (Fraction(7, 3), False)
+    assert validate_sigma(t, 1, None) == (Fraction(1), True)
+    assert validate_sigma(t, Fraction(5, 3), None)[1]
+    assert validate_sigma(t, 6, None)[1]
+    with pytest.raises(CriticalSigma) as info:
+        validate_sigma(t, 3, None)
+    assert str(info.value) == "sigma=3 is critical for (3,1,5,0)"
+    assert info.value.criticals == [3, 5]
+    with pytest.raises(CriticalSigma) as info:
+        validate_sigma(TripleType(2, 1, 5, 0, 2), 4, None)
+    assert str(info.value) == "sigma=4 is critical for (2,1,5,0)"
+    with pytest.raises(OutOfRange):
+        validate_sigma(t, None, None)
 
 
 # -- euler characteristics of hom complexes ---------------------------------------
