@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CriticalSigma, OutOfRange, TripleHodgeError
+from .laurent import LaurentPoly
 from .moduli import e_m3, e_n31_closed, poincare
 from .rank2 import chambers_21, e_m2_odd, e_m2s_even, e_triples21
 from .stability import TripleType, chamber_bounds, criticals_21, criticals_31
@@ -206,6 +207,18 @@ def _betti(h: HodgeResult) -> list[int]:
     return [series.get(k, 0) for k in range(max(series) + 1)]
 
 
+def _row(target, h: HodgeResult, g="", d1="", d2="", chamber="") -> dict:
+    return {
+        "target": target,
+        "g": g,
+        "d1": d1,
+        "d2": d2,
+        "chamber": chamber,
+        "empty": h.empty,
+        "betti": _betti(h),
+    }
+
+
 def _chamber_rows(target: str, g: int, d1: int, d2: int) -> list[dict]:
     if target == "n31":
         bounds = chamber_bounds(TripleType(3, 1, d1, d2, g))
@@ -213,21 +226,13 @@ def _chamber_rows(target: str, g: int, d1: int, d2: int) -> list[dict]:
     else:
         bounds = chambers_21(g, d1, d2)
         compute = e_triples21
-    base = {"target": target, "g": g, "d1": d1, "d2": d2}
     if not bounds:
-        return [{**base, "chamber": "-", "empty": True, "betti": []}]
-    rows = []
-    for index in range(1, len(bounds) + 1):
-        h = compute(g, d1, d2, chamber=index)
-        rows.append(
-            {
-                **base,
-                "chamber": index,
-                "empty": h.empty,
-                "betti": _betti(h),
-            }
-        )
-    return rows
+        empty = HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
+        return [_row(target, empty, g, d1, d2, "-")]
+    return [
+        _row(target, compute(g, d1, d2, chamber=index), g, d1, d2, index)
+        for index in range(1, len(bounds) + 1)
+    ]
 
 
 def _table_rows(args) -> list[dict]:
@@ -246,61 +251,19 @@ def _table_rows(args) -> list[dict]:
             }.get(target)
             for g in args.g:
                 h = e_m3(g, args.d) if target == "m3" else fn(g)
-                rows.append(
-                    {
-                        "target": target,
-                        "g": g,
-                        "d1": "",
-                        "d2": "",
-                        "chamber": "",
-                        "empty": h.empty,
-                        "betti": _betti(h),
-                    }
-                )
+                rows.append(_row(target, h, g))
         elif target == "sym":
             for g in args.g:
                 for k in args.k:
-                    h = e_sym(k, g)
-                    rows.append(
-                        {
-                            "target": target,
-                            "g": g,
-                            "d1": "",
-                            "d2": "",
-                            "chamber": k,
-                            "empty": h.empty,
-                            "betti": _betti(h),
-                        }
-                    )
+                    rows.append(_row(target, e_sym(k, g), g, chamber=k))
         elif target == "grass":
             for k in args.k:
                 for n in args.n:
                     h = e_grassmannian(k, n)
-                    rows.append(
-                        {
-                            "target": target,
-                            "g": "",
-                            "d1": "",
-                            "d2": "",
-                            "chamber": f"{k}/{n}",
-                            "empty": h.empty,
-                            "betti": _betti(h),
-                        }
-                    )
+                    rows.append(_row(target, h, chamber=f"{k}/{n}"))
         elif target == "proj":
             for n in args.n:
-                h = e_projective(n)
-                rows.append(
-                    {
-                        "target": target,
-                        "g": "",
-                        "d1": "",
-                        "d2": "",
-                        "chamber": "",
-                        "empty": h.empty,
-                        "betti": _betti(h),
-                    }
-                )
+                rows.append(_row(target, e_projective(n)))
         else:
             raise UsageError(f"unknown table target {target!r}")
     return rows

@@ -22,7 +22,7 @@ from functools import cache
 
 from .errors import NotCritical, OutOfRange, ParityError, StrataMismatch
 from .laurent import ONE, U2V, UV, UV2, FractionUV, LaurentPoly, U, V
-from .series import XSeries, sym_series
+from .series import extract, sym_series
 from .stability import (
     SigmaRange,
     TripleType,
@@ -126,14 +126,11 @@ def _closed_even(t: TripleType, n: int) -> FractionUV:
     n1 = t.d1 - t.d2 - n
     n2 = g - 1 - t.d1 + (3 * n) // 2
     jac = e_jacobian(g).poly
-    order = n1 + 1
-    w = sym_series(g, order)
-    s1 = w * XSeries.geometric(UV**-1, order)
-    s2 = w * XSeries.geometric(UV**2, order)
-    s12 = s1 * XSeries.geometric(UV**2, order)
-    e1 = s1.coeff(n1) + UV**-2 * s1.coeff(n1 - 1)
-    e2 = s2.coeff(n1) + UV**3 * s2.coeff(n1 - 1)
-    e3 = s12.coeff(n1) - UV * s12.coeff(n1 - 2)
+    w = sym_series(g, n1 + 1)
+    q1, q2, q12 = [UV**-1], [UV**2], [UV**-1, UV**2]
+    e1 = extract(w, q1, n1) + UV**-2 * extract(w, q1, n1 - 1)
+    e2 = extract(w, q2, n1) + UV**3 * extract(w, q2, n1 - 1)
+    e3 = extract(w, q12, n1) - UV * extract(w, q12, n1 - 2)
     p_shared = UV ** (g - 1) * jac
     p1 = FractionUV(p_shared, (ONE - UV) ** 2 * (ONE + UV))
     p2 = FractionUV(p_shared, (ONE - UV) ** 2)

@@ -296,49 +296,30 @@ class LaurentPoly:
 
     def to_text(self, var1: str = "u", var2: str = "v") -> str:
         """Render in the canonical textual format, e.g. ``1 + 2*u + u^2``."""
-        if not self._terms:
-            return "0"
-        pieces = []
-        for a, b, c in self.sorted_terms():
-            factors = []
-            if a != 0:
-                factors.append(var1 if a == 1 else f"{var1}^{a}")
-            if b != 0:
-                factors.append(var2 if b == 1 else f"{var2}^{b}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return self._render(var1, var2, "{}^{}", "*")
 
     def to_latex(self, var1: str = "u", var2: str = "v") -> str:
+        return self._render(var1, var2, "{}^{{{}}}", " ")
+
+    def _render(self, var1: str, var2: str, power: str, sep: str) -> str:
+        # power formats (variable, exponent); sep joins the factors
         if not self._terms:
             return "0"
         pieces = []
         for a, b, c in self.sorted_terms():
-            factors = []
-            if a != 0:
-                factors.append(var1 if a == 1 else f"{var1}^{{{a}}}")
-            if b != 0:
-                factors.append(var2 if b == 1 else f"{var2}^{{{b}}}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = " ".join(factors)
-            else:
-                body = " ".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
+            factors = [
+                var if e == 1 else power.format(var, e)
+                for var, e in ((var1, a), (var2, b))
+                if e != 0
+            ]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            body = sep.join(factors)
+            if pieces:
+                body = ("+ " if c > 0 else "- ") + body
+            elif c < 0:
+                body = "-" + body
+            pieces.append(body)
         return " ".join(pieces)
 
     def to_triples(self) -> list[list]:

@@ -25,7 +25,7 @@ from .laurent import (
     V,
     divide_exact,
 )
-from .series import XSeries, sym_series
+from .series import XSeries, extract, sym_series
 from .stability import (
     TripleType,
     chamber_containing,
@@ -81,34 +81,20 @@ def e_n31_closed(
     n0, nbar0 = _indices(sigma, d1, d2)
     k0 = d1 - d2 - n0
     kb = d1 - d2 - nbar0
-    order = k0 + 1
-    w = sym_series(g, order)
+    # kb <= k0, so one series serves both parts
+    w = sym_series(g, k0 + 1)
 
-    ca1 = (w * XSeries.geometric(UV**-2, order)).coeff(k0)
-    ca2 = (w * XSeries.geometric(UV**3, order)).coeff(k0)
+    ca1 = extract(w, [UV**-2], k0)
+    ca2 = extract(w, [UV**3], k0)
     part_a = _wall_kernel(g) * (
         UV ** (2 * k0) * ca1 - UV ** (2 * g - 2 - 2 * d1 + 3 * n0) * ca2
     )
 
     jac = e_jacobian(g).poly
     if kb >= 0:
-        border = kb + 1
-        wb = sym_series(g, border)
-        cb1 = (
-            wb
-            * XSeries.geometric(UV**-2, border)
-            * XSeries.geometric(UV**-1, border)
-        ).coeff(kb)
-        cb2 = (
-            wb
-            * XSeries.geometric(UV**3, border)
-            * XSeries.geometric(UV**2, border)
-        ).coeff(kb)
-        cb3 = (
-            wb
-            * XSeries.geometric(UV**2, border)
-            * XSeries.geometric(UV**-1, border)
-        ).coeff(kb)
+        cb1 = extract(w, [UV**-2, UV**-1], kb)
+        cb2 = extract(w, [UV**3, UV**2], kb)
+        cb3 = extract(w, [UV**2, UV**-1], kb)
         prefac = FractionUV(
             UV ** (g - 1) * jac, (ONE - UV) ** 2 * (ONE + UV)
         )
@@ -217,8 +203,9 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
     first = rng.criticals[0]
     sigma = (rng.sigma_m + first) / 2
     low = e_n31_closed(g, d1, 0, sigma)
-    divisor = e_jacobian(g).poly * e_projective(3 * g - 2).poly
-    poly = divide_exact(low.poly, divisor)
+    # two small divisions instead of one by the multiplied-out product
+    fiber = divide_exact(low.poly, e_projective(3 * g - 2).poly)
+    poly = divide_exact(fiber, e_jacobian(g).poly)
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
 
 
@@ -283,22 +270,19 @@ def poincare_n31(
     k0 = d1 - d2 - n0
     kb = d1 - d2 - nbar0
 
-    def curve_series(order: int) -> XSeries:
-        coeffs = [
+    # sym_series at u = v = t: the numerator (1 + t)^(2g) here, and its
+    # poles 1 and t^2 lead every pole list below
+    order = k0 + 1
+    w = XSeries(
+        order,
+        [
             LaurentPoly.monomial(k, 0, comb(2 * g, k))
             for k in range(min(order, 2 * g + 1))
-        ]
-        base = XSeries(order, coeffs)
-        return (
-            base
-            * XSeries.geometric(ONE, order)
-            * XSeries.geometric(_t(2), order)
-        )
-
-    order = k0 + 1
-    w = curve_series(order)
-    ca1 = (w * XSeries.geometric(_t(-4), order)).coeff(k0)
-    ca2 = (w * XSeries.geometric(_t(6), order)).coeff(k0)
+        ],
+    )
+    sym = [ONE, _t(2)]
+    ca1 = extract(w, [*sym, _t(-4)], k0)
+    ca2 = extract(w, [*sym, _t(6)], k0)
     kernel = FractionUV(
         (ONE + _t(3)) ** (2 * g) - _t(2 * g) * (ONE + _t(1)) ** (2 * g),
         (ONE - _t(2)) ** 2 * (ONE - _t(4)),
@@ -308,23 +292,9 @@ def poincare_n31(
     )
 
     if kb >= 0:
-        border = kb + 1
-        wb = curve_series(border)
-        cb1 = (
-            wb
-            * XSeries.geometric(_t(-4), border)
-            * XSeries.geometric(_t(-2), border)
-        ).coeff(kb)
-        cb2 = (
-            wb
-            * XSeries.geometric(_t(6), border)
-            * XSeries.geometric(_t(4), border)
-        ).coeff(kb)
-        cb3 = (
-            wb
-            * XSeries.geometric(_t(4), border)
-            * XSeries.geometric(_t(-2), border)
-        ).coeff(kb)
+        cb1 = extract(w, [*sym, _t(-4), _t(-2)], kb)
+        cb2 = extract(w, [*sym, _t(6), _t(4)], kb)
+        cb3 = extract(w, [*sym, _t(4), _t(-2)], kb)
         prefac = FractionUV(
             _t(2 * g - 2) * (ONE + _t(1)) ** (2 * g),
             (ONE - _t(2)) ** 2 * (ONE + _t(2)),

@@ -25,7 +25,7 @@ from .laurent import (
     divide_exact,
     halve_exact,
 )
-from .series import XSeries, sym_series
+from .series import extract, sym_series
 from .stability import (
     TripleType,
     chamber_bounds,
@@ -123,10 +123,9 @@ def e_triples21(
 
     d0 = floor((sigma + d1 + d2) / 3) + 1
     k = d1 - d2 - d0
-    order = k + 1
-    w = sym_series(g, order)
-    c1 = (w * XSeries.geometric(UV**-1, order)).coeff(k)
-    c2 = (w * XSeries.geometric(UV**2, order)).coeff(k)
+    w = sym_series(g, k + 1)
+    c1 = extract(w, [UV**-1], k)
+    c2 = extract(w, [UV**2], k)
     bracket = UV**k * c1 - UV ** (g - 1 - d1 + 2 * d0) * c2
     jac = e_jacobian(g).poly
     poly = FractionUV(jac * jac * bracket, ONE - UV).as_polynomial()
@@ -156,10 +155,9 @@ def e_triples21_critical_stable(
             f"criticals are {sorted(m for m, _ in criticals_21(d1, d2))}"
         )
     k = d1 - d2 - d_m
-    order = k + 1
-    w = sym_series(g, order)
-    c1 = (w * XSeries.geometric(UV**-1, order)).coeff(k)
-    c2 = (w * XSeries.geometric(UV**2, order)).coeff(k - 1)
+    w = sym_series(g, k + 1)
+    c1 = extract(w, [UV**-1], k)
+    c2 = extract(w, [UV**2], k - 1)
     c3 = w.coeff(k)
     bracket = UV**k * c1 - UV ** (g + 1 - d1 + 2 * d_m) * c2 - c3
     jac = e_jacobian(g).poly

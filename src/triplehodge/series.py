@@ -6,6 +6,10 @@ so a truncated series with ``LaurentPoly`` coefficients is enough: every
 coefficient we ever extract is an honest Laurent polynomial, and the
 rational prefactors in (u, v) are applied after extraction.
 
+``extract`` is the one extraction primitive: it reads [x^k] of a series
+divided by a product of poles (1 - m x) with a prefix recurrence, so no
+route multiplies series just to read one coefficient.
+
 The module also carries the closed residue forms ``residue_f1`` and
 ``residue_f2``.  They evaluate the x^0-coefficient extractions that
 appear in the final rank-(3,1) formulas as finite sums over the poles.
@@ -14,7 +18,6 @@ from series like every other route, and only the verification suite
 and the tests compare the residue forms with ``f1_via_series`` and
 ``f2_via_series``.
 """
-
 from __future__ import annotations
 
 from math import comb
@@ -25,6 +28,7 @@ from .laurent import ONE, ZERO, FractionUV, LaurentPoly, U, V
 __all__ = [
     "XSeries",
     "curve_numerator",
+    "extract",
     "sym_series",
     "residue_f1",
     "residue_f2",
@@ -57,14 +61,6 @@ class XSeries:
         self._coeffs = coeffs
 
     @classmethod
-    def zero(cls, order: int) -> "XSeries":
-        return cls(order, [])
-
-    @classmethod
-    def one(cls, order: int) -> "XSeries":
-        return cls(order, [ONE])
-
-    @classmethod
     def geometric(cls, ratio, order: int) -> "XSeries":
         """1/(1 - ratio*x) = sum_k ratio^k x^k, truncated."""
         ratio = _as_poly(ratio)
@@ -86,21 +82,6 @@ class XSeries:
             )
         return self._coeffs[k]
 
-    def __add__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return XSeries(n, [self._coeffs[i] + other._coeffs[i] for i in range(n)])
-
-    def __sub__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return XSeries(n, [self._coeffs[i] - other._coeffs[i] for i in range(n)])
-
-    def __neg__(self):
-        return XSeries(self.order, [-c for c in self._coeffs])
-
     def __mul__(self, other):
         if isinstance(other, (LaurentPoly, int)):
             m = _as_poly(other)
@@ -120,13 +101,6 @@ class XSeries:
         return XSeries(n, out)
 
     __rmul__ = __mul__
-
-    def truncate(self, order: int) -> "XSeries":
-        if order > self.order:
-            raise OrderTooLow(
-                f"cannot extend a series of order {self.order} to {order}"
-            )
-        return XSeries(order, self._coeffs[:order])
 
     def __repr__(self):
         shown = ", ".join(c.to_text() for c in self._coeffs[:4])
@@ -176,6 +150,29 @@ def sym_series(g: int, order: int) -> XSeries:
         * XSeries.geometric(ONE, order)
         * XSeries.geometric(uv, order)
     )
+
+
+def extract(w: XSeries, poles, k: int) -> LaurentPoly:
+    """Coefficient of x^k in w(x) / prod(1 - m x) over the poles m.
+
+    Dividing by 1 - m x is the prefix recurrence c[j] += m c[j-1], so
+    each pole costs k monomial-times-polynomial products and no series
+    is multiplied.  Poles may repeat.  Zero for k < 0; OrderTooLow when
+    w is not known up to x^k.
+
+    Example: [x^2] of 1/((1-x)(1-uv x)) is 1 + uv + (uv)^2::
+
+        >>> extract(XSeries(3, [ONE]), [ONE, U * V], 2).to_text()
+        '1 + u*v + u^2*v^2'
+    """
+    if k < 0:
+        return ZERO
+    coeffs = [w.coeff(j) for j in range(k + 1)]
+    for pole in poles:
+        m = _as_poly(pole)
+        for j in range(1, k + 1):
+            coeffs[j] = coeffs[j] + m * coeffs[j - 1]
+    return coeffs[k]
 
 
 def _check_distinct(poles):
@@ -230,17 +227,10 @@ def residue_f2(g: int, a, b, c, d) -> FractionUV:
 
 def f1_via_series(g: int, a, b, c) -> LaurentPoly:
     """Series-expansion evaluation of the same coefficient as residue_f1."""
-    order = 2 * g - 1
-    s = curve_numerator(g, order)
-    for pole in (a, b, c):
-        s = s * XSeries.geometric(_as_poly(pole), order)
-    return s.coeff(2 * g - 2)
+    return extract(curve_numerator(g, 2 * g - 1), (a, b, c), 2 * g - 2)
 
 
 def f2_via_series(g: int, a, b, c, d) -> LaurentPoly:
     """Series-expansion evaluation of the same coefficient as residue_f2."""
-    order = max(2 * g - 2, 1)
-    s = curve_numerator(g, order)
-    for pole in (a, b, c, d):
-        s = s * XSeries.geometric(_as_poly(pole), order)
-    return s.coeff(2 * g - 3)
+    w = curve_numerator(g, max(2 * g - 2, 1))
+    return extract(w, (a, b, c, d), 2 * g - 3)

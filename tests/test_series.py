@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from triplehodge import (
@@ -17,6 +19,7 @@ from triplehodge import (
 from triplehodge.laurent import ONE, UV, ZERO
 from triplehodge.series import (
     curve_numerator,
+    extract,
     f1_via_series,
     f2_via_series,
     sym_series,
@@ -45,27 +48,15 @@ def test_geometric_times_one_minus_ratio_is_one():
 
 def test_series_linear_ops():
     s = XSeries.geometric(UV, 5)
-    t = XSeries.one(5)
-    assert (s - s).coeff(3).is_zero()
-    assert (s + (-s)).coeff(2).is_zero()
-    assert (s + t).coeff(0) == 2 * ONE
+    t = XSeries(5, [ONE])
     assert (s * 3).coeff(1) == 3 * UV
     assert (2 * t).coeff(0) == 2 * ONE
 
 
 def test_product_truncates_to_min_order():
     s = XSeries.geometric(ONE, 7)
-    t = XSeries.one(4)
+    t = XSeries(4, [ONE])
     assert (s * t).order == 4
-    assert (s + t).order == 4
-
-
-def test_truncate():
-    s = XSeries.geometric(ONE, 5)
-    assert s.truncate(3).order == 3
-    assert s.truncate(3).coeff(2) == ONE
-    with pytest.raises(OrderTooLow):
-        s.truncate(6)
 
 
 def test_coefficient_validation():
@@ -100,6 +91,33 @@ def test_sym_series_matches_brute_force():
         s = sym_series(g, 7)
         for k in range(7):
             assert s.coeff(k) == LaurentPoly(oracles.sym_power_curve(k, g))
+
+
+# -- coefficient extraction ------------------------------------------------
+
+_monomial_exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(0, 4),
+    k=st.integers(-2, 8),
+    exps=st.lists(_monomial_exps, max_size=4),
+)
+def test_extract_matches_brute_force(g, k, exps):
+    poles = [LaurentPoly.monomial(a, b) for a, b in exps]
+    got = extract(curve_numerator(g, max(k + 1, 0)), poles, k)
+    expected = oracles.coeff_extract(g, [{e: 1} for e in exps], k)
+    assert got == LaurentPoly(expected)
+
+
+def test_extract_needs_the_coefficient_it_reads():
+    expected = oracles.coeff_extract(2, [{(1, 1): 1}] * 2, 3)
+    assert extract(curve_numerator(2, 4), [UV, UV], 3) == LaurentPoly(expected)
+    for order in (0, 3):
+        with pytest.raises(OrderTooLow):
+            extract(curve_numerator(2, order), [UV], 3)
+    assert extract(curve_numerator(2, 0), [UV], -1) == ZERO
 
 
 # -- residue coefficient formulas ----------------------------------------
