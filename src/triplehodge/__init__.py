@@ -49,17 +49,16 @@ from .rank2 import (
     e_triples21,
     e_triples21_critical_stable,
 )
-from .flips import (
-    FlipContribution,
+from .stability import (
+    Chamber,
     SigmaRange,
     TripleType,
-    c_n_even,
-    c_n_odd,
     chi_triples,
     criticals_31,
-    flip_contribution,
+    locate,
     sigma_range,
 )
+from .flips import FlipContribution, c_n_even, c_n_odd, flip_contribution
 from .moduli import (
     e_m3,
     e_m3_via_pipeline,
@@ -108,6 +107,8 @@ __all__ = [
     "sigma_range",
     "chi_triples",
     "criticals_31",
+    "Chamber",
+    "locate",
     "FlipContribution",
     "c_n_odd",
     "c_n_even",

@@ -17,8 +17,8 @@ from . import __version__
 from .errors import CriticalSigma, OutOfRange, TripleHodgeError
 from .laurent import LaurentPoly
 from .moduli import e_m3, e_n31_closed, poincare
-from .rank2 import chambers_21, e_m2_odd, e_m2s_even, e_triples21
-from .stability import TripleType, chamber_bounds, criticals_21, criticals_31
+from .rank2 import e_m2_odd, e_m2s_even, e_triples21
+from .stability import TripleType, _walls, chamber_bounds
 from .verify import GRIDS, SUITES, run_suite
 from .zoo import (
     HodgeResult,
@@ -120,13 +120,14 @@ def _compute_hodge(args) -> HodgeResult:
     raise UsageError(f"unknown compute target {target!r}")
 
 
+def _triple_type(ranks: str, g: int, d1: int, d2: int) -> TripleType:
+    """The type (n1, n2, d1, d2) whose ranks are spelled "31" or "21"."""
+    return TripleType(int(ranks[0]), int(ranks[1]), d1, d2, g)
+
+
 def _render_criticals(args) -> str:
-    if args.ranks == "31":
-        pairs = criticals_31(TripleType(3, 1, args.d1, args.d2, args.g))
-        label = "n"
-    else:
-        pairs = criticals_21(args.d1, args.d2)
-        label = "dM"
+    pairs = _walls(_triple_type(args.ranks, args.g, args.d1, args.d2))
+    label = "n" if args.ranks == "31" else "dM"
     if args.output == "json":
         return json.dumps(
             {"target": "criticals", "ranks": args.ranks, "pairs": pairs}
@@ -137,10 +138,9 @@ def _render_criticals(args) -> str:
 
 
 def _render_chambers(args) -> str:
-    if args.ranks == "31":
-        bounds = chamber_bounds(TripleType(3, 1, args.d1, args.d2, args.g))
-    else:
-        bounds = chambers_21(args.g, args.d1, args.d2)
+    bounds = chamber_bounds(
+        _triple_type(args.ranks, args.g, args.d1, args.d2)
+    )
     if args.output == "json":
         rows = [
             {"index": i, "lo": str(lo), "hi": str(hi)}
@@ -220,12 +220,8 @@ def _row(target, h: HodgeResult, g="", d1="", d2="", chamber="") -> dict:
 
 
 def _chamber_rows(target: str, g: int, d1: int, d2: int) -> list[dict]:
-    if target == "n31":
-        bounds = chamber_bounds(TripleType(3, 1, d1, d2, g))
-        compute = e_n31_closed
-    else:
-        bounds = chambers_21(g, d1, d2)
-        compute = e_triples21
+    bounds = chamber_bounds(_triple_type(target[1:], g, d1, d2))
+    compute = e_n31_closed if target == "n31" else e_triples21
     if not bounds:
         empty = HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
         return [_row(target, empty, g, d1, d2, "-")]

@@ -23,13 +23,7 @@ from functools import cache
 from .errors import NotCritical, OutOfRange, ParityError, StrataMismatch
 from .laurent import ONE, U2V, UV, UV2, FractionUV, LaurentPoly, U, V
 from .series import extract, sym_series
-from .stability import (
-    SigmaRange,
-    TripleType,
-    chi_triples,
-    criticals_31,
-    sigma_range,
-)
+from .stability import TripleType, criticals_31
 from .rank2 import e_m2s_even, e_triples21_critical_stable
 from .zoo import (
     e_affine,
@@ -42,14 +36,9 @@ from .zoo import (
 
 __all__ = [
     "FlipContribution",
-    "SigmaRange",
-    "TripleType",
     "c_n_even",
     "c_n_odd",
-    "chi_triples",
-    "criticals_31",
     "flip_contribution",
-    "sigma_range",
 ]
 
 

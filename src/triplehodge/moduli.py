@@ -9,9 +9,8 @@ space, which fibers over M(3, d1) in projective spaces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import comb, floor
+from math import comb
 
 from .errors import OutOfRange
 from .laurent import (
@@ -26,13 +25,7 @@ from .laurent import (
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
-from .stability import (
-    TripleType,
-    chamber_containing,
-    criticals_31,
-    sigma_range,
-    validate_sigma,
-)
+from .stability import TripleType, criticals_31, locate
 from .flips import _wall_jump, _wall_kernel
 from .zoo import HodgeResult, e_jacobian, e_projective
 
@@ -45,14 +38,6 @@ __all__ = [
     "poincare_m3",
     "poincare_n31",
 ]
-
-
-def _indices(sigma: Fraction, d1: int, d2: int) -> tuple[int, int]:
-    """Summation cutoffs: n0 is the least critical index above sigma,
-    nbar0 the least even integer >= n0."""
-    n0 = floor((sigma + d1 + d2) / 2) + 1
-    nbar0 = n0 + (n0 & 1)
-    return n0, nbar0
 
 
 def _dim_31(g: int, d1: int, d2: int) -> int:
@@ -74,11 +59,13 @@ def e_n31_closed(
     allowed range the result is empty; at a critical value
     CriticalSigma is raised.
     """
-    t = TripleType(3, 1, d1, d2, g)
-    sigma, out = validate_sigma(t, sigma, chamber)
-    if out:
+    ch = locate(TripleType(3, 1, d1, d2, g), sigma, chamber)
+    if ch is None:
         return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
-    n0, nbar0 = _indices(sigma, d1, d2)
+    # the sums are cut at the least critical index n0 above sigma and
+    # at the least even integer nbar0 >= n0
+    n0 = ch.wall
+    nbar0 = n0 + (n0 & 1)
     k0 = d1 - d2 - n0
     kb = d1 - d2 - nbar0
     # kb <= k0, so one series serves both parts
@@ -112,7 +99,7 @@ def e_n31_closed(
         dim=_dim_31(g, d1, d2),
         smooth_projective=True,
         empty=poly.is_zero(),
-        chamber=chamber_containing(t, sigma),
+        chamber=(ch.sigma, ch.lo, ch.hi),
     )
 
 
@@ -131,20 +118,19 @@ def e_n31_flipsum(
     exactly, which the verification suite checks chamber by chamber.
     """
     t = TripleType(3, 1, d1, d2, g)
-    sigma, out = validate_sigma(t, sigma, chamber)
-    if out:
+    ch = locate(t, sigma, chamber)
+    if ch is None:
         return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
-    n0, _ = _indices(sigma, d1, d2)
     poly = LaurentPoly.zero()
     for n, _crit in criticals_31(t):
-        if n >= n0:
+        if n >= ch.wall:
             poly = poly - _wall_jump(t, n)
     return HodgeResult(
         poly=poly,
         dim=_dim_31(g, d1, d2),
         smooth_projective=True,
         empty=poly.is_zero(),
-        chamber=chamber_containing(t, sigma),
+        chamber=(ch.sigma, ch.lo, ch.hi),
     )
 
 
@@ -198,11 +184,7 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
     if g < 2:
         raise OutOfRange(f"genus must be at least 2, got {g}")
     d1 = 6 * g - 5
-    t = TripleType(3, 1, d1, 0, g)
-    rng = sigma_range(t)
-    first = rng.criticals[0]
-    sigma = (rng.sigma_m + first) / 2
-    low = e_n31_closed(g, d1, 0, sigma)
+    low = e_n31_closed(g, d1, 0, chamber=1)
     # two small divisions instead of one by the multiplied-out product
     fiber = divide_exact(low.poly, e_projective(3 * g - 2).poly)
     poly = divide_exact(fiber, e_jacobian(g).poly)
@@ -262,11 +244,11 @@ def poincare_n31(
     A genuinely independent evaluation in the t variable (not the
     diagonal of the uv computation); the two must agree exactly.
     """
-    t = TripleType(3, 1, d1, d2, g)
-    sigma, out = validate_sigma(t, sigma, chamber)
-    if out:
+    ch = locate(TripleType(3, 1, d1, d2, g), sigma, chamber)
+    if ch is None:
         return LaurentPoly.zero()
-    n0, nbar0 = _indices(sigma, d1, d2)
+    n0 = ch.wall
+    nbar0 = n0 + (n0 & 1)
     k0 = d1 - d2 - n0
     kb = d1 - d2 - nbar0
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import floor
 
 from .errors import NonIntegral, NotCritical, OutOfRange
 from .laurent import (
@@ -26,13 +25,7 @@ from .laurent import (
     halve_exact,
 )
 from .series import extract, sym_series
-from .stability import (
-    TripleType,
-    chamber_bounds,
-    chamber_containing,
-    criticals_21,
-    validate_sigma,
-)
+from .stability import TripleType, chamber_bounds, criticals_21, locate
 from .zoo import HodgeResult, e_jacobian
 
 __all__ = [
@@ -116,12 +109,12 @@ def e_triples21(
     exactly at a critical value raises CriticalSigma, since the moduli
     space is not fine there.
     """
-    t = TripleType(2, 1, d1, d2, g)
-    sigma, outside = validate_sigma(t, sigma, chamber)
-    if outside:
+    ch = locate(TripleType(2, 1, d1, d2, g), sigma, chamber)
+    if ch is None:
         return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
 
-    d0 = floor((sigma + d1 + d2) / 3) + 1
+    # the sum is cut at the least critical index d0 above sigma
+    d0 = ch.wall
     k = d1 - d2 - d0
     w = sym_series(g, k + 1)
     c1 = extract(w, [UV**-1], k)
@@ -134,7 +127,7 @@ def e_triples21(
         dim=3 * g - 2 + d1 - 2 * d2,
         smooth_projective=True,
         empty=poly.is_zero(),
-        chamber=chamber_containing(t, sigma),
+        chamber=(ch.sigma, ch.lo, ch.hi),
     )
 
 

@@ -4,7 +4,9 @@ A triple of type (n1, n2, d1, d2) on a genus-g curve is a pair of bundles
 E1, E2 of ranks n1, n2 and degrees d1, d2 together with a map E2 -> E1.
 Stability depends on a real parameter sigma; the moduli space changes only
 when sigma crosses one of finitely many critical values, and is constant
-on the open chambers in between.
+on the open chambers in between.  locate is the one place a moduli
+query's sigma (or chamber index) is resolved, checked and placed in its
+chamber.
 """
 
 from __future__ import annotations
@@ -15,17 +17,15 @@ from fractions import Fraction
 from .errors import CriticalSigma, OutOfRange
 
 __all__ = [
+    "Chamber",
     "SigmaRange",
     "TripleType",
     "chamber_bounds",
-    "chamber_containing",
-    "chamber_sigma",
     "chi_triples",
     "criticals_21",
     "criticals_31",
-    "resolve_sigma",
+    "locate",
     "sigma_range",
-    "validate_sigma",
 ]
 
 
@@ -69,6 +69,22 @@ class SigmaRange:
     empty: bool
 
 
+@dataclass(frozen=True)
+class Chamber:
+    """The open chamber (lo, hi) holding a resolved query sigma.
+
+    wall is the index of the critical value hi: the degree n of the
+    destabilizing quotient for type (3, 1), the degree d_m of the
+    destabilizing subbundle for type (2, 1).  The closed formulas are
+    cut there.
+    """
+
+    sigma: Fraction
+    lo: Fraction
+    hi: Fraction
+    wall: int
+
+
 def sigma_range(t: TripleType) -> SigmaRange:
     """Allowed sigma interval and critical values for the type t.
 
@@ -89,14 +105,7 @@ def sigma_range(t: TripleType) -> SigmaRange:
     empty = sigma_big is not None and sigma_big < sigma_m
     criticals: tuple[Fraction, ...] = ()
     if not empty:
-        if (t.n1, t.n2) == (3, 1):
-            criticals = tuple(
-                Fraction(s) for _, s in criticals_31(t)
-            )
-        elif (t.n1, t.n2) == (2, 1):
-            criticals = tuple(
-                Fraction(s) for _, s in criticals_21(t.d1, t.d2)
-            )
+        criticals = tuple(Fraction(s) for _, s in _walls(t))
     return SigmaRange(
         sigma_m=sigma_m, sigma_M=sigma_big, criticals=criticals, empty=empty
     )
@@ -126,6 +135,15 @@ def criticals_21(d1: int, d2: int) -> list[tuple[int, int]]:
     return [(m, 3 * m - d1 - d2) for m in range(lower, upper + 1)]
 
 
+def _walls(t: TripleType) -> list[tuple[int, int]]:
+    """The (index, critical value) pairs of the ranks that have them."""
+    if (t.n1, t.n2) == (3, 1):
+        return criticals_31(t)
+    if (t.n1, t.n2) == (2, 1):
+        return criticals_21(t.d1, t.d2)
+    return []
+
+
 def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
     """Open chambers (lo, hi) between consecutive critical values.
 
@@ -139,68 +157,45 @@ def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def chamber_containing(
-    t: TripleType, sigma: Fraction
-) -> tuple[Fraction, Fraction, Fraction] | None:
-    """The (sigma, lo, hi) descriptor of the chamber holding sigma, if any."""
-    for lo, hi in chamber_bounds(t):
-        if lo < sigma < hi:
-            return (sigma, lo, hi)
-    return None
+def locate(
+    t: TripleType, sigma=None, chamber: int | None = None
+) -> Chamber | None:
+    """Resolve a moduli query's (sigma, chamber) pair and place sigma.
 
-
-def chamber_sigma(t: TripleType, index: int) -> Fraction:
-    """Representative sigma (the midpoint) of the 1-based chamber index."""
-    bounds = chamber_bounds(t)
-    if not bounds:
-        raise OutOfRange(
-            f"type ({t.n1},{t.n2},{t.d1},{t.d2}) has no chambers"
-        )
-    if not 1 <= index <= len(bounds):
-        raise OutOfRange(
-            f"chamber index {index} out of range 1..{len(bounds)}"
-        )
-    lo, hi = bounds[index - 1]
-    return (lo + hi) / 2
-
-
-def resolve_sigma(t: TripleType, sigma, chamber: int | None) -> Fraction:
-    """Normalize the (sigma, chamber) pair of a moduli query to one rational.
-
-    Exactly one of the two must be given; a chamber index is converted
-    to the chamber's midpoint.
+    Exactly one of the two must be given; a 1-based chamber index stands
+    for that chamber's midpoint.  Returns the open chamber holding sigma,
+    or None when sigma lies outside (sigma_m, sigma_M], where the moduli
+    space is empty.  A sigma exactly at a critical value raises
+    CriticalSigma, since the moduli space is not fine there.
     """
+    bounds = chamber_bounds(t)
     if chamber is not None:
         if sigma is not None:
             raise OutOfRange("pass sigma or chamber, not both")
-        return chamber_sigma(t, chamber)
-    if sigma is None:
+        if not bounds:
+            raise OutOfRange(
+                f"type ({t.n1},{t.n2},{t.d1},{t.d2}) has no chambers"
+            )
+        if not 1 <= chamber <= len(bounds):
+            raise OutOfRange(
+                f"chamber index {chamber} out of range 1..{len(bounds)}"
+            )
+        lo, hi = bounds[chamber - 1]
+        sigma = (lo + hi) / 2
+    elif sigma is None:
         raise OutOfRange("either sigma or chamber is required")
-    return Fraction(sigma)
-
-
-def validate_sigma(
-    t: TripleType, sigma, chamber: int | None
-) -> tuple[Fraction, bool]:
-    """Resolve a moduli query's sigma and place it in the allowed range.
-
-    Returns the resolved sigma and whether it lies outside
-    (sigma_m, sigma_M], where the moduli space is empty.  A sigma
-    exactly at a critical value raises CriticalSigma, since the moduli
-    space is not fine there.
-    """
-    sigma = resolve_sigma(t, sigma, chamber)
-    rng = sigma_range(t)
-    if sigma in rng.criticals:
+    sigma = Fraction(sigma)
+    criticals = [hi for _, hi in bounds]
+    if sigma in criticals:
         raise CriticalSigma(
             f"sigma={sigma} is critical for ({t.n1},{t.n2},{t.d1},{t.d2})",
-            criticals=[int(s) for s in rng.criticals],
+            criticals=[int(s) for s in criticals],
         )
-    # an empty range (sigma_M < sigma_m) leaves every sigma outside
-    outside = sigma <= rng.sigma_m or (
-        rng.sigma_M is not None and sigma > rng.sigma_M
-    )
-    return sigma, outside
+    # the chambers and their upper walls tile (sigma_m, sigma_M]
+    for (lo, hi), (wall, _) in zip(bounds, _walls(t)):
+        if lo < sigma < hi:
+            return Chamber(sigma, lo, hi, wall)
+    return None
 
 
 def chi_triples(tq: TripleType, ts: TripleType) -> int:

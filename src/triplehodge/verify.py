@@ -22,7 +22,6 @@ from .series import (
     f2_via_series,
     residue_f1,
     residue_f2,
-    sym_series,
 )
 from .stability import TripleType, chamber_bounds, chi_triples, criticals_31
 from .zoo import (

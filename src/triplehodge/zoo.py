@@ -40,16 +40,17 @@ class HodgeResult:
         smooth_projective: True only when the variety is known smooth
             projective, so Poincare duality and the degree bound hold.
         empty: True when the variety is empty (zero polynomial).
-        chamber: optional stability descriptor for moduli of triples,
-            a tuple (sigma, lo, hi) with exact rational endpoints; hi is
-            None when the chamber is unbounded.
+        chamber: stability descriptor for moduli of triples, a tuple
+            (sigma, lo, hi): the query's sigma and the exact rational
+            endpoints of the open chamber holding it.  None for other
+            varieties and for a sigma outside the allowed range.
     """
 
     poly: LaurentPoly
     dim: int
     smooth_projective: bool = False
     empty: bool = False
-    chamber: tuple[Fraction, Fraction, Fraction | None] | None = None
+    chamber: tuple[Fraction, Fraction, Fraction] | None = None
 
     def __mul__(self, other: "HodgeResult") -> "HodgeResult":
         if not isinstance(other, HodgeResult):

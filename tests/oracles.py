@@ -9,6 +9,9 @@ coefficients; zero coefficients are never stored.  Power series in an
 auxiliary variable x are lists of such dicts, index = x-exponent.
 """
 
+from fractions import Fraction
+from math import floor
+
 # -- dict polynomial arithmetic ----------------------------------------
 
 
@@ -232,6 +235,28 @@ def hn_moduli_betti(r, d, g):
     poly = tmul(stack, tsub(tser([1]), t_shift(2)))
     last = max(i for i, c in enumerate(poly) if c)
     return poly[: last + 1]
+
+
+# -- stability chambers of types (3,1) and (2,1) ------------------------
+
+
+def sigma_interval(n1, d1, d2):
+    """(sigma_m, sigma_M) for the type (n1, 1, d1, d2), n1 = 2 or 3.
+
+    sigma_m = mu1 - mu2 and sigma_M = (1 + (n1 + 1)/(n1 - 1)) * sigma_m.
+    """
+    sigma_m = Fraction(d1, n1) - d2
+    return sigma_m, (1 + Fraction(n1 + 1, n1 - 1)) * sigma_m
+
+
+def wall_31(sigma, d1, d2):
+    """Least index n with critical value 2n - d1 - d2 above sigma."""
+    return floor((sigma + d1 + d2) / 2) + 1
+
+
+def wall_21(sigma, d1, d2):
+    """Least index d_m with critical value 3*d_m - d1 - d2 above sigma."""
+    return floor((sigma + d1 + d2) / 3) + 1
 
 
 # -- frozen expected values --------------------------------------------

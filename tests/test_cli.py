@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from triplehodge import LaurentPoly, e_m2_odd, e_n31_closed
-from triplehodge.cli import main
+from triplehodge.cli import _TABLE_TARGETS, main
 
 
 def run(capsys, *argv):
@@ -180,6 +184,22 @@ def test_m3_singular_degree(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "compute criticals --g 1 --d1 5 --d2 0 --ranks 21",
+        "compute criticals --g 1 --d1 5 --d2 0 --ranks 31",
+        "compute chambers --g 1 --d1 5 --d2 0 --ranks 21",
+        "compute chambers --g 1 --d1 5 --d2 0 --ranks 31",
+    ],
+)
+def test_criticals_and_chambers_refuse_genus_below_2(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == "error: genus must be at least 2, got 1\n"
+
+
+@pytest.mark.parametrize(
     "argv", ["compute jac --g -1", "compute sym --k 2 --g -3"]
 )
 def test_negative_genus_exit_2(capsys, argv):
@@ -315,3 +335,98 @@ def test_verify_all_quick_is_deterministic(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert out_a.count("suite:") == 6
+
+
+# -- the exit-code contract over generated argv ------------------------------------
+
+# small values keep every request cheap; the genus stays low because
+# table rows multiply over the chambers of every (g, d1, d2), and half
+# the draws are valid genera so that most requests get past validation
+_SMALL = st.integers(min_value=-12, max_value=12)
+_GENUS = st.one_of(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=-3, max_value=1),
+)
+_CHAMBER = st.integers(min_value=-1, max_value=6)
+_SIGMA = st.one_of(
+    _SMALL,
+    st.builds("{}/{}".format, _SMALL, _SMALL),
+    st.sampled_from(["abc", "1.5", "", "3/"]),
+)
+
+
+def _flag(name, values):
+    """The one token --name=value; "=" keeps a value such as -3,-4 from
+    being read as an option."""
+    return values.map(lambda value: [f"--{name}={value}"])
+
+
+def _int_list(values):
+    return st.lists(values.map(str), min_size=1, max_size=2).map(",".join)
+
+
+_TYPE = [_flag("g", _GENUS), _flag("d1", _SMALL), _flag("d2", _SMALL)]
+_PLACE = st.one_of(
+    _flag("sigma", _SIGMA),
+    _flag("chamber", _CHAMBER),
+    st.tuples(_flag("sigma", _SIGMA), _flag("chamber", _CHAMBER)).map(
+        lambda pair: pair[0] + pair[1]
+    ),
+)
+_COMPUTE = {
+    "n31": [*_TYPE, _PLACE],
+    "n21": [*_TYPE, _PLACE],
+    "m2odd": [_flag("g", _GENUS)],
+    "m2even": [_flag("g", _GENUS)],
+    "jac": [_flag("g", _GENUS)],
+    "m3": [_flag("g", _GENUS), _flag("d", _SMALL)],
+    "sym": [_flag("k", _SMALL), _flag("g", _GENUS)],
+    "grass": [_flag("k", _SMALL), _flag("n", _SMALL)],
+    "proj": [_flag("n", _SMALL)],
+    "criticals": [*_TYPE, _flag("ranks", st.sampled_from(["31", "21", "22"]))],
+    "chambers": [*_TYPE, _flag("ranks", st.sampled_from(["31", "21", "22"]))],
+}
+_OUTPUT = _flag("output", st.sampled_from(["text", "json", "latex", "csv"]))
+_TABLE = [
+    _flag(
+        "targets",
+        st.lists(
+            st.sampled_from([*_TABLE_TARGETS, "nope"]), min_size=1, max_size=3
+        ).map(",".join),
+    ),
+    _flag("g", _int_list(_GENUS)),
+    _flag("d1", _int_list(_SMALL)),
+    _flag("d2", _int_list(_SMALL)),
+    _flag("k", _int_list(_SMALL)),
+    _flag("n", _int_list(_SMALL)),
+    _flag("d", _SMALL),
+    _OUTPUT,
+]
+
+
+@st.composite
+def _argv(draw):
+    """compute of any target, or table; each flag is left out now and then."""
+    command = draw(st.sampled_from(["table", *_COMPUTE]))
+    if command == "table":
+        argv, parts = ["table"], _TABLE
+    else:
+        argv, parts = ["compute", command], [*_COMPUTE[command], _OUTPUT]
+    for part in parts:
+        if draw(st.integers(min_value=0, max_value=5)):
+            argv += draw(part)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_every_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert sum("error:" in line for line in lines) == 1

@@ -79,6 +79,7 @@ ARGVS = (
     + [f"table {spec} --output {fmt}" for spec in _TABLES for fmt in ("csv", "json")]
     + [
         "verify all --grid quick",
+        "verify all --grid full",
         "compute n31 --g 2 --d1 7 --d2 0 --sigma 3",
         "compute n31 --g 2 --d1 7 --d2 0",
         "table --targets sym --g 2",

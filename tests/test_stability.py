@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from triplehodge import (
@@ -13,14 +15,7 @@ from triplehodge import (
     criticals_31,
     sigma_range,
 )
-from triplehodge.stability import (
-    chamber_bounds,
-    chamber_containing,
-    chamber_sigma,
-    chi_triples,
-    resolve_sigma,
-    validate_sigma,
-)
+from triplehodge.stability import Chamber, chamber_bounds, chi_triples, locate
 
 
 # -- type validation ------------------------------------------------------
@@ -123,57 +118,76 @@ def test_chamber_bounds_pinned():
     assert chamber_bounds(TripleType(3, 1, 3, 1, 2)) == []
 
 
-def test_chamber_containing():
-    t = TripleType(3, 1, 5, 0, 2)
-    assert chamber_containing(t, Fraction(2)) == (
-        Fraction(2),
-        Fraction(5, 3),
-        Fraction(3),
-    )
-    assert chamber_containing(t, Fraction(3)) is None
-    assert chamber_containing(t, Fraction(6)) is None
-
-
-def test_chamber_sigma():
-    t = TripleType(3, 1, 5, 0, 2)
-    assert chamber_sigma(t, 1) == Fraction(7, 3)
-    assert chamber_sigma(t, 2) == Fraction(4)
-    with pytest.raises(OutOfRange):
-        chamber_sigma(t, 0)
-    with pytest.raises(OutOfRange):
-        chamber_sigma(t, 3)
-    with pytest.raises(OutOfRange):
-        chamber_sigma(TripleType(3, 1, 3, 1, 2), 1)
-
-
-def test_resolve_sigma():
-    t = TripleType(3, 1, 5, 0, 2)
-    assert resolve_sigma(t, "7/2", None) == Fraction(7, 2)
-    assert resolve_sigma(t, 2, None) == Fraction(2)
-    assert resolve_sigma(t, None, 1) == Fraction(7, 3)
-    with pytest.raises(OutOfRange):
-        resolve_sigma(t, 2, 1)
-    with pytest.raises(OutOfRange):
-        resolve_sigma(t, None, None)
-
-
-
-def test_validate_sigma():
+def test_locate():
     t = TripleType(3, 1, 5, 0, 2)  # sigma in (5/3, 5], criticals 3 and 5
-    assert validate_sigma(t, "7/2", None) == (Fraction(7, 2), False)
-    assert validate_sigma(t, None, 1) == (Fraction(7, 3), False)
-    assert validate_sigma(t, 1, None) == (Fraction(1), True)
-    assert validate_sigma(t, Fraction(5, 3), None)[1]
-    assert validate_sigma(t, 6, None)[1]
+    assert locate(t, Fraction(2)) == Chamber(
+        Fraction(2), Fraction(5, 3), Fraction(3), 4
+    )
+    assert locate(t, "7/2") == Chamber(
+        Fraction(7, 2), Fraction(3), Fraction(5), 5
+    )
+    assert locate(t, 2).sigma == Fraction(2)
+    # a chamber index stands for the chamber's midpoint
+    assert locate(t, chamber=1) == Chamber(
+        Fraction(7, 3), Fraction(5, 3), Fraction(3), 4
+    )
+    assert locate(t, chamber=2).sigma == Fraction(4)
+    # outside (sigma_m, sigma_M] the space is empty
+    assert locate(t, 1) is None
+    assert locate(t, Fraction(5, 3)) is None
+    assert locate(t, 6) is None
+    with pytest.raises(OutOfRange):
+        locate(t, chamber=0)
+    with pytest.raises(OutOfRange):
+        locate(t, chamber=3)
+    with pytest.raises(OutOfRange):
+        locate(TripleType(3, 1, 3, 1, 2), chamber=1)
+    with pytest.raises(OutOfRange):
+        locate(t, 2, 1)
+    with pytest.raises(OutOfRange):
+        locate(t, None, None)
+    # a critical value lies in no chamber
     with pytest.raises(CriticalSigma) as info:
-        validate_sigma(t, 3, None)
+        locate(t, 3)
     assert str(info.value) == "sigma=3 is critical for (3,1,5,0)"
     assert info.value.criticals == [3, 5]
     with pytest.raises(CriticalSigma) as info:
-        validate_sigma(TripleType(2, 1, 5, 0, 2), 4, None)
+        locate(TripleType(2, 1, 5, 0, 2), 4)
     assert str(info.value) == "sigma=4 is critical for (2,1,5,0)"
-    with pytest.raises(OutOfRange):
-        validate_sigma(t, None, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=-6, max_value=6),
+    st.data(),
+)
+def test_locate_agrees_with_closed_forms(n1, g, d1, d2, data):
+    sigma_m, sigma_M = oracles.sigma_interval(n1, d1, d2)
+    sigma = data.draw(
+        st.fractions(
+            min_value=min(sigma_m, sigma_M) - 1,
+            max_value=max(sigma_m, sigma_M) + 1,
+            max_denominator=12,
+        )
+    )
+    inside = sigma_m < sigma <= sigma_M
+    # critical values: 2n - d1 - d2 for (3,1), 3*d_m - d1 - d2 for (2,1)
+    step = 2 if n1 == 3 else 3
+    critical = inside and ((sigma + d1 + d2) / step).denominator == 1
+    t = TripleType(n1, 1, d1, d2, g)
+    if critical:
+        with pytest.raises(CriticalSigma):
+            locate(t, sigma)
+        return
+    ch = locate(t, sigma)
+    assert (ch is None) == (not inside)
+    if ch is not None:
+        assert ch.lo < ch.sigma == sigma < ch.hi
+        wall = oracles.wall_31 if n1 == 3 else oracles.wall_21
+        assert ch.wall == wall(sigma, d1, d2)
 
 
 # -- euler characteristics of hom complexes ---------------------------------------
