@@ -57,6 +57,28 @@ def _parse_sigma(text: str) -> Fraction:
     return Fraction(text)
 
 
+# table's comma-separated integer lists
+_LIST_FLAGS = ("--g", "--d1", "--d2", "--k", "--n")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Rewrite ``table … --d2 -1,-2`` as ``table … --d2=-1,-2``.
+
+    argparse reads a separate token that starts with ``-`` as an option
+    unless it is one negative number, so a list that starts with a
+    negative value is attached to its flag before parsing.
+    """
+    if argv[:1] != ["table"]:
+        return argv
+    out = [argv[0]]
+    for token in argv[1:]:
+        if out[-1] in _LIST_FLAGS and re.match(r"-\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -396,7 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_list_values(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -195,7 +195,8 @@ def smooth_projective_failures(poly: LaurentPoly, dim: int) -> list[str]:
     if not poly.is_polynomial():
         failures.append("negative exponents present")
         return failures
-    for (a, b), c in terms.items():
+    ordered = poly.sorted_terms()
+    for a, b, c in ordered:
         if c < 0:
             failures.append(f"negative coefficient {c} at u^{a} v^{b}")
         if terms.get((b, a)) != c:
@@ -204,7 +205,7 @@ def smooth_projective_failures(poly: LaurentPoly, dim: int) -> list[str]:
         failures.append(
             f"total degree {poly.total_degree()} != 2*dim = {2 * dim}"
         )
-    for (a, b), c in terms.items():
+    for a, b, c in ordered:
         if terms.get((dim - a, dim - b)) != c:
             failures.append(f"Poincare duality fails at ({a}, {b})")
     return failures

@@ -114,28 +114,38 @@ def sym_power_curve(k, g):
 
 # -- Harder-Narasimhan recursion for stable-bundle Betti numbers -------
 #
-# Univariate integer series in t, truncated lists.  The recursion needs
-# only the stack series of all bundles and the codimensions of the
+# Univariate integer series in t, truncated lists; every series of one
+# computation has the same length, the truncation order.  The recursion
+# needs only the stack series of all bundles and the codimensions of the
 # Harder-Narasimhan strata; it knows nothing about triples or
 # wall-crossing, which is the point.
 
-HN_ORDER = 84
+
+def hn_order(r, g):
+    """Truncation order that holds every Betti number of M(r, d).
+
+    M(r, d) has complex dimension r^2 (g - 1) + 1, so its Poincare
+    polynomial has degree 2 * dim and 2 * dim + 1 coefficients.
+    Truncating lower leaves the coefficients below the order unchanged.
+    """
+    return 2 * (r * r * (g - 1) + 1) + 1
 
 
-def tser(coeffs=()):
-    out = [0] * HN_ORDER
+def tser(order, coeffs=()):
+    out = [0] * order
     for i, c in enumerate(coeffs):
-        if i < HN_ORDER:
+        if i < order:
             out[i] = c
     return out
 
 
 def tmul(a, b):
-    out = [0] * HN_ORDER
+    order = len(a)
+    out = [0] * order
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y and i + j < HN_ORDER:
+                if y and i + j < order:
                     out[i + j] += x * y
     return out
 
@@ -146,93 +156,103 @@ def tsub(a, b):
 
 def tinv(a):
     assert a[0] == 1
-    out = [0] * HN_ORDER
+    order = len(a)
+    out = [0] * order
     out[0] = 1
-    for n in range(1, HN_ORDER):
+    for n in range(1, order):
         out[n] = -sum(a[k] * out[n - k] for k in range(1, n + 1))
     return out
 
 
-def t_one_plus_pow(shift, exp):
-    base = tser([1])
+def t_one_plus_pow(order, shift, exp):
+    base = tser(order, [1])
     base[shift] = 1
-    out = tser([1])
+    out = tser(order, [1])
     for _ in range(exp):
         out = tmul(out, base)
     return out
 
 
-def t_shift(k):
-    s = tser()
+def t_shift(order, k):
+    s = tser(order)
     s[k] = 1
     return s
 
 
-def hn_pic_stack(g):
-    return tmul(t_one_plus_pow(1, 2 * g), tinv(tsub(tser([1]), t_shift(2))))
+def t_geometric(order, k):
+    # 1 / (1 - t^k)
+    return tinv(tsub(tser(order, [1]), t_shift(order, k)))
 
 
-def hn_bun_stack(r, g):
-    out = hn_pic_stack(g)
+def hn_pic_stack(order, g):
+    return tmul(t_one_plus_pow(order, 1, 2 * g), t_geometric(order, 2))
+
+
+def hn_bun_stack(order, r, g):
+    out = hn_pic_stack(order, g)
     for k in range(2, r + 1):
-        out = tmul(out, t_one_plus_pow(2 * k - 1, 2 * g))
-        out = tmul(out, tinv(tsub(tser([1]), t_shift(2 * k))))
-        out = tmul(out, tinv(tsub(tser([1]), t_shift(2 * k - 2))))
+        out = tmul(out, t_one_plus_pow(order, 2 * k - 1, 2 * g))
+        out = tmul(out, t_geometric(order, 2 * k))
+        out = tmul(out, t_geometric(order, 2 * k - 2))
     return out
 
 
-def hn_ss_stack_2(d, g):
-    total = hn_bun_stack(2, g)
-    p1 = hn_pic_stack(g)
+def hn_ss_stack_2(order, d, g):
+    total = hn_bun_stack(order, 2, g)
+    p1 = hn_pic_stack(order, g)
     p1p1 = tmul(p1, p1)
     a = d // 2 + 1
     while True:
         codim = 2 * a - d + (g - 1)
-        if 2 * codim >= HN_ORDER:
+        if 2 * codim >= order:
             return total
-        total = tsub(total, tmul(p1p1, t_shift(2 * codim)))
+        total = tsub(total, tmul(p1p1, t_shift(order, 2 * codim)))
         a += 1
 
 
-def hn_ss_stack_3(d, g):
-    total = hn_bun_stack(3, g)
-    p1 = hn_pic_stack(g)
+def hn_ss_stack_3(order, d, g):
+    total = hn_bun_stack(order, 3, g)
+    p1 = hn_pic_stack(order, g)
     a = d // 3 + 1
     while True:
         codim = 3 * a - d + 2 * (g - 1)
-        if 2 * codim >= HN_ORDER:
+        if 2 * codim >= order:
             break
-        block = tmul(p1, hn_ss_stack_2(d - a, g))
-        total = tsub(total, tmul(block, t_shift(2 * codim)))
+        block = tmul(p1, hn_ss_stack_2(order, d - a, g))
+        total = tsub(total, tmul(block, t_shift(order, 2 * codim)))
         a += 1
     b = (2 * d) // 3 + 1
     while True:
         codim = 3 * b - 2 * d + 2 * (g - 1)
-        if 2 * codim >= HN_ORDER:
+        if 2 * codim >= order:
             break
-        block = tmul(hn_ss_stack_2(b, g), p1)
-        total = tsub(total, tmul(block, t_shift(2 * codim)))
+        block = tmul(hn_ss_stack_2(order, b, g), p1)
+        total = tsub(total, tmul(block, t_shift(order, 2 * codim)))
         b += 1
     p13 = tmul(tmul(p1, p1), p1)
     a = d // 3 + 1
     while True:
         b_min = (d - a) // 2 + 1
         min_codim = 3 * (g - 1) + 2 * (2 * a + b_min - d)
-        if 2 * min_codim >= HN_ORDER:
+        if 2 * min_codim >= order:
             break
         for b in range(b_min, a):
             codim = 3 * (g - 1) + 2 * (2 * a + b - d)
-            if 2 * codim >= HN_ORDER:
+            if 2 * codim >= order:
                 break
-            total = tsub(total, tmul(p13, t_shift(2 * codim)))
+            total = tsub(total, tmul(p13, t_shift(order, 2 * codim)))
         a += 1
     return total
 
 
 def hn_moduli_betti(r, d, g):
     """Betti numbers of M(r,d) for gcd(r,d) = 1, as a trimmed list."""
-    stack = hn_ss_stack_2(d, g) if r == 2 else hn_ss_stack_3(d, g)
-    poly = tmul(stack, tsub(tser([1]), t_shift(2)))
+    order = hn_order(r, g)
+    if r == 2:
+        stack = hn_ss_stack_2(order, d, g)
+    else:
+        stack = hn_ss_stack_3(order, d, g)
+    poly = tmul(stack, tsub(tser(order, [1]), t_shift(order, 2)))
     last = max(i for i, c in enumerate(poly) if c)
     return poly[: last + 1]
 

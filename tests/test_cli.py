@@ -297,6 +297,23 @@ def test_table_missing_flags(capsys):
     assert "--g is required" in err
 
 
+@pytest.mark.parametrize(
+    "head, flag, values, code",
+    [
+        ("table --targets n31 --g 2 --d1 7", "--d2", "-1,-2", 0),
+        ("table --targets n31 --output json --g 2 --d1 7", "--d2", "-1,-2", 0),
+        ("table --targets n21 --g 2 --d2 -1", "--d1", "-1,5", 0),
+        ("table --targets sym --g 2", "--k", "-1,1", 0),
+        ("table --targets grass --k 1", "--n", "-1,4", 0),
+        ("table --targets jac", "--g", "-1,2", 2),
+    ],
+)
+def test_table_negative_list_as_its_own_token(capsys, head, flag, values, code):
+    separate = run(capsys, *head.split(), flag, values)
+    assert separate[0] == code
+    assert separate == run(capsys, *head.split(), f"{flag}={values}")
+
+
 def test_table_n31_chambers_match_library(capsys):
     code, out, _ = run(
         capsys, *"table --targets n31 --g 2 --d1 5 --d2 0".split()

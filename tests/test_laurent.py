@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from triplehodge import FractionUV, LaurentPoly, NonDivisible, divide_exact
+from triplehodge import laurent
 from triplehodge.laurent import ONE, U, UV, V, ZERO, halve_exact
 
 exponents = st.integers(min_value=-3, max_value=3)
@@ -16,6 +17,35 @@ term_maps = st.dictionaries(
     st.tuples(exponents, exponents), coeffs, max_size=5
 )
 polys = term_maps.map(LaurentPoly)
+
+
+@st.composite
+def product_operands(draw):
+    """Up to 60 nonzero terms in a square box of side 1..21 within -20..20.
+
+    At most half of the box is filled, so narrow boxes come out dense and
+    wide ones sparse, and pairs of operands fall on both sides of both
+    of ``__mul__``'s routing rules.
+    """
+    lo = draw(st.integers(min_value=-20, max_value=0))
+    side = draw(st.integers(min_value=1, max_value=21))
+    scale = draw(st.sampled_from([1, 9, 10**40]))
+    count = min(draw(st.integers(min_value=1, max_value=60)), max(1, side**2 // 2))
+    cells = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=side**2 - 1),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    nonzero = st.integers(min_value=-scale, max_value=scale - 1).map(
+        lambda c: c + (c >= 0)
+    )
+    coeffs = draw(st.lists(nonzero, min_size=count, max_size=count))
+    return LaurentPoly(
+        {(lo + i // side, lo + i % side): c for i, c in zip(cells, coeffs)}
+    )
 
 
 # -- construction and queries ------------------------------------------
@@ -95,6 +125,79 @@ def test_mul_matches_dict_oracle(d1, d2):
     assert got == LaurentPoly(oracles.pmul(d1, d2))
 
 
+def _production_divisors(g):
+    jacobian = (ONE + U) ** g * (ONE + V) ** g
+    cyclotomic = ONE
+    for k in range(1, g + 1):
+        cyclotomic = cyclotomic * (ONE - UV**k)
+    return jacobian, cyclotomic
+
+
+@given(product_operands(), product_operands())
+@settings(max_examples=100, deadline=None)
+def test_large_mul_matches_dict_oracle(p, q):
+    got = p * q
+    assert got.terms == oracles.pmul(p.terms, q.terms)
+    assert 0 not in got.terms.values()
+    # p(u, v) * p(-u, v) is even in u: every odd-u coefficient cancels
+    flipped = LaurentPoly(
+        {(a, b): -c if a % 2 else c for (a, b), c in p.terms.items()}
+    )
+    even = p * flipped
+    assert even.terms == oracles.pmul(p.terms, flipped.terms)
+    assert all(a % 2 == 0 for a, _ in even.terms)
+
+
+@pytest.mark.parametrize("c", [3, 50, 2**30 - 1, 2**62 - 1])
+def test_mul_reaches_the_coefficient_bound(c):
+    # the middle coefficient of p * p is 16 c^2, the bound that sizes the
+    # product's slots, and its bit length is a multiple of 8, so only a
+    # slot with a byte to spare for the sign holds it
+    p = LaurentPoly({(i, 0): c for i in range(16)})
+    assert (16 * c * c).bit_length() % 8 == 0
+    for q in (p, -p):
+        assert (p * q).terms == oracles.pmul(p.terms, q.terms)
+
+
+@pytest.mark.parametrize(
+    "p, q, packed",
+    [
+        # 15 x 16 = 240 term pairs: below the size rule
+        ((ONE + U) ** 14, (ONE + V) ** 15, False),
+        # 16 x 16 = 256 term pairs filling a 16 x 16 box
+        ((ONE + U) ** 15, (ONE + V) ** 15, True),
+        # 256 term pairs spread over a 31 x 16 box
+        ((ONE + U**2) ** 15, (ONE + V) ** 15, False),
+        # 121 x 40 term pairs over a 66 x 66 box
+        (*_production_divisors(10), True),
+    ],
+)
+def test_mul_routing(monkeypatch, p, q, packed):
+    calls = []
+    kronecker = laurent._mul_kronecker
+
+    def spy(*args):
+        calls.append(args)
+        return kronecker(*args)
+
+    monkeypatch.setattr(laurent, "_mul_kronecker", spy)
+    assert (p * q).terms == oracles.pmul(p.terms, q.terms)
+    assert bool(calls) == packed
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_production_products_match_dict_oracle(g):
+    jacobian, cyclotomic = _production_divisors(g)
+    curve = oracles.pmul({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1})
+    assert jacobian.terms == oracles.ppow(curve, g)
+    expected = {(0, 0): 1}
+    for k in range(1, g + 1):
+        expected = oracles.pmul(expected, {(0, 0): 1, (k, k): -1})
+    assert cyclotomic.terms == expected
+    for p, q in ((jacobian, cyclotomic), (jacobian, jacobian)):
+        assert (p * q).terms == oracles.pmul(p.terms, q.terms)
+
+
 @given(polys, st.integers(min_value=0, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_pow_matches_repeated_multiplication(p, k):
@@ -152,14 +255,6 @@ def test_divide_exact_quotient_or_remainder(num, den):
         assert q * den == num
 
 
-def _production_divisors(g):
-    jacobian = (ONE + U) ** g * (ONE + V) ** g
-    cyclotomic = ONE
-    for k in range(1, g + 1):
-        cyclotomic = cyclotomic * (ONE - UV**k)
-    return jacobian, cyclotomic
-
-
 @pytest.mark.parametrize("g", range(1, 7))
 def test_divide_exact_production_divisors(g):
     jacobian, cyclotomic = _production_divisors(g)
@@ -210,6 +305,16 @@ def test_halve_exact_roundtrip(p):
 def test_halve_exact_rejects_odd():
     with pytest.raises(ValueError):
         halve_exact(ONE + LaurentPoly.monomial(1, 0, 2))
+
+
+def test_halve_exact_message_ignores_term_insertion_order():
+    terms = [((2, 0), 3), ((0, 0), 2), ((0, 1), 5), ((1, 1), 7)]
+    messages = set()
+    for order in (terms, terms[::-1]):
+        with pytest.raises(ValueError) as info:
+            halve_exact(LaurentPoly(dict(order)))
+        messages.add(str(info.value))
+    assert messages == {"odd coefficient 5 at (0, 1)"}
 
 
 # -- substitutions ------------------------------------------------------

@@ -159,6 +159,17 @@ def test_failure_checks_catch_violations():
     assert smooth_projective_failures(ONE + UV, 2)
 
 
+def test_failure_messages_ignore_term_insertion_order():
+    # one polynomial, its term map filled in two orders
+    terms = [((0, 0), 1), ((1, 0), -2), ((0, 1), 3), ((2, 1), 4), ((1, 1), -1)]
+    forward = LaurentPoly(dict(terms))
+    backward = LaurentPoly(dict(reversed(terms)))
+    assert list(forward.terms) != list(backward.terms)
+    messages = smooth_projective_failures(forward, 1)
+    assert len(messages) > 3
+    assert smooth_projective_failures(backward, 1) == messages
+
+
 # -- result wrapper algebra ----------------------------------------------------
 
 
