@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CriticalSigma, OutOfRange, TripleHodgeError
-from .laurent import LaurentPoly
+from .laurent import ZERO
 from .moduli import e_m3, e_n31_closed, poincare
 from .rank2 import e_m2_odd, e_m2s_even, e_triples21
 from .stability import TripleType, _walls, chamber_bounds
@@ -90,10 +90,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def _chamber_payload(h: HodgeResult):
-    if h.chamber is None:
+    ch = h.chamber
+    if ch is None:
         return None
-    sigma, lo, hi = h.chamber
-    return {"sigma": str(sigma), "lo": str(lo), "hi": str(hi)}
+    return {"sigma": str(ch.sigma), "lo": str(ch.lo), "hi": str(ch.hi)}
 
 
 def _render_hodge(target: str, h: HodgeResult, fmt: str) -> str:
@@ -110,10 +110,10 @@ def _render_hodge(target: str, h: HodgeResult, fmt: str) -> str:
         }
         return json.dumps(payload)
     lines = [h.poly.to_text(), f"dim: {h.dim}"]
-    if h.chamber is not None:
-        sigma, lo, hi = h.chamber
-        lines.append(f"sigma: {sigma}")
-        lines.append(f"chamber: ({lo}, {hi})")
+    ch = h.chamber
+    if ch is not None:
+        lines.append(f"sigma: {ch.sigma}")
+        lines.append(f"chamber: ({ch.lo}, {ch.hi})")
     if h.empty:
         lines.append("empty: true")
     return "\n".join(lines)
@@ -223,7 +223,7 @@ def _cmd_verify(args) -> int:
 
 
 def _betti(h: HodgeResult) -> list[int]:
-    if h.empty or h.poly.is_zero():
+    if h.empty:
         return []
     series = poincare(h).as_univariate()
     return [series.get(k, 0) for k in range(max(series) + 1)]
@@ -245,8 +245,7 @@ def _chamber_rows(target: str, g: int, d1: int, d2: int) -> list[dict]:
     bounds = chamber_bounds(_triple_type(target[1:], g, d1, d2))
     compute = e_n31_closed if target == "n31" else e_triples21
     if not bounds:
-        empty = HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
-        return [_row(target, empty, g, d1, d2, "-")]
+        return [_row(target, HodgeResult(ZERO, 0), g, d1, d2, "-")]
     return [
         _row(target, compute(g, d1, d2, chamber=index), g, d1, d2, index)
         for index in range(1, len(bounds) + 1)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import NotCritical, OutOfRange, ParityError, StrataMismatch
-from .laurent import ONE, U2V, UV, UV2, FractionUV, LaurentPoly, U, V
+from .laurent import ONE, U2V, UV, UV2, ZERO, FractionUV, LaurentPoly, U, V
 from .series import extract, sym_series
 from .stability import TripleType, criticals_31
 from .rank2 import e_m2s_even, e_triples21_critical_stable
@@ -184,7 +184,7 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
     _validate_critical(t, n)
     closed = _closed_even(t, n)
     strata = _strata_even(t, n)
-    total = FractionUV.zero()
+    total = FractionUV(ZERO)
     for piece in strata:
         total = total + piece
     if total != closed:

@@ -90,14 +90,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return _ONE
-
-    @classmethod
     def monomial(cls, a: int, b: int, coeff: int = 1) -> "LaurentPoly":
         """The single term ``coeff * u^a v^b``."""
         return cls({(a, b): coeff})
@@ -197,7 +189,7 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         if not self._terms or not other._terms:
-            return _ZERO
+            return ZERO
         p, q = self._terms, other._terms
         # Kronecker packing pays only for enough term pairs that fill
         # the product's exponent box; otherwise packing and unpacking
@@ -238,7 +230,7 @@ class LaurentPoly:
                 raise ValueError("negative exponent needs a unit coefficient")
             coeff = 1 if (c == 1 or k % 2 == 0) else -1
             return _raw({(a * k, b * k): coeff})
-        result = _ONE
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -383,7 +375,7 @@ class LaurentPoly:
         """
         stripped = text.strip()
         if stripped in ("0", "-0", "+0"):
-            return _ZERO
+            return ZERO
         term_re = re.compile(
             r"""(?P<sign>[+-]?)\s*
                 (?P<coef>\d+)?\s*
@@ -490,15 +482,20 @@ def _coerce(value):
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, int):
-        return LaurentPoly.constant(value) if value else _ZERO
+        return LaurentPoly.constant(value) if value else ZERO
     return NotImplemented
 
 
-_ZERO = _raw({})
-_ONE = _raw({(0, 0): 1})
+def _as_poly(value) -> LaurentPoly:
+    """``value`` as a LaurentPoly; an int becomes a constant."""
+    poly = _coerce(value)
+    if poly is NotImplemented:
+        raise TypeError(f"expected a LaurentPoly or an int, got {value!r}")
+    return poly
 
-ZERO = _ZERO
-ONE = _ONE
+
+ZERO = _raw({})
+ONE = _raw({(0, 0): 1})
 U = LaurentPoly.monomial(1, 0)
 V = LaurentPoly.monomial(0, 1)
 UV = LaurentPoly.monomial(1, 1)
@@ -524,7 +521,7 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
-        return _ZERO
+        return ZERO
 
     na, nb = num.min_exponents()
     da, db = den.min_exponents()
@@ -601,20 +598,12 @@ class FractionUV:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _coerce_frac_part(num)
-        den = _ONE if den is None else _coerce_frac_part(den)
+        num = _as_poly(num)
+        den = ONE if den is None else _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("fraction with zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def zero(cls) -> "FractionUV":
-        return cls(_ZERO)
-
-    @classmethod
-    def one(cls) -> "FractionUV":
-        return cls(_ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -634,48 +623,15 @@ class FractionUV:
     def __neg__(self):
         return FractionUV(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = _coerce_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
-            return FractionUV(_ZERO)
+            return FractionUV(ZERO)
         return FractionUV(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return FractionUV(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise ValueError("fraction exponent must be an integer")
-        if k < 0:
-            return FractionUV(self.den, self.num) ** (-k)
-        return FractionUV(self.num**k, self.den**k)
 
     def __eq__(self, other):
         other = _coerce_fraction(other)
@@ -691,7 +647,7 @@ class FractionUV:
     def normalize(self) -> "FractionUV":
         """Content-reduced, sign-fixed and (when possible) polynomial form."""
         if self.num.is_zero():
-            return FractionUV(_ZERO)
+            return FractionUV(ZERO)
         num, den = self.num, self.den
         na, nb = num.min_exponents()
         da, db = den.min_exponents()
@@ -707,7 +663,7 @@ class FractionUV:
         if den.leading_term()[1] < 0:
             num, den = -num, -den
         try:
-            return FractionUV(divide_exact(num, den), _ONE)
+            return FractionUV(divide_exact(num, den), ONE)
         except NonDivisible:
             return FractionUV(num, den)
 
@@ -716,7 +672,7 @@ class FractionUV:
         return divide_exact(self.num, self.den)
 
     def __str__(self):
-        if self.den == _ONE:
+        if self.den == ONE:
             return self.num.to_text()
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
@@ -724,17 +680,9 @@ class FractionUV:
         return f"FractionUV({self})"
 
 
-def _coerce_frac_part(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int):
-        return LaurentPoly.constant(value) if value else _ZERO
-    raise TypeError(f"cannot build a fraction part from {value!r}")
-
-
 def _coerce_fraction(value):
     if isinstance(value, FractionUV):
         return value
     if isinstance(value, (LaurentPoly, int)):
-        return FractionUV(_coerce_frac_part(value))
+        return FractionUV(value)
     return NotImplemented

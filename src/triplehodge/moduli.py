@@ -18,6 +18,7 @@ from .laurent import (
     U2V,
     UV,
     UV2,
+    ZERO,
     FractionUV,
     LaurentPoly,
     U,
@@ -61,7 +62,7 @@ def e_n31_closed(
     """
     ch = locate(TripleType(3, 1, d1, d2, g), sigma, chamber)
     if ch is None:
-        return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
+        return HodgeResult(ZERO, 0)
     # the sums are cut at the least critical index n0 above sigma and
     # at the least even integer nbar0 >= n0
     n0 = ch.wall
@@ -91,15 +92,14 @@ def e_n31_closed(
             - (ONE + UV) * UV ** (g - 1 - d2 + nbar0 // 2) * cb3
         )
     else:
-        part_b = FractionUV.zero()
+        part_b = FractionUV(ZERO)
 
     poly = (FractionUV(jac * jac) * (part_a + part_b)).as_polynomial()
     return HodgeResult(
         poly=poly,
         dim=_dim_31(g, d1, d2),
         smooth_projective=True,
-        empty=poly.is_zero(),
-        chamber=(ch.sigma, ch.lo, ch.hi),
+        chamber=ch,
     )
 
 
@@ -120,8 +120,8 @@ def e_n31_flipsum(
     t = TripleType(3, 1, d1, d2, g)
     ch = locate(t, sigma, chamber)
     if ch is None:
-        return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
-    poly = LaurentPoly.zero()
+        return HodgeResult(ZERO, 0)
+    poly = ZERO
     for n, _crit in criticals_31(t):
         if n >= ch.wall:
             poly = poly - _wall_jump(t, n)
@@ -129,8 +129,7 @@ def e_n31_flipsum(
         poly=poly,
         dim=_dim_31(g, d1, d2),
         smooth_projective=True,
-        empty=poly.is_zero(),
-        chamber=(ch.sigma, ch.lo, ch.hi),
+        chamber=ch,
     )
 
 
@@ -246,7 +245,7 @@ def poincare_n31(
     """
     ch = locate(TripleType(3, 1, d1, d2, g), sigma, chamber)
     if ch is None:
-        return LaurentPoly.zero()
+        return ZERO
     n0 = ch.wall
     nbar0 = n0 + (n0 & 1)
     k0 = d1 - d2 - n0
@@ -287,7 +286,7 @@ def poincare_n31(
             - (ONE + _t(2)) * _t(2 * g - 2 - 2 * d2 + nbar0) * cb3
         )
     else:
-        part_b = FractionUV.zero()
+        part_b = FractionUV(ZERO)
 
     prefactor = FractionUV((ONE + _t(1)) ** (4 * g))
     return (prefactor * (part_a + part_b)).as_polynomial()

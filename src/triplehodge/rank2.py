@@ -17,6 +17,7 @@ from .laurent import (
     U2V,
     UV,
     UV2,
+    ZERO,
     FractionUV,
     LaurentPoly,
     U,
@@ -111,7 +112,7 @@ def e_triples21(
     """
     ch = locate(TripleType(2, 1, d1, d2, g), sigma, chamber)
     if ch is None:
-        return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
+        return HodgeResult(ZERO, 0)
 
     # the sum is cut at the least critical index d0 above sigma
     d0 = ch.wall
@@ -126,8 +127,7 @@ def e_triples21(
         poly=poly,
         dim=3 * g - 2 + d1 - 2 * d2,
         smooth_projective=True,
-        empty=poly.is_zero(),
-        chamber=(ch.sigma, ch.lo, ch.hi),
+        chamber=ch,
     )
 
 
@@ -159,5 +159,4 @@ def e_triples21_critical_stable(
         poly=poly,
         dim=3 * g - 2 + d1 - 2 * d2,
         smooth_projective=False,
-        empty=poly.is_zero(),
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DegeneratePoles, OrderTooLow
-from .laurent import ONE, ZERO, FractionUV, LaurentPoly, U, V
+from .laurent import ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly
 
 __all__ = [
     "XSeries",
@@ -109,14 +109,6 @@ class XSeries:
         return f"XSeries(order={self.order}, [{shown}])"
 
 
-def _as_poly(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int):
-        return LaurentPoly.constant(value)
-    raise TypeError(f"series coefficients must be Laurent polynomials, got {value!r}")
-
-
 def curve_numerator(g: int, order: int) -> XSeries:
     """(1 + u x)^g (1 + v x)^g truncated at the given order.
 
@@ -200,7 +192,7 @@ def residue_f1(g: int, a, b, c) -> FractionUV:
     """
     a, b, c = _as_poly(a), _as_poly(b), _as_poly(c)
     _check_distinct([a, b, c])
-    total = FractionUV.zero()
+    total = FractionUV(ZERO)
     for p, q, r in ((a, b, c), (b, a, c), (c, a, b)):
         total = total + FractionUV(_pole_numerator(g, p), (p - q) * (p - r))
     return total
@@ -214,7 +206,7 @@ def residue_f2(g: int, a, b, c, d) -> FractionUV:
     """
     a, b, c, d = _as_poly(a), _as_poly(b), _as_poly(c), _as_poly(d)
     _check_distinct([a, b, c, d])
-    total = FractionUV.zero()
+    total = FractionUV(ZERO)
     quadruple = (a, b, c, d)
     for i, p in enumerate(quadruple):
         others = [q for j, q in enumerate(quadruple) if j != i]

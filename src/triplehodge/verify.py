@@ -15,7 +15,7 @@ from random import Random
 from typing import Callable
 
 from .errors import NotCritical, ParityError
-from .laurent import ONE, UV, FractionUV, LaurentPoly, divide_exact
+from .laurent import ONE, UV, ZERO, FractionUV, LaurentPoly, divide_exact
 from .series import (
     XSeries,
     f1_via_series,
@@ -108,7 +108,7 @@ def _triple_types(grid: Grid) -> list[TripleType]:
 
 
 def _random_poly(rng: Random, terms: int = 4, span: int = 3) -> LaurentPoly:
-    poly = LaurentPoly.zero()
+    poly = ZERO
     for _ in range(rng.randint(1, terms)):
         a = rng.randint(-span, span)
         b = rng.randint(-span, span)
@@ -172,7 +172,7 @@ def _suite_algebra(grid: Grid) -> list[Case]:
             shifted = XSeries(8, [ONE, -m])
             prod = series * shifted
             for k in range(8):
-                want = ONE if k == 0 else LaurentPoly.zero()
+                want = ONE if k == 0 else ZERO
                 if prod.coeff(k) != want:
                     return ("fail", f"geometric({m}) inverse fails at x^{k}")
         return _ok("geometric series times (1 - m x) is 1")
@@ -368,7 +368,7 @@ def _rank2_wall_case(g: int, d1: int, d2: int):
             above = (
                 e_triples21(g, d1, d2, chamber=i + 2).poly
                 if i + 2 <= len(bounds)
-                else LaurentPoly.zero()
+                else ZERO
             )
             if below - above != s_minus - s_plus:
                 return ("fail", f"d_m={d_m}: chamber jump != S^- - S^+")

@@ -9,12 +9,21 @@ nonnegative for the smooth projective cases handled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import NonIntegral, OutOfRange
-from .laurent import ONE, UV, LaurentPoly, U, V, divide_exact, halve_exact
+from .laurent import (
+    ONE,
+    UV,
+    ZERO,
+    LaurentPoly,
+    U,
+    V,
+    divide_exact,
+    halve_exact,
+)
 from .series import sym_series
+from .stability import Chamber
 
 __all__ = [
     "HodgeResult",
@@ -39,61 +48,27 @@ class HodgeResult:
         dim: complex dimension of the variety.
         smooth_projective: True only when the variety is known smooth
             projective, so Poincare duality and the degree bound hold.
-        empty: True when the variety is empty (zero polynomial).
-        chamber: stability descriptor for moduli of triples, a tuple
-            (sigma, lo, hi): the query's sigma and the exact rational
-            endpoints of the open chamber holding it.  None for other
-            varieties and for a sigma outside the allowed range.
+        chamber: for moduli of triples, the :class:`Chamber` that
+            ``stability.locate`` placed the query's sigma in.  None for
+            other varieties and for a sigma outside the allowed range.
     """
 
     poly: LaurentPoly
     dim: int
     smooth_projective: bool = False
-    empty: bool = False
-    chamber: tuple[Fraction, Fraction, Fraction] | None = None
+    chamber: Chamber | None = None
 
-    def __mul__(self, other: "HodgeResult") -> "HodgeResult":
-        if not isinstance(other, HodgeResult):
-            return NotImplemented
-        return HodgeResult(
-            poly=self.poly * other.poly,
-            dim=self.dim + other.dim,
-            smooth_projective=self.smooth_projective and other.smooth_projective,
-            empty=self.empty or other.empty,
-        )
-
-    def __add__(self, other: "HodgeResult") -> "HodgeResult":
-        if not isinstance(other, HodgeResult):
-            return NotImplemented
-        poly = self.poly + other.poly
-        return HodgeResult(
-            poly=poly,
-            dim=max(self.dim, other.dim),
-            smooth_projective=False,
-            empty=poly.is_zero(),
-        )
-
-    def __sub__(self, other: "HodgeResult") -> "HodgeResult":
-        if not isinstance(other, HodgeResult):
-            return NotImplemented
-        poly = self.poly - other.poly
-        return HodgeResult(
-            poly=poly,
-            dim=max(self.dim, other.dim),
-            smooth_projective=False,
-            empty=poly.is_zero(),
-        )
-
-
-def _empty_result() -> HodgeResult:
-    return HodgeResult(poly=LaurentPoly.zero(), dim=0, empty=True)
+    @property
+    def empty(self) -> bool:
+        """True when the variety is empty, i.e. the polynomial is zero."""
+        return self.poly.is_zero()
 
 
 @cache
 def e_affine(n: int) -> HodgeResult:
     """Hodge polynomial (uv)^n of affine n-space."""
     if n < 0:
-        return _empty_result()
+        return HodgeResult(ZERO, 0)
     # affine space is not projective, so duality-based flags stay off
     return HodgeResult(poly=UV**n, dim=n, smooth_projective=False)
 
@@ -107,7 +82,7 @@ def e_projective(n: int) -> HodgeResult:
     the empty variety.
     """
     if n <= 0:
-        return _empty_result()
+        return HodgeResult(ZERO, 0)
     poly = divide_exact(ONE - UV**n, ONE - UV)
     return HodgeResult(poly=poly, dim=n - 1, smooth_projective=True)
 
@@ -132,7 +107,7 @@ def e_sym(k: int, g: int) -> HodgeResult:
     if g < 0:
         raise OutOfRange(f"genus must be nonnegative, got {g}")
     if k < 0:
-        return _empty_result()
+        return HodgeResult(ZERO, 0)
     poly = sym_series(g, k + 1).coeff(k)
     return HodgeResult(poly=poly, dim=k, smooth_projective=True)
 
@@ -146,7 +121,7 @@ def e_grassmannian(k: int, n: int) -> HodgeResult:
     the flip-locus formulas where Gr(2, N) with N < 2 contributes zero.
     """
     if k < 0 or n < 0 or k > n:
-        return _empty_result()
+        return HodgeResult(ZERO, 0)
     num = ONE
     den = ONE
     for i in range(1, k + 1):
@@ -177,7 +152,7 @@ def e_sym2_quotient(e_m: HodgeResult | LaurentPoly) -> HodgeResult:
             "symmetric-square polynomial has odd coefficients; "
             "input is not a Hodge polynomial"
         ) from exc
-    return HodgeResult(poly=half, dim=dim, empty=half.is_zero())
+    return HodgeResult(poly=half, dim=dim)
 
 
 def smooth_projective_failures(poly: LaurentPoly, dim: int) -> list[str]:

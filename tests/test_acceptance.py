@@ -34,7 +34,7 @@ from triplehodge import (
     residue_f1,
     residue_f2,
 )
-from triplehodge.laurent import UV
+from triplehodge.laurent import UV, ZERO
 from triplehodge.series import f1_via_series, f2_via_series
 from triplehodge.stability import chamber_bounds
 
@@ -103,7 +103,7 @@ def test_criterion_3_even_wall_strata_sum_to_closed_jump():
             # building the contribution re-checks the strata internally
             # and raises StrataMismatch on any disagreement
             flip = c_n_even(t, n)
-            total = FractionUV.zero()
+            total = FractionUV(ZERO)
             for piece in flip.strata:
                 total = total + piece
             assert total == flip.cn, f"(g,d1,d2,n)=({g},{d1},{d2},{n})"

@@ -22,6 +22,7 @@ from triplehodge import (
     e_sym,
     flip_contribution,
 )
+from triplehodge.laurent import ZERO
 from triplehodge.stability import chamber_bounds
 from triplehodge.verify import GRIDS
 
@@ -63,7 +64,7 @@ def test_even_jump_equals_stratum_sum():
             if n % 2:
                 continue
             flip = c_n_even(t, n)
-            total = FractionUV.zero()
+            total = FractionUV(ZERO)
             for piece in flip.strata:
                 total = total + piece
             assert total == flip.cn

@@ -19,13 +19,14 @@ from triplehodge import (
     e_m3_via_pipeline,
     e_n31_closed,
     e_n31_flipsum,
+    e_triples21,
     flip_contribution,
     poincare,
     poincare_m3,
     poincare_n31,
 )
 from triplehodge.laurent import ONE, UV
-from triplehodge.stability import chamber_bounds
+from triplehodge.stability import chamber_bounds, locate
 from triplehodge.zoo import smooth_projective_failures
 
 CROSS_GRID = [
@@ -138,12 +139,22 @@ def test_critical_sigma_and_argument_errors():
 
 def test_chamber_descriptor_attached():
     h = e_n31_closed(2, 5, 0, Fraction(7, 3))
-    assert h.chamber == (Fraction(7, 3), Fraction(5, 3), Fraction(3))
-    assert e_n31_closed(2, 5, 0, chamber=2).chamber == (
-        Fraction(4),
-        Fraction(3),
-        Fraction(5),
-    )
+    assert (h.chamber.lo, h.chamber.hi) == (Fraction(5, 3), Fraction(3))
+    g, d1, d2 = 2, 5, 0
+    routes = ((3, e_n31_closed), (3, e_n31_flipsum), (2, e_triples21))
+    for n1, route in routes:
+        t = TripleType(n1, 1, d1, d2, g)
+        bounds = chamber_bounds(t)
+        for index, (lo, hi) in enumerate(bounds, start=1):
+            sigma = (2 * lo + hi) / 3
+            assert route(g, d1, d2, sigma).chamber == locate(t, sigma)
+            h = route(g, d1, d2, chamber=index)
+            assert h.chamber == locate(t, chamber=index)
+            assert h.chamber.sigma == (lo + hi) / 2
+        for outside in (bounds[0][0] - 1, bounds[-1][1] + 1):
+            h = route(g, d1, d2, outside)
+            assert h.chamber is None
+            assert h.empty
 
 
 # -- independent t-variable display ----------------------------------------

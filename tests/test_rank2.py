@@ -20,6 +20,7 @@ from triplehodge import (
     e_triples21,
     e_triples21_critical_stable,
 )
+from triplehodge.laurent import ZERO
 from triplehodge.zoo import smooth_projective_failures
 
 
@@ -137,7 +138,7 @@ def test_triples21_wall_replay():
             above = (
                 e_triples21(g, d1, d2, chamber=i + 2).poly
                 if i + 2 <= len(bounds)
-                else LaurentPoly.zero()
+                else ZERO
             )
             assert below - above == s_minus - s_plus
 

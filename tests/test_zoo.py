@@ -13,7 +13,7 @@ from triplehodge import (
     e_sym,
     e_sym2_quotient,
 )
-from triplehodge.laurent import ONE, U, UV, V
+from triplehodge.laurent import ONE, U, UV, V, ZERO
 from triplehodge.zoo import smooth_projective_failures
 
 
@@ -170,29 +170,13 @@ def test_failure_messages_ignore_term_insertion_order():
     assert smooth_projective_failures(backward, 1) == messages
 
 
-# -- result wrapper algebra ----------------------------------------------------
+# -- result wrapper -------------------------------------------------------------
 
 
-def test_result_product_combines_flags():
-    prod = e_projective(2) * e_jacobian(2)
-    assert prod.poly == e_projective(2).poly * e_jacobian(2).poly
-    assert prod.dim == 3
-    assert prod.smooth_projective
-    assert not prod.empty
-    tainted = e_affine(1) * e_projective(2)
-    assert not tainted.smooth_projective
-    gone = e_projective(0) * e_projective(2)
-    assert gone.empty
-
-
-def test_result_sum_and_difference():
-    a, b = e_projective(3), e_projective(2)
-    diff = a - b
-    assert diff.poly == UV**2
-    assert not diff.smooth_projective
-    assert not diff.empty
-    cancel = a - a
-    assert cancel.empty
-    total = a + b
-    assert total.poly == a.poly + b.poly
-    assert total.dim == max(a.dim, b.dim)
+def test_result_empty_is_derived_from_the_polynomial():
+    assert HodgeResult(ZERO, 0).empty
+    assert not HodgeResult(ONE, 0).empty
+    assert e_projective(0) == HodgeResult(ZERO, 0)
+    assert e_projective(0).chamber is None
+    with pytest.raises(TypeError):
+        HodgeResult(ZERO, 0, empty=True)
