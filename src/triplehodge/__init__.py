@@ -42,8 +42,6 @@ from .zoo import (
     smooth_projective_failures,
 )
 from .rank2 import (
-    chambers_21,
-    criticals_21,
     e_m2_odd,
     e_m2s_even,
     e_triples21,
@@ -53,8 +51,9 @@ from .stability import (
     Chamber,
     SigmaRange,
     TripleType,
+    chamber_bounds,
     chi_triples,
-    criticals_31,
+    criticals,
     locate,
     sigma_range,
 )
@@ -98,15 +97,14 @@ __all__ = [
     "smooth_projective_failures",
     "e_m2_odd",
     "e_m2s_even",
-    "criticals_21",
-    "chambers_21",
     "e_triples21",
     "e_triples21_critical_stable",
     "TripleType",
     "SigmaRange",
     "sigma_range",
     "chi_triples",
-    "criticals_31",
+    "criticals",
+    "chamber_bounds",
     "Chamber",
     "locate",
     "FlipContribution",

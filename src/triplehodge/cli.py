@@ -18,7 +18,7 @@ from .errors import CriticalSigma, OutOfRange, TripleHodgeError
 from .laurent import ZERO
 from .moduli import e_m3, e_n31_closed, poincare
 from .rank2 import e_m2_odd, e_m2s_even, e_triples21
-from .stability import TripleType, _walls, chamber_bounds
+from .stability import TripleType, chamber_bounds, criticals
 from .verify import GRIDS, SUITES, run_suite
 from .zoo import (
     HodgeResult,
@@ -148,7 +148,7 @@ def _triple_type(ranks: str, g: int, d1: int, d2: int) -> TripleType:
 
 
 def _render_criticals(args) -> str:
-    pairs = _walls(_triple_type(args.ranks, args.g, args.d1, args.d2))
+    pairs = criticals(_triple_type(args.ranks, args.g, args.d1, args.d2))
     label = "n" if args.ranks == "31" else "dM"
     if args.output == "json":
         return json.dumps(

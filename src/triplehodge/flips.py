@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import NotCritical, OutOfRange, ParityError, StrataMismatch
+from .errors import OutOfRange, ParityError, StrataMismatch
 from .laurent import ONE, U2V, UV, UV2, ZERO, FractionUV, LaurentPoly, U, V
 from .series import extract, sym_series
-from .stability import TripleType, criticals_31
+from .stability import TripleType, _require_critical
 from .rank2 import e_m2s_even, e_triples21_critical_stable
 from .zoo import (
     e_affine,
@@ -83,16 +83,22 @@ def _wall_jump(t: TripleType, n: int) -> LaurentPoly:
 def _validate_critical(t: TripleType, n: int) -> None:
     if (t.n1, t.n2) != (3, 1):
         raise OutOfRange(f"expected ranks (3, 1), got ({t.n1}, {t.n2})")
-    table = dict(criticals_31(t))
-    if n not in table:
-        raise NotCritical(
-            f"n={n} is not critical for (3,1,{t.d1},{t.d2}); "
-            f"criticals are {sorted(table)}"
-        )
+    _require_critical(t, n)
 
 
-def c_n_odd(t: TripleType, n: int) -> FractionUV:
-    """Wall-crossing jump C_n at an odd critical index n.
+def _contribution(
+    t: TripleType,
+    n: int,
+    cn: FractionUV,
+    strata: tuple[FractionUV, ...] | None = None,
+) -> FlipContribution:
+    n1 = t.d1 - t.d2 - n
+    n2 = Fraction(2 * t.g - 2 - 2 * t.d1 + 3 * n, 2)
+    return FlipContribution(n, n1, n2, cn.normalize(), strata)
+
+
+def c_n_odd(t: TripleType, n: int) -> FlipContribution:
+    """Wall-crossing data C_n at an odd critical index n.
 
     Equal to e(Jac)^2 e(Sym^{N1} X) ((uv)^{2 N2} - (uv)^{2 N1}) times the
     wall kernel; only 2*N2 enters, so the half-integrality of N2 for odd
@@ -106,8 +112,8 @@ def c_n_odd(t: TripleType, n: int) -> FractionUV:
     two_n2 = 2 * g - 2 - 2 * t.d1 + 3 * n
     jac = e_jacobian(g).poly
     sym = e_sym(n1, g).poly
-    jump = UV**two_n2 - UV ** (2 * n1)
-    return (FractionUV(jac * jac * sym * jump) * _wall_kernel(g)).normalize()
+    jump = FractionUV(jac * jac * sym * (UV**two_n2 - UV ** (2 * n1)))
+    return _contribution(t, n, jump * _wall_kernel(g))
 
 
 def _closed_even(t: TripleType, n: int) -> FractionUV:
@@ -192,17 +198,9 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
             f"stratum sum disagrees with the closed form at n={n} "
             f"for (3,1,{t.d1},{t.d2}), g={t.g}"
         )
-    n1 = t.d1 - t.d2 - n
-    n2 = Fraction(2 * t.g - 2 - 2 * t.d1 + 3 * n, 2)
-    return FlipContribution(
-        n=n, N1=n1, N2=n2, cn=closed.normalize(), strata=strata
-    )
+    return _contribution(t, n, closed, strata)
 
 
 def flip_contribution(t: TripleType, n: int) -> FlipContribution:
     """Wall-crossing data at the critical index n of either parity."""
-    if n % 2 == 0:
-        return c_n_even(t, n)
-    n1 = t.d1 - t.d2 - n
-    n2 = Fraction(2 * t.g - 2 - 2 * t.d1 + 3 * n, 2)
-    return FlipContribution(n=n, N1=n1, N2=n2, cn=c_n_odd(t, n))
+    return (c_n_odd if n % 2 else c_n_even)(t, n)

@@ -26,7 +26,7 @@ from .laurent import (
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
-from .stability import TripleType, criticals_31, locate
+from .stability import TripleType, chi_triples, criticals, locate
 from .flips import _wall_jump, _wall_kernel
 from .zoo import HodgeResult, e_jacobian, e_projective
 
@@ -39,10 +39,6 @@ __all__ = [
     "poincare_m3",
     "poincare_n31",
 ]
-
-
-def _dim_31(g: int, d1: int, d2: int) -> int:
-    return 7 * g - 6 + d1 - 3 * d2
 
 
 def e_n31_closed(
@@ -60,7 +56,8 @@ def e_n31_closed(
     allowed range the result is empty; at a critical value
     CriticalSigma is raised.
     """
-    ch = locate(TripleType(3, 1, d1, d2, g), sigma, chamber)
+    t = TripleType(3, 1, d1, d2, g)
+    ch = locate(t, sigma, chamber)
     if ch is None:
         return HodgeResult(ZERO, 0)
     # the sums are cut at the least critical index n0 above sigma and
@@ -97,7 +94,7 @@ def e_n31_closed(
     poly = (FractionUV(jac * jac) * (part_a + part_b)).as_polynomial()
     return HodgeResult(
         poly=poly,
-        dim=_dim_31(g, d1, d2),
+        dim=1 - chi_triples(t, t),
         smooth_projective=True,
         chamber=ch,
     )
@@ -122,12 +119,12 @@ def e_n31_flipsum(
     if ch is None:
         return HodgeResult(ZERO, 0)
     poly = ZERO
-    for n, _crit in criticals_31(t):
+    for n, _crit in criticals(t):
         if n >= ch.wall:
             poly = poly - _wall_jump(t, n)
     return HodgeResult(
         poly=poly,
-        dim=_dim_31(g, d1, d2),
+        dim=1 - chi_triples(t, t),
         smooth_projective=True,
         chamber=ch,
     )

@@ -8,10 +8,9 @@ the stable locus at critical values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
-from .errors import NonIntegral, NotCritical, OutOfRange
+from .errors import NonIntegral, OutOfRange
 from .laurent import (
     ONE,
     U2V,
@@ -26,12 +25,10 @@ from .laurent import (
     halve_exact,
 )
 from .series import extract, sym_series
-from .stability import TripleType, chamber_bounds, criticals_21, locate
+from .stability import TripleType, _require_critical, chi_triples, locate
 from .zoo import HodgeResult, e_jacobian
 
 __all__ = [
-    "chambers_21",
-    "criticals_21",
     "e_m2_odd",
     "e_m2s_even",
     "e_triples21",
@@ -89,11 +86,6 @@ def e_m2s_even(g: int) -> HodgeResult:
     return HodgeResult(poly=half, dim=4 * g - 3, smooth_projective=False)
 
 
-def chambers_21(g: int, d1: int, d2: int) -> list[tuple[Fraction, Fraction]]:
-    """Open stability chambers of type (2, 1, d1, d2), increasing."""
-    return chamber_bounds(TripleType(2, 1, d1, d2, g))
-
-
 def e_triples21(
     g: int,
     d1: int,
@@ -110,7 +102,8 @@ def e_triples21(
     exactly at a critical value raises CriticalSigma, since the moduli
     space is not fine there.
     """
-    ch = locate(TripleType(2, 1, d1, d2, g), sigma, chamber)
+    t = TripleType(2, 1, d1, d2, g)
+    ch = locate(t, sigma, chamber)
     if ch is None:
         return HodgeResult(ZERO, 0)
 
@@ -125,7 +118,7 @@ def e_triples21(
     poly = FractionUV(jac * jac * bracket, ONE - UV).as_polynomial()
     return HodgeResult(
         poly=poly,
-        dim=3 * g - 2 + d1 - 2 * d2,
+        dim=1 - chi_triples(t, t),
         smooth_projective=True,
         chamber=ch,
     )
@@ -142,11 +135,7 @@ def e_triples21_critical_stable(
     space, hence not projective: flag off.
     """
     t = TripleType(2, 1, d1, d2, g)
-    if d_m not in {m for m, _ in criticals_21(d1, d2)}:
-        raise NotCritical(
-            f"d_m={d_m} is not critical for (2,1,{d1},{d2}); "
-            f"criticals are {sorted(m for m, _ in criticals_21(d1, d2))}"
-        )
+    _require_critical(t, d_m)
     k = d1 - d2 - d_m
     w = sym_series(g, k + 1)
     c1 = extract(w, [UV**-1], k)
@@ -156,7 +145,5 @@ def e_triples21_critical_stable(
     jac = e_jacobian(g).poly
     poly = FractionUV(jac * jac * bracket, ONE - UV).as_polynomial()
     return HodgeResult(
-        poly=poly,
-        dim=3 * g - 2 + d1 - 2 * d2,
-        smooth_projective=False,
+        poly=poly, dim=1 - chi_triples(t, t), smooth_projective=False
     )

@@ -4,9 +4,9 @@ A triple of type (n1, n2, d1, d2) on a genus-g curve is a pair of bundles
 E1, E2 of ranks n1, n2 and degrees d1, d2 together with a map E2 -> E1.
 Stability depends on a real parameter sigma; the moduli space changes only
 when sigma crosses one of finitely many critical values, and is constant
-on the open chambers in between.  locate is the one place a moduli
-query's sigma (or chamber index) is resolved, checked and placed in its
-chamber.
+on the open chambers in between.  criticals is the one list of a
+type's walls, and locate is the one place a moduli query's sigma (or
+chamber index) is resolved, checked and placed in its chamber.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CriticalSigma, OutOfRange
+from .errors import CriticalSigma, NotCritical, OutOfRange
 
 __all__ = [
     "Chamber",
@@ -22,8 +22,7 @@ __all__ = [
     "TripleType",
     "chamber_bounds",
     "chi_triples",
-    "criticals_21",
-    "criticals_31",
+    "criticals",
     "locate",
     "sigma_range",
 ]
@@ -59,14 +58,16 @@ class SigmaRange:
     sigma ranges over (sigma_m, sigma_M]; sigma_M is None when the range
     is unbounded (equal ranks).  criticals is the increasing tuple of
     values inside the range where strictly semistable triples appear.
-    empty is True when sigma_M < sigma_m, so no stable triples exist for
-    any sigma.
     """
 
     sigma_m: Fraction
     sigma_M: Fraction | None
     criticals: tuple[Fraction, ...]
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        """True when sigma_M < sigma_m: no stable triples for any sigma."""
+        return self.sigma_M is not None and self.sigma_M < self.sigma_m
 
 
 @dataclass(frozen=True)
@@ -102,46 +103,38 @@ def sigma_range(t: TripleType) -> SigmaRange:
     else:
         factor = 1 + Fraction(t.n1 + t.n2, abs(t.n1 - t.n2))
         sigma_big = factor * (mu1 - mu2)
-    empty = sigma_big is not None and sigma_big < sigma_m
-    criticals: tuple[Fraction, ...] = ()
-    if not empty:
-        criticals = tuple(Fraction(s) for _, s in _walls(t))
-    return SigmaRange(
-        sigma_m=sigma_m, sigma_M=sigma_big, criticals=criticals, empty=empty
-    )
+    walls = tuple(Fraction(s) for _, s in criticals(t))
+    return SigmaRange(sigma_m=sigma_m, sigma_M=sigma_big, criticals=walls)
 
 
-def criticals_31(t: TripleType) -> list[tuple[int, int]]:
-    """Critical values for type (3, 1) as (n, sigma_n) pairs, increasing in n.
+def criticals(t: TripleType) -> list[tuple[int, int]]:
+    """The walls of t as (index, sigma_c) pairs, increasing.
 
-    The critical value sigma_n = 2n - d1 - d2 is indexed by the degree n
+    For type (3, 1), sigma_n = 2n - d1 - d2 is indexed by the degree n
     of the rank-1 destabilizing quotient, over 2*d1/3 < n <= d1 - d2.
+    For type (2, 1), sigma_c = 3*d_m - d1 - d2 is indexed by the degree
+    d_m of the destabilizing line subbundle, over d1/2 < d_m <= d1 - d2.
+    Other rank pairs have no enumerated walls.
     """
-    if (t.n1, t.n2) != (3, 1):
-        raise OutOfRange(f"expected ranks (3, 1), got ({t.n1}, {t.n2})")
-    lower = (2 * t.d1) // 3 + 1
-    upper = t.d1 - t.d2
-    return [(n, 2 * n - t.d1 - t.d2) for n in range(lower, upper + 1)]
-
-
-def criticals_21(d1: int, d2: int) -> list[tuple[int, int]]:
-    """Critical values for type (2, 1) as (d_m, sigma_c) pairs.
-
-    sigma_c = 3*d_m - d1 - d2 is indexed by the degree d_m of the
-    destabilizing line subbundle, over d1/2 < d_m <= d1 - d2.
-    """
-    lower = d1 // 2 + 1
-    upper = d1 - d2
-    return [(m, 3 * m - d1 - d2) for m in range(lower, upper + 1)]
-
-
-def _walls(t: TripleType) -> list[tuple[int, int]]:
-    """The (index, critical value) pairs of the ranks that have them."""
     if (t.n1, t.n2) == (3, 1):
-        return criticals_31(t)
-    if (t.n1, t.n2) == (2, 1):
-        return criticals_21(t.d1, t.d2)
-    return []
+        lower, step = (2 * t.d1) // 3 + 1, 2
+    elif (t.n1, t.n2) == (2, 1):
+        lower, step = t.d1 // 2 + 1, 3
+    else:
+        return []
+    return [
+        (i, step * i - t.d1 - t.d2) for i in range(lower, t.d1 - t.d2 + 1)
+    ]
+
+
+def _require_critical(t: TripleType, index: int) -> None:
+    """Raise NotCritical unless index is one of the walls of t."""
+    indices = [i for i, _ in criticals(t)]
+    if index not in indices:
+        raise NotCritical(
+            f"index {index} is not critical for "
+            f"({t.n1},{t.n2},{t.d1},{t.d2}); criticals are {indices}"
+        )
 
 
 def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
@@ -151,7 +144,7 @@ def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
     critical value, which equals sigma_M for the (2,1) and (3,1) types.
     """
     rng = sigma_range(t)
-    if rng.empty or not rng.criticals:
+    if not rng.criticals:
         return []
     cuts = [rng.sigma_m, *rng.criticals]
     return list(zip(cuts[:-1], cuts[1:]))
@@ -185,14 +178,15 @@ def locate(
     elif sigma is None:
         raise OutOfRange("either sigma or chamber is required")
     sigma = Fraction(sigma)
-    criticals = [hi for _, hi in bounds]
-    if sigma in criticals:
+    walls = criticals(t)
+    values = [s for _, s in walls]
+    if sigma in values:
         raise CriticalSigma(
             f"sigma={sigma} is critical for ({t.n1},{t.n2},{t.d1},{t.d2})",
-            criticals=[int(s) for s in criticals],
+            criticals=values,
         )
     # the chambers and their upper walls tile (sigma_m, sigma_M]
-    for (lo, hi), (wall, _) in zip(bounds, _walls(t)):
+    for (lo, hi), (wall, _) in zip(bounds, walls):
         if lo < sigma < hi:
             return Chamber(sigma, lo, hi, wall)
     return None

@@ -23,7 +23,7 @@ from .series import (
     residue_f1,
     residue_f2,
 )
-from .stability import TripleType, chamber_bounds, chi_triples, criticals_31
+from .stability import TripleType, chamber_bounds, chi_triples, criticals
 from .zoo import (
     e_grassmannian,
     e_jacobian,
@@ -33,8 +33,6 @@ from .zoo import (
     smooth_projective_failures,
 )
 from .rank2 import (
-    chambers_21,
-    criticals_21,
     e_m2_odd,
     e_m2s_even,
     e_triples21,
@@ -342,22 +340,24 @@ def _suite_rank2(grid: Grid) -> list[Case]:
 def _rank2_chambers_case(g: int, d1: int, d2: int):
     def run():
         dim = 3 * g - 2 + d1 - 2 * d2
-        for index, _ in enumerate(chambers_21(g, d1, d2), start=1):
+        bounds = chamber_bounds(TripleType(2, 1, d1, d2, g))
+        for index in range(1, len(bounds) + 1):
             h = e_triples21(g, d1, d2, chamber=index)
             if h.empty:
                 continue
             bad = smooth_projective_failures(h.poly, dim)
             if bad:
                 return ("fail", f"chamber {index}: {bad[0]}")
-        return _ok(f"{len(chambers_21(g, d1, d2))} chambers checked")
+        return _ok(f"{len(bounds)} chambers checked")
 
     return run
 
 
 def _rank2_wall_case(g: int, d1: int, d2: int):
     def run():
-        bounds = chambers_21(g, d1, d2)
-        crits = criticals_21(d1, d2)
+        t = TripleType(2, 1, d1, d2, g)
+        bounds = chamber_bounds(t)
+        crits = criticals(t)
         for i, (d_m, _sigma) in enumerate(crits):
             below = e_triples21(g, d1, d2, chamber=i + 1).poly
             stable = e_triples21_critical_stable(g, d1, d2, d_m).poly
@@ -394,13 +394,13 @@ def _suite_flips(grid: Grid) -> list[Case]:
 
 def _flips_pinned():
     t = TripleType(3, 1, 5, 0, 2)
-    if criticals_31(t) != [(4, 3), (5, 5)]:
+    if criticals(t) != [(4, 3), (5, 5)]:
         return ("fail", "criticals of (3,1,5,0) at g=2")
     t = TripleType(3, 1, 6, 0, 2)
-    if criticals_31(t) != [(5, 4), (6, 6)]:
+    if criticals(t) != [(5, 4), (6, 6)]:
         return ("fail", "criticals of (3,1,6,0) at g=2")
     t = TripleType(3, 1, 3, 1, 2)
-    return _check(criticals_31(t) == [], "criticals of (3,1,3,1) not empty")
+    return _check(criticals(t) == [], "criticals of (3,1,3,1) not empty")
 
 
 def _flips_errors():
@@ -426,7 +426,7 @@ def _flips_errors():
 def _flips_chi_case(t: TripleType):
     def run():
         g, d1, d2 = t.g, t.d1, t.d2
-        for n, _sigma in criticals_31(t):
+        for n, _sigma in criticals(t):
             n1 = d1 - d2 - n
             two_n2 = 2 * g - 2 - 2 * d1 + 3 * n
             rank11 = TripleType(1, 1, d1 - n, d2, g)
@@ -449,7 +449,7 @@ def _flips_chi_case(t: TripleType):
                 for got, want, name in checks:
                     if got != want:
                         return ("fail", f"n={n}: -chi != {name}")
-        return _ok(f"{len(criticals_31(t))} criticals checked")
+        return _ok(f"{len(criticals(t))} criticals checked")
 
     return run
 
@@ -458,7 +458,7 @@ def _flips_jump_case(t: TripleType):
     def run():
         g, d1, d2 = t.g, t.d1, t.d2
         jac = e_jacobian(g).poly
-        for n, _sigma in criticals_31(t):
+        for n, _sigma in criticals(t):
             flip = flip_contribution(t, n)
             if 2 * flip.N2 != 2 * g - 2 - 2 * d1 + 3 * n:
                 return ("fail", f"n={n}: N2 wrong")
@@ -477,7 +477,7 @@ def _flips_jump_case(t: TripleType):
                     return ("fail", f"n={n}: odd jump != structural form")
             if flip.N1 == flip.N2 and not flip.cn.is_zero():
                 return ("fail", f"n={n}: N1 == N2 but jump nonzero")
-        return _ok(f"{len(criticals_31(t))} jumps checked")
+        return _ok(f"{len(criticals(t))} jumps checked")
 
     return run
 
@@ -527,7 +527,7 @@ def _crosspath_case(t: TripleType, index: int):
 def _crosspath_edges(t: TripleType):
     def run():
         g, d1, d2 = t.g, t.d1, t.d2
-        crits = criticals_31(t)
+        crits = criticals(t)
         top_n, top_sigma = crits[-1]
         above = e_n31_closed(g, d1, d2, Fraction(top_sigma) + 1)
         if not above.empty:

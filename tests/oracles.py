@@ -279,6 +279,16 @@ def wall_21(sigma, d1, d2):
     return floor((sigma + d1 + d2) / 3) + 1
 
 
+def dim_31(g, d1, d2):
+    """Complex dimension of N_sigma(3, 1, d1, d2), a nonempty chamber."""
+    return 7 * g - 6 + d1 - 3 * d2
+
+
+def dim_21(g, d1, d2):
+    """Complex dimension of N_sigma(2, 1, d1, d2), a nonempty chamber."""
+    return 3 * g - 2 + d1 - 2 * d2
+
+
 # -- frozen expected values --------------------------------------------
 
 # e(Sym^1 X) and e(Sym^2 X) at g = 2: binomial coefficients of the curve

@@ -14,10 +14,9 @@ from triplehodge import (
     LaurentPoly,
     TripleType,
     c_n_even,
-    chambers_21,
+    chamber_bounds,
     chi_triples,
-    criticals_21,
-    criticals_31,
+    criticals,
     e_grassmannian,
     e_jacobian,
     e_m2_odd,
@@ -97,7 +96,7 @@ def test_criterion_3_even_wall_strata_sum_to_closed_jump():
     even_walls = 0
     for g, d1, d2 in GRID_31:
         t = TripleType(3, 1, d1, d2, g)
-        for n, _sigma in criticals_31(t):
+        for n, _sigma in criticals(t):
             if n % 2:
                 continue
             # building the contribution re-checks the strata internally
@@ -114,7 +113,7 @@ def test_criterion_3_even_wall_strata_sum_to_closed_jump():
 def test_criterion_4_chi_reproduces_every_fiber_dimension():
     for g, d1, d2 in GRID_31:
         t = TripleType(3, 1, d1, d2, g)
-        for n, _sigma in criticals_31(t):
+        for n, _sigma in criticals(t):
             where = f"(g,d1,d2,n)=({g},{d1},{d2},{n})"
             n1 = d1 - d2 - n
             two_n2 = 2 * g - 2 - 2 * d1 + 3 * n
@@ -162,7 +161,8 @@ def test_criterion_7_rank2_duality_everywhere():
         assert _duality_violations(h.poly, 4 * g - 3) == [], f"g={g}"
     for g, d1, d2 in GRID_21:
         dim = 3 * g - 2 + d1 - 2 * d2
-        for index in range(1, len(chambers_21(g, d1, d2)) + 1):
+        bounds = chamber_bounds(TripleType(2, 1, d1, d2, g))
+        for index in range(1, len(bounds) + 1):
             h = e_triples21(g, d1, d2, chamber=index)
             if h.empty:
                 continue
@@ -174,7 +174,8 @@ def test_criterion_7_rank2_duality_everywhere():
 def test_criterion_8_stable_locus_replay_at_rank2_walls():
     for g, d1, d2 in GRID_21:
         jac2 = e_jacobian(g).poly ** 2
-        for i, (d_m, _sigma) in enumerate(criticals_21(d1, d2)):
+        walls = criticals(TripleType(2, 1, d1, d2, g))
+        for i, (d_m, _sigma) in enumerate(walls):
             below = e_triples21(g, d1, d2, chamber=i + 1).poly
             s_minus = (
                 jac2

@@ -14,7 +14,7 @@ from triplehodge import (
     TripleType,
     c_n_even,
     c_n_odd,
-    criticals_31,
+    criticals,
     e_jacobian,
     e_m2_odd,
     e_n31_flipsum,
@@ -53,6 +53,7 @@ def test_contribution_fields():
     assert odd.N1 == 0
     assert odd.N2 == Fraction(7, 2)
     assert odd.strata is None
+    assert c_n_odd(t, 5) == odd
 
 
 def test_even_jump_equals_stratum_sum():
@@ -60,7 +61,7 @@ def test_even_jump_equals_stratum_sum():
     # strata and compares against the closed jump once more
     for g, d1, d2 in ((2, 5, 0), (2, 6, 0), (3, 8, 0), (2, 7, 1)):
         t = TripleType(3, 1, d1, d2, g)
-        for n, _sigma in criticals_31(t):
+        for n, _sigma in criticals(t):
             if n % 2:
                 continue
             flip = c_n_even(t, n)
@@ -77,10 +78,10 @@ def test_odd_jump_structural_form():
     for g, d1, d2 in ((2, 5, 0), (2, 6, 0), (3, 7, 0), (2, 8, 1)):
         t = TripleType(3, 1, d1, d2, g)
         jac = e_jacobian(g).poly
-        for n, _sigma in criticals_31(t):
+        for n, _sigma in criticals(t):
             if n % 2 == 0:
                 continue
-            flip = flip_contribution(t, n)
+            flip = c_n_odd(t, n)
             n1 = flip.N1
             bracket = (
                 e_projective(2 * n1).poly
@@ -104,15 +105,15 @@ def test_balanced_wall_contributes_nothing():
 def test_n2_integrality_tracks_parity():
     for d1, d2 in ((5, 0), (6, 0), (7, 1), (9, 1)):
         t = TripleType(3, 1, d1, d2, 2)
-        for n, _sigma in criticals_31(t):
+        for n, _sigma in criticals(t):
             flip = flip_contribution(t, n)
             assert 2 * flip.N2 == 2 * t.g - 2 - 2 * d1 + 3 * n
             assert (flip.N2.denominator == 1) == (n % 2 == 0)
 
 
 def test_criticals_pinned_here_too():
-    assert criticals_31(TripleType(3, 1, 5, 0, 2)) == oracles.CRITICALS_3150
-    assert criticals_31(TripleType(3, 1, 6, 0, 2)) == oracles.CRITICALS_3160
+    assert criticals(TripleType(3, 1, 5, 0, 2)) == oracles.CRITICALS_3150
+    assert criticals(TripleType(3, 1, 6, 0, 2)) == oracles.CRITICALS_3160
 
 
 def test_chamber_sweep_builds_each_wall_once(monkeypatch):
@@ -131,7 +132,7 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
     walls = set()
     for g in (2, 3, 4):
         t = TripleType(3, 1, 2 * g + 3, 0, g)
-        walls |= {(t, n) for n, _sigma in criticals_31(t)}
+        walls |= {(t, n) for n, _sigma in criticals(t)}
         for index in range(1, len(chamber_bounds(t)) + 1):
             e_n31_flipsum(g, t.d1, 0, chamber=index)
     assert sorted(calls, key=repr) == sorted(walls, key=repr)
@@ -141,6 +142,6 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
         for d1 in quick.d1s:
             for d2 in quick.d2s:
                 t = TripleType(3, 1, d1, d2, g)
-                for n, _sigma in criticals_31(t):
+                for n, _sigma in criticals(t):
                     expected = original(t, n).cn.as_polynomial()
                     assert flips._wall_jump(t, n) == expected

@@ -1,6 +1,9 @@
 """Tests for N_sigma(3, 1) triple spaces and the rank-3 moduli space."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,13 +16,14 @@ from triplehodge import (
     LaurentPoly,
     OutOfRange,
     TripleType,
-    criticals_31,
+    criticals,
     e_jacobian,
     e_m3,
     e_m3_via_pipeline,
     e_n31_closed,
     e_n31_flipsum,
     e_triples21,
+    e_triples21_critical_stable,
     flip_contribution,
     poincare,
     poincare_m3,
@@ -27,6 +31,7 @@ from triplehodge import (
 )
 from triplehodge.laurent import ONE, UV
 from triplehodge.stability import chamber_bounds, locate
+from triplehodge.verify import GRIDS
 from triplehodge.zoo import smooth_projective_failures
 
 CROSS_GRID = [
@@ -82,9 +87,29 @@ def test_chamber_invariants():
                 assert smooth_projective_failures(h.poly, dim) == []
 
 
+def test_dimensions_match_closed_forms_on_the_full_grid():
+    # the package reads every triple dimension off 1 - chi(T, T); the
+    # oracle spells the closed forms
+    full = GRIDS["full"]
+    routes = (
+        (3, oracles.dim_31, e_n31_closed),
+        (3, oracles.dim_31, e_n31_flipsum),
+        (2, oracles.dim_21, e_triples21),
+    )
+    for g, d1, d2 in product(full.gs, full.d1s, full.d2s):
+        for n1, dim, route in routes:
+            t = TripleType(n1, 1, d1, d2, g)
+            for index in range(1, len(chamber_bounds(t)) + 1):
+                h = route(g, d1, d2, chamber=index)
+                assert h.dim == dim(g, d1, d2), (route.__name__, t, index)
+        for d_m, _sigma in criticals(TripleType(2, 1, d1, d2, g)):
+            h = e_triples21_critical_stable(g, d1, d2, d_m)
+            assert h.dim == oracles.dim_21(g, d1, d2), (g, d1, d2, d_m)
+
+
 def test_empty_above_top_critical():
     g, d1, d2 = 2, 5, 0
-    top = criticals_31(TripleType(3, 1, d1, d2, g))[-1][1]
+    top = criticals(TripleType(3, 1, d1, d2, g))[-1][1]
     assert e_n31_closed(g, d1, d2, Fraction(top) + 1).empty
     assert e_n31_flipsum(g, d1, d2, Fraction(top) + 1).empty
 
@@ -98,7 +123,7 @@ def test_empty_below_sigma_min():
 def test_top_chamber_is_single_flip():
     for g, d1, d2 in ((2, 5, 0), (2, 6, 0)):
         t = TripleType(3, 1, d1, d2, g)
-        crits = criticals_31(t)
+        crits = criticals(t)
         top_n = crits[-1][0]
         top = e_n31_closed(g, d1, d2, chamber=len(crits))
         single = (-flip_contribution(t, top_n).cn).as_polynomial()
@@ -177,9 +202,9 @@ def test_poincare_helper_accepts_both_shapes():
 # -- rank-3 moduli space -----------------------------------------------------
 
 
-def test_m3_equals_pipeline():
-    for g in (2, 3):
-        assert e_m3(g).poly == e_m3_via_pipeline(g).poly
+@pytest.mark.parametrize("g", range(2, 11))
+def test_m3_equals_pipeline(g):
+    assert e_m3(g).poly == e_m3_via_pipeline(g).poly
 
 
 def test_m3_invariants():
@@ -232,7 +257,19 @@ def test_m3_betti_first_values():
     assert betti[2] == 7
 
 
-def test_package_exports_every_moduli_name():
+SUBMODULES = [
+    importlib.import_module(f"triplehodge.{info.name}")
+    for info in pkgutil.iter_modules(triplehodge.__path__)
+]
+
+
+def test_package_exports_match_every_submodule():
+    for module in SUBMODULES:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    for name in triplehodge.__all__:
+        value = getattr(triplehodge, name)
+        home = importlib.import_module(value.__module__)
+        assert name in getattr(home, "__all__", [name]), name
+        assert getattr(home, name) is value, name
     assert set(moduli.__all__) <= set(triplehodge.__all__)
-    for name in moduli.__all__:
-        assert getattr(triplehodge, name) is getattr(moduli, name)

@@ -10,8 +10,9 @@ from triplehodge import (
     LaurentPoly,
     NotCritical,
     OutOfRange,
-    chambers_21,
-    criticals_21,
+    TripleType,
+    chamber_bounds,
+    criticals,
     e_jacobian,
     e_m2_odd,
     e_m2s_even,
@@ -69,7 +70,7 @@ def test_m2_even_stable_locus():
 
 def test_triples21_chamber_equals_midpoint_sigma():
     g, d1, d2 = 2, 5, 0
-    (lo, hi) = chambers_21(g, d1, d2)[0]
+    (lo, hi) = chamber_bounds(TripleType(2, 1, d1, d2, g))[0]
     via_chamber = e_triples21(g, d1, d2, chamber=1)
     via_sigma = e_triples21(g, d1, d2, (lo + hi) / 2)
     assert via_chamber.poly == via_sigma.poly
@@ -78,7 +79,7 @@ def test_triples21_chamber_equals_midpoint_sigma():
 
 def test_triples21_constant_within_chamber():
     g, d1, d2 = 2, 5, 0
-    lo, hi = chambers_21(g, d1, d2)[1]
+    lo, hi = chamber_bounds(TripleType(2, 1, d1, d2, g))[1]
     a = e_triples21(g, d1, d2, lo + Fraction(1, 7) * (hi - lo))
     b = e_triples21(g, d1, d2, lo + Fraction(5, 7) * (hi - lo))
     assert a.poly == b.poly
@@ -88,7 +89,8 @@ def test_triples21_invariants_every_chamber():
     for d1 in range(3, 7):
         g, d2 = 2, 0
         dim = 3 * g - 2 + d1 - 2 * d2
-        for index in range(1, len(chambers_21(g, d1, d2)) + 1):
+        bounds = chamber_bounds(TripleType(2, 1, d1, d2, g))
+        for index in range(1, len(bounds) + 1):
             h = e_triples21(g, d1, d2, chamber=index)
             assert h.dim == dim
             if not h.empty:
@@ -125,8 +127,9 @@ def test_triples21_wall_replay():
     for d1 in range(3, 7):
         g, d2 = 2, 0
         jac2 = e_jacobian(g).poly ** 2
-        bounds = chambers_21(g, d1, d2)
-        crits = criticals_21(d1, d2)
+        t = TripleType(2, 1, d1, d2, g)
+        bounds = chamber_bounds(t)
+        crits = criticals(t)
         for i, (d_m, _sigma) in enumerate(crits):
             k = d1 - d2 - d_m
             sym = e_sym(k, g).poly
@@ -148,7 +151,8 @@ def test_triples21_top_chamber_closed_form():
     # projective bundle over Jac x Jac
     for d1 in range(3, 7):
         g, d2 = 2, 0
-        top = e_triples21(g, d1, d2, chamber=len(chambers_21(g, d1, d2)))
+        bounds = chamber_bounds(TripleType(2, 1, d1, d2, g))
+        top = e_triples21(g, d1, d2, chamber=len(bounds))
         jac2 = e_jacobian(g).poly ** 2
         expected = jac2 * e_projective(g - 1 + d1 - 2 * d2).poly
         assert top.poly == expected

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import oracles
 from triplehodge import (
     CriticalSigma,
+    NotCritical,
     OutOfRange,
     TripleType,
-    criticals_21,
-    criticals_31,
+    c_n_odd,
+    criticals,
+    e_triples21_critical_stable,
     sigma_range,
 )
 from triplehodge.stability import Chamber, chamber_bounds, chi_triples, locate
@@ -66,6 +68,20 @@ def test_sigma_range_empty_when_interval_inverts():
     assert rng.criticals == ()
 
 
+def test_empty_range_has_no_criticals():
+    # SigmaRange.empty is derived from the interval alone; the chamber
+    # code relies on an inverted interval never carrying a wall
+    empties = 0
+    for ranks in ((2, 1), (3, 1)):
+        for d1 in range(-12, 13):
+            for d2 in range(-12, 13):
+                t = TripleType(*ranks, d1, d2, 2)
+                if sigma_range(t).empty:
+                    empties += 1
+                    assert criticals(t) == [], t
+    assert empties > 0
+
+
 def test_sigma_range_equal_ranks_unbounded():
     rng = sigma_range(TripleType(1, 1, 4, 0, 2))
     assert rng.sigma_M is None
@@ -81,15 +97,15 @@ def test_sigma_range_needs_positive_ranks():
 
 
 def test_criticals_31_pinned():
-    assert criticals_31(TripleType(3, 1, 5, 0, 2)) == oracles.CRITICALS_3150
-    assert criticals_31(TripleType(3, 1, 6, 0, 2)) == oracles.CRITICALS_3160
-    assert criticals_31(TripleType(3, 1, 3, 1, 2)) == []
+    assert criticals(TripleType(3, 1, 5, 0, 2)) == oracles.CRITICALS_3150
+    assert criticals(TripleType(3, 1, 6, 0, 2)) == oracles.CRITICALS_3160
+    assert criticals(TripleType(3, 1, 3, 1, 2)) == []
 
 
 def test_criticals_31_structure():
     for d1 in range(4, 10):
         for d2 in (0, 1):
-            crits = criticals_31(TripleType(3, 1, d1, d2, 3))
+            crits = criticals(TripleType(3, 1, d1, d2, 3))
             for n, sigma in crits:
                 assert sigma == 2 * n - d1 - d2
                 assert 3 * n > 2 * d1
@@ -97,16 +113,23 @@ def test_criticals_31_structure():
             assert [n for n, _ in crits] == sorted(n for n, _ in crits)
 
 
-def test_criticals_31_rejects_other_ranks():
-    with pytest.raises(OutOfRange):
-        criticals_31(TripleType(2, 1, 5, 0, 2))
+def test_criticals_follow_the_ranks():
+    assert criticals(TripleType(2, 1, 5, 0, 2)) == [(3, 4), (4, 7), (5, 10)]
+    assert criticals(TripleType(1, 1, 5, 0, 2)) == []
 
 
 def test_criticals_21_pinned():
-    assert criticals_21(5, 0) == [(3, 4), (4, 7), (5, 10)]
-    assert criticals_21(4, 0) == [(3, 5), (4, 8)]
-    assert criticals_21(4, 1) == [(3, 4)]
-    assert criticals_21(3, 2) == []
+    assert criticals(TripleType(2, 1, 5, 0, 2)) == [(3, 4), (4, 7), (5, 10)]
+    assert criticals(TripleType(2, 1, 4, 0, 2)) == [(3, 5), (4, 8)]
+    assert criticals(TripleType(2, 1, 4, 1, 2)) == [(3, 4)]
+    assert criticals(TripleType(2, 1, 3, 2, 2)) == []
+
+
+def test_not_critical_names_the_walls_for_both_ranks():
+    with pytest.raises(NotCritical, match=r"\(3,1,5,0\).*\[4, 5\]"):
+        c_n_odd(TripleType(3, 1, 5, 0, 2), 7)
+    with pytest.raises(NotCritical, match=r"\(2,1,5,0\).*\[3, 4, 5\]"):
+        e_triples21_critical_stable(2, 5, 0, 2)
 
 
 # -- chambers -------------------------------------------------------------------
