@@ -91,7 +91,9 @@ def e_n31_closed(
     else:
         part_b = FractionUV(ZERO)
 
-    poly = (FractionUV(jac * jac) * (part_a + part_b)).as_polynomial()
+    # the denominators are cyclotomic in uv, prime to e(Jac)^2, so the
+    # sum divides on its own and e(Jac)^2 is multiplied in last
+    poly = jac * jac * (part_a + part_b).as_polynomial()
     return HodgeResult(
         poly=poly,
         dim=1 - chi_triples(t, t),
@@ -164,7 +166,8 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
         * (ONE + UV2) ** g
     )
     den = (ONE - UV) * (ONE - UV**2) ** 2 * (ONE - UV**3)
-    poly = divide_exact(jac * (piece2 - piece1 + piece3), den)
+    # den is cyclotomic in uv, prime to e(Jac): divide, then multiply
+    poly = jac * divide_exact(piece2 - piece1 + piece3, den)
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
 
 
@@ -181,9 +184,12 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
         raise OutOfRange(f"genus must be at least 2, got {g}")
     d1 = 6 * g - 5
     low = e_n31_closed(g, d1, 0, chamber=1)
-    # two small divisions instead of one by the multiplied-out product
-    fiber = divide_exact(low.poly, e_projective(3 * g - 2).poly)
-    poly = divide_exact(fiber, e_jacobian(g).poly)
+    # one division per binomial instead of one by the multiplied-out
+    # product: e(P^(n-1)) (1 - uv) = 1 - (uv)^n
+    fiber = e_projective(3 * g - 2).poly
+    poly = divide_exact(low.poly * (ONE - UV), fiber * (ONE - UV))
+    poly = divide_exact(poly, (ONE + U) ** g)
+    poly = divide_exact(poly, (ONE + V) ** g)
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
 
 

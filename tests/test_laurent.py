@@ -294,6 +294,170 @@ def test_divide_exact_zero_cases():
 def test_divide_exact_integer_coefficient_failure():
     with pytest.raises(NonDivisible):
         divide_exact(U, LaurentPoly.constant(2))
+    # 1 - uv divides, 2 does not
+    with pytest.raises(NonDivisible):
+        divide_exact((ONE + 3 * UV) * (ONE - UV), 2 - 2 * UV)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        # one term on each of two lines of m: neither line is a multiple
+        # of D(m), but the two laid end to end read 1 - x^2, which is
+        (ONE - U, ONE - UV),
+        (ONE - U, ONE - V),
+        (ONE - U**2, ONE + UV),
+    ],
+)
+def test_divide_exact_lines_divide_one_by_one(num, den):
+    with pytest.raises(NonDivisible) as info:
+        divide_exact(num, den)
+    r = info.value.remainder
+    assert not r.is_zero()
+    assert divide_exact(num - r, den) * den == num - r
+
+
+def test_divide_exact_coerces_ints():
+    assert divide_exact(6, 2) == LaurentPoly.constant(3)
+    assert divide_exact(ONE - UV**2, 1) == ONE - UV**2
+    assert divide_exact(0, ONE + U).is_zero()
+    with pytest.raises(NonDivisible):
+        divide_exact(7, 2)
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(U, 0)
+    for bad in ((1.5, ONE), (ONE, "u"), (Fraction(1, 2), ONE)):
+        with pytest.raises(TypeError, match="expected a LaurentPoly or an int"):
+            divide_exact(*bad)
+
+
+def _kernel_denominators():
+    # the wall kernel's, part B's of the closed N_sigma(3,1) form, and
+    # their t-display counterparts, which lie on the ray of u
+    t = U
+    return [
+        (ONE - UV) ** 2 * (ONE - UV**2),
+        (ONE - UV) ** 2 * (ONE + UV),
+        (ONE - t**2) ** 2 * (ONE - t**4),
+        (ONE - t**2) ** 2 * (ONE + t**2),
+    ]
+
+
+_N = 10**6
+
+
+@pytest.mark.parametrize(
+    "num, den, lined",
+    [
+        *(
+            (den * (ONE + 2 * U - 3 * V**2 + U**-1 * V) ** 3, den, True)
+            for den in (
+                _production_divisors(6)[1],
+                (ONE + U) ** 6,
+                (ONE + V) ** 6,
+                (ONE - UV) * (ONE - UV**2) ** 2 * (ONE - UV**3),
+                *_kernel_denominators(),
+                # normalized FractionUV denominators have constant term -1
+                -((ONE - UV) ** 2 * (ONE + UV)),
+            )
+        ),
+        # the pipeline's e(P^(3g-3)) (1 - uv) at g = 2, under a numerator
+        # dense enough along uv for the sparse rule, as the pipeline's is
+        (_production_divisors(6)[0] * (ONE - UV**4), ONE - UV**4, True),
+        # on one ray, but not a product of binomials: a cofactor
+        # 1 + 2uv + 3(uv)^2, and e(P^4) = 1 + uv + ... + (uv)^4
+        *(
+            (_production_divisors(4)[0] * den, den, False)
+            for den in (
+                (ONE - UV) * (1 + 2 * UV + 3 * UV**2),
+                (ONE + UV) * (1 + 2 * UV + 3 * UV**2),
+                ONE + UV + UV**2 + UV**3 + UV**4,
+            )
+        ),
+        # bivariate e(Jac): no single monomial carries it
+        (
+            _production_divisors(6)[0] * (ONE + U + V) ** 4,
+            _production_divisors(6)[0],
+            False,
+        ),
+        # u - v: no constant term after the shift
+        ((U - V) * (ONE + U + V) ** 4, U - V, False),
+        # sparse: lines of length 2N + 1 for a 2-term numerator
+        (ONE - UV ** (2 * _N), ONE - UV**_N, False),
+    ],
+)
+def test_divide_routing(monkeypatch, num, den, lined):
+    results = []
+    lines = laurent._divide_lines
+
+    def spy(*args):
+        results.append(lines(*args))
+        return results[-1]
+
+    monkeypatch.setattr(laurent, "_divide_lines", spy)
+    quotient = divide_exact(num, den)
+    assert (quotient * den).terms == num.terms
+    assert any(r is not None for r in results) == lined
+
+
+@st.composite
+def line_divisors(draw):
+    """+-u^a v^b times binomials 1 +- m^k (k <= 4), and optionally a
+    cofactor c0 + c1*m + c2*m^2 with c0 != 0, for one m among u, v, uv
+    and u^2 v.  Unless the cofactor is itself a product of binomials,
+    such a divisor must fall through to the heap route."""
+    m = draw(st.sampled_from([U, V, UV, U**2 * V]))
+    den = LaurentPoly.monomial(draw(exponents), draw(exponents))
+    binomials = st.tuples(st.integers(1, 4), st.sampled_from([-1, 1]))
+    for k, sign in draw(st.lists(binomials, min_size=1, max_size=4)):
+        den = den * (ONE + sign * m**k)
+    if draw(st.booleans()):
+        c0 = draw(coeffs.filter(bool))
+        c1, c2 = draw(coeffs), draw(coeffs)
+        den = den * (c0 + c1 * m + c2 * m**2)
+    return -den if draw(st.booleans()) else den
+
+
+quotients = st.dictionaries(
+    st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+    coeffs.filter(bool),
+    min_size=1,
+    max_size=12,
+).map(LaurentPoly)
+bumps = st.builds(
+    LaurentPoly.monomial,
+    st.integers(-4, 12),
+    st.integers(-4, 12),
+    coeffs.filter(bool),
+)
+
+
+@given(quotients, line_divisors(), bumps)
+@settings(max_examples=150, deadline=None)
+def test_line_route_matches_heap_route(q, den, bump):
+    num = q * den
+    lined = []
+    lines = laurent._divide_lines
+
+    def spy(*args):
+        result = lines(*args)
+        lined.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_divide_lines", spy)
+        assert divide_exact(num, den) == q
+        exact = len(lined)
+        with pytest.raises(NonDivisible) as by_lines:
+            divide_exact(num + bump, den)
+    # no line route divides a numerator that is off by one term
+    assert lined[exact:] == [False]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_divide_lines", lambda *args: None)
+        assert divide_exact(num, den) == q
+        with pytest.raises(NonDivisible) as by_heap:
+            divide_exact(num + bump, den)
+    assert by_lines.value.remainder == by_heap.value.remainder
+    assert str(by_lines.value) == str(by_heap.value)
 
 
 @given(polys)
@@ -397,6 +561,13 @@ def test_triples_and_json_roundtrip():
     assert all(isinstance(c, str) for _, _, c in triples)
     assert LaurentPoly.from_triples(triples) == p
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+def test_bool_coefficients_become_ints():
+    p = LaurentPoly({(0, 0): True, (1, 0): False, (0, 1): True})
+    assert p.to_json() == '[[0, 0, "1"], [0, 1, "1"]]'
+    assert LaurentPoly.from_json(p.to_json()) == p == ONE + V
+    assert all(type(c) is int for c in p.terms.values())
 
 
 def test_from_triples_rejects_duplicates():

@@ -1,0 +1,36 @@
+"""The package runs on the standard library alone ("no runtime dependencies")."""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "triplehodge"
+
+
+def _absolute_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    foreign = [
+        f"{path.name}:{line}: {name}"
+        for path in sources
+        for line, name in _absolute_imports(path)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert foreign == []
+
+
+def test_pyproject_declares_no_dependencies():
+    # a string match: tomllib is 3.11+, and the package supports 3.10
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert "dependencies = []" in lines
