@@ -112,8 +112,10 @@ def c_n_odd(t: TripleType, n: int) -> FlipContribution:
     two_n2 = 2 * g - 2 - 2 * t.d1 + 3 * n
     jac = e_jacobian(g).poly
     sym = e_sym(n1, g).poly
-    jump = FractionUV(jac * jac * sym * (UV**two_n2 - UV ** (2 * n1)))
-    return _contribution(t, n, jump * _wall_kernel(g))
+    # the kernel's denominator is cyclotomic in uv, prime to e(Jac)^2,
+    # so the jump divides on its own and e(Jac)^2 is multiplied in last
+    jump = FractionUV(sym * (UV**two_n2 - UV ** (2 * n1))) * _wall_kernel(g)
+    return _contribution(t, n, FractionUV(jac * jac * jump.as_polynomial()))
 
 
 def _closed_even(t: TripleType, n: int) -> FractionUV:
@@ -134,7 +136,7 @@ def _closed_even(t: TripleType, n: int) -> FractionUV:
         + p2 * (UV ** (n1 + n2) * e3)
         + _wall_kernel(g) * ((UV ** (2 * n2) - UV ** (2 * n1)) * w.coeff(n1))
     )
-    return FractionUV(jac * jac) * inner
+    return FractionUV(jac * jac * inner.as_polynomial())
 
 
 def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:

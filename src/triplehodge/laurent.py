@@ -41,18 +41,24 @@ together with the M(3) routes dividing before they multiply e(Jac) in,
 25% on ``n31_sweep`` and 21% on ``verify_full`` (medians of 10
 alternating pairs).
 
-``FractionUV`` is a lazily normalized quotient of two ``LaurentPoly``
-values.  It exists to carry intermediate rational expressions such as
-``1/((1-uv)^2 (1-(uv)^2))``; equality is always decided by
-cross-multiplication, and conversion to an honest polynomial goes through
-exact long division which fails loudly (``NonDivisible``) instead of
-rounding.
+``FractionUV`` carries intermediate rational expressions such as
+``1/((1-uv)^2 (1-(uv)^2))``.  Every denominator on a production route is
+a product of binomials 1 +- m^k, so it is kept as a multiset of them:
+products add multiplicities, and sums and equality lift both numerators
+to the common multiple, multiplying each only by the factors it lacks.
+Conversion to an honest polynomial is one exact division by the product,
+which fails loudly (``NonDivisible``) instead of rounding.  On 2 cores
+with Python 3.11, together with the wall-crossing and rank-2 routes
+dividing before they multiply e(Jac)^2 in, ``perfbench`` wall_s fell
+28% on ``n31_sweep`` and 20% on ``verify_full`` (medians of 10
+alternating pairs).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress, count
@@ -632,27 +638,14 @@ def _divide_lines(terms, dterms, da, db):
     whole list does and the quotient is zero on every line's padding: a
     line's quotient times D then stays inside the line and its padding.
     """
-    if (0, 0) not in dterms or len(dterms) < 2:
+    if len(dterms) < 2:
         return None
-    a, b = max(dterms)
-    step = gcd(a, b)
-    i, j = a // step, b // step
+    split = _ray_binomials(dterms)
+    if split is None:
+        return None
+    i, j, unit, factors = split
     s = i + j
-    divisor = {}
-    for (a, b), c in dterms.items():
-        if a * j != b * i:
-            return None
-        divisor[(a + b) // s] = c
-    degree = max(divisor)
-    # a normalized FractionUV denominator has constant term -1: divide
-    # -num by -D instead
-    unit = divisor[0]
-    if unit not in (1, -1):
-        return None
-    coeffs = [unit * divisor.get(k, 0) for k in range(degree + 1)]
-    factors = _binomial_factors(coeffs)
-    if factors is None:
-        return None
+    degree = sum(k for k, _ in factors)
 
     # u^a v^b lies on line a*j - b*i; as (i, j) is primitive, (a + b) // s
     # numbers the points of every line consecutively
@@ -696,6 +689,34 @@ def _divide_lines(terms, dterms, da, db):
         points = zip(count(a - da, i), count(total - a - db, j))
         out.update(compress(zip(points, line), line))
     return out
+
+
+def _ray_binomials(dterms):
+    """Split ``dterms`` as unit * prod(1 + sign*m^k) for one monomial m.
+
+    ``dterms`` has minimum exponents (0, 0).  Returns
+    ``(i, j, unit, [(k, sign), ...])`` with m = u^i v^j, (i, j)
+    primitive, and unit the constant term 1 or -1 (a FractionUV
+    denominator normalized to a positive lead has constant term -1); a
+    lone unit is the empty product, on the ray of u.  None means
+    ``dterms`` is no such product.
+    """
+    unit = dterms.get((0, 0))
+    if unit not in (1, -1):
+        return None
+    if len(dterms) == 1:
+        return 1, 0, unit, []
+    a, b = max(dterms)
+    step = gcd(a, b)
+    i, j = a // step, b // step
+    s = i + j
+    coeffs = [0] * (step + 1)
+    for (a, b), c in dterms.items():
+        if a * j != b * i:
+            return None
+        coeffs[(a + b) // s] = unit * c
+    factors = _binomial_factors(coeffs)
+    return None if factors is None else (i, j, unit, factors)
 
 
 def _binomial_factors(coeffs):
@@ -765,23 +786,58 @@ def halve_exact(p: LaurentPoly) -> LaurentPoly:
 
 
 class FractionUV:
-    """Quotient of two Laurent polynomials with exact arithmetic.
+    """Quotient of a Laurent polynomial by a multiset of factors.
 
-    Normalization is lazy: arithmetic just cross-multiplies, and
-    :meth:`normalize` removes the joint monomial and integer content and
-    collapses the denominator to 1 when exact division succeeds.  No full
-    multivariate gcd is ever computed.
+    The denominator is kept factored.  Its monomial part and a constant
+    term of -1 move into the numerator, since both are units of the
+    Laurent ring; the rest is split into binomials 1 +- m^k when it is
+    +-1 times a product of them on the ray of one monomial m, and is
+    otherwise one opaque factor.  ``den`` is the product of the stored
+    factors.  ``*`` adds multiplicities; ``+`` and ``==`` lift both
+    numerators to the common multiple that takes each factor's larger
+    multiplicity, multiplying each only by the factors it lacks:
+
+    >>> a = FractionUV(ONE, (ONE - UV) ** 2 * (ONE - UV**2))
+    >>> b = FractionUV(UV, (ONE - UV) ** 2 * (ONE + UV))
+    >>> print(a + b)
+    (1 + u*v - u^2*v^2) / (1 - 2*u*v + 2*u^3*v^3 - u^4*v^4)
+    >>> (a + b).den == (ONE - UV) ** 2 * (ONE - UV**2)
+    True
+
+    :meth:`as_polynomial` divides the numerator by ``den`` exactly, and
+    :meth:`normalize` collapses the denominator to 1 when that division
+    succeeds.  No full multivariate gcd is ever computed.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_factors")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
-        den = ONE if den is None else _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
+        factors = Counter()
+        if den is not None:
+            den = _as_poly(den)
+            if den.is_zero():
+                raise ZeroDivisionError("fraction with zero denominator")
+            da, db = den.min_exponents()
+            if da or db:
+                num = num * _raw({(-da, -db): 1})
+            rest = {(a - da, b - db): c for (a, b), c in den._terms.items()}
+            split = _ray_binomials(rest)
+            if split is None:
+                factors[_raw(rest)] = 1
+            else:
+                i, j, unit, binomials = split
+                if unit < 0:
+                    num = -num
+                for k, sign in binomials:
+                    factors[_raw({(0, 0): 1, (i * k, j * k): sign})] += 1
         self.num = num
-        self.den = den
+        self._factors = factors
+
+    @property
+    def den(self) -> LaurentPoly:
+        """The product of the stored factors; ONE when there are none."""
+        return _lift(ONE, self._factors)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -790,16 +846,16 @@ class FractionUV:
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return FractionUV(self.num + other.num, self.den)
-        return FractionUV(
-            self.num * other.den + other.num * self.den, self.den * other.den
+        common = self._factors | other._factors
+        num = _lift(self.num, common - self._factors) + _lift(
+            other.num, common - other._factors
         )
+        return _fraction(num, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FractionUV(-self.num, self.den)
+        return _fraction(-self.num, self._factors)
 
     def __mul__(self, other):
         other = _coerce_fraction(other)
@@ -807,7 +863,7 @@ class FractionUV:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return FractionUV(ZERO)
-        return FractionUV(self.num * other.num, self.den * other.den)
+        return _fraction(self.num * other.num, self._factors + other._factors)
 
     __rmul__ = __mul__
 
@@ -815,47 +871,64 @@ class FractionUV:
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        # cross-multiplication; never normalizes, never rounds
-        return self.num * other.den == other.num * self.den
+        # lift to the common multiple; never normalizes, never rounds
+        common = self._factors | other._factors
+        return _lift(self.num, common - self._factors) == _lift(
+            other.num, common - other._factors
+        )
 
     def __hash__(self):
         n = self.normalize()
         return hash((n.num, n.den))
 
     def normalize(self) -> "FractionUV":
-        """Content-reduced, sign-fixed and (when possible) polynomial form."""
-        if self.num.is_zero():
-            return FractionUV(ZERO)
-        num, den = self.num, self.den
-        na, nb = num.min_exponents()
-        da, db = den.min_exponents()
-        sa, sb = min(na, da), min(nb, db)
-        if sa or sb:
-            shift = LaurentPoly.monomial(-sa, -sb)
-            num = num * shift
-            den = den * shift
-        cg = gcd(num.content(), den.content())
-        if cg > 1:
-            num = _raw({k: c // cg for k, c in num.terms.items()})
-            den = _raw({k: c // cg for k, c in den.terms.items()})
-        if den.leading_term()[1] < 0:
-            num, den = -num, -den
+        """Polynomial form when ``den`` divides exactly; otherwise the
+        content-reduced quotient over one factor with a positive lead."""
+        if not self._factors:
+            return self
         try:
-            return FractionUV(divide_exact(num, den), ONE)
+            return FractionUV(self.as_polynomial())
         except NonDivisible:
-            return FractionUV(num, den)
+            pass
+        num, den = self.num, self.den
+        cg = gcd(num.content(), den.content())
+        if den.leading_term()[1] < 0:
+            cg = -cg
+        num = _raw({k: c // cg for k, c in num._terms.items()})
+        den = _raw({k: c // cg for k, c in den._terms.items()})
+        return _fraction(num, Counter({den: 1}))
 
     def as_polynomial(self) -> LaurentPoly:
         """Collapse to a LaurentPoly, raising ``NonDivisible`` on failure."""
+        if not self._factors:
+            return self.num
         return divide_exact(self.num, self.den)
 
     def __str__(self):
-        if self.den == ONE:
+        if not self._factors:
             return self.num.to_text()
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
     def __repr__(self):
         return f"FractionUV({self})"
+
+
+def _fraction(num: LaurentPoly, factors: Counter) -> FractionUV:
+    # trusted constructor: factors already split, never mutated after
+    f = FractionUV.__new__(FractionUV)
+    f.num = num
+    f._factors = factors
+    return f
+
+
+def _lift(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
+    """``poly`` times the product of ``factors`` with multiplicity."""
+    if not factors:
+        return poly
+    scale = ONE
+    for factor, times in factors.items():
+        scale = scale * factor**times
+    return poly * scale
 
 
 def _coerce_fraction(value):

@@ -17,7 +17,6 @@ from .laurent import (
     UV,
     UV2,
     ZERO,
-    FractionUV,
     LaurentPoly,
     U,
     V,
@@ -44,13 +43,12 @@ def e_m2_odd(g: int) -> HodgeResult:
     """
     if g < 2:
         raise OutOfRange(f"genus must be at least 2, got {g}")
+    # e(Jac) = (1 + u)^g (1 + v)^g divides the numerator and is prime to
+    # the cyclotomic denominator, so it is multiplied in after the division
     jac = e_jacobian(g).poly
-    num = (
-        jac * (ONE + U2V) ** g * (ONE + UV2) ** g
-        - UV**g * (ONE + U) ** (2 * g) * (ONE + V) ** (2 * g)
-    )
+    num = (ONE + U2V) ** g * (ONE + UV2) ** g - UV**g * jac
     den = (ONE - UV) * (ONE - UV**2)
-    poly = divide_exact(num, den)
+    poly = jac * divide_exact(num, den)
     return HodgeResult(poly=poly, dim=4 * g - 3, smooth_projective=True)
 
 
@@ -115,7 +113,7 @@ def e_triples21(
     c2 = extract(w, [UV**2], k)
     bracket = UV**k * c1 - UV ** (g - 1 - d1 + 2 * d0) * c2
     jac = e_jacobian(g).poly
-    poly = FractionUV(jac * jac * bracket, ONE - UV).as_polynomial()
+    poly = jac * jac * divide_exact(bracket, ONE - UV)
     return HodgeResult(
         poly=poly,
         dim=1 - chi_triples(t, t),
@@ -143,7 +141,7 @@ def e_triples21_critical_stable(
     c3 = w.coeff(k)
     bracket = UV**k * c1 - UV ** (g + 1 - d1 + 2 * d_m) * c2 - c3
     jac = e_jacobian(g).poly
-    poly = FractionUV(jac * jac * bracket, ONE - UV).as_polynomial()
+    poly = jac * jac * divide_exact(bracket, ONE - UV)
     return HodgeResult(
         poly=poly, dim=1 - chi_triples(t, t), smooth_projective=False
     )

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from triplehodge import flips
+from triplehodge import flips, laurent, rank2, zoo
 from triplehodge import (
     FractionUV,
     NotCritical,
@@ -145,3 +145,27 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
                 for n, _sigma in criticals(t):
                     expected = original(t, n).cn.as_polynomial()
                     assert flips._wall_jump(t, n) == expected
+
+
+def test_walls_never_divide_by_one_term(monkeypatch):
+    # a jump that collapses to a polynomial keeps no denominator, so no
+    # wall divides by a monomial on the heap route
+    flips._wall_jump.cache_clear()
+    divisors = []
+    original = laurent.divide_exact
+
+    def spy(num, den):
+        divisors.append(len(den))
+        return original(num, den)
+
+    for module in (laurent, rank2, zoo):
+        monkeypatch.setattr(module, "divide_exact", spy)
+    quick = GRIDS["quick"]
+    for g in quick.gs:
+        for d1 in quick.d1s:
+            for d2 in quick.d2s:
+                t = TripleType(3, 1, d1, d2, g)
+                for n, _sigma in criticals(t):
+                    flip_contribution(t, n)
+                    flips._wall_jump(t, n)
+    assert divisors and 1 not in divisors

@@ -648,3 +648,73 @@ def test_fraction_as_polynomial():
 def test_fraction_str_forms():
     assert str(FractionUV(ONE + UV)) == "1 + u*v"
     assert str(FractionUV(ONE, ONE - UV)) == "(1) / (1 - u*v)"
+
+
+# binomials 1 +- m^k for m among u, v, uv, u^2 v and k <= 4, and opaque
+# factors that split into no such binomials
+_BINOMIALS = [
+    {(0, 0): 1, (i * k, j * k): sign}
+    for i, j in ((1, 0), (0, 1), (1, 1), (2, 1))
+    for k in range(1, 5)
+    for sign in (1, -1)
+]
+_OPAQUE = [{(0, 0): 2}, {(0, 0): 1, (1, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 1): 2}]
+
+
+@st.composite
+def factored_fractions(draw):
+    """(num, den, quotient) dicts: den is a monomial times binomials and
+    an optional opaque factor; quotient is num / den, or None when a
+    stray monomial added to a multiple of den leaves a remainder.
+
+    A nonzero polynomial that den divides spans at least den's exponent
+    box, so one stray term is never divisible by a den of two terms or
+    more.
+    """
+    den = {(draw(exponents), draw(exponents)): draw(st.sampled_from([1, -1]))}
+    for factor in draw(st.lists(st.sampled_from(_BINOMIALS), max_size=3)):
+        den = oracles.pmul(den, factor)
+    opaque = draw(st.sampled_from([None, *_OPAQUE]))
+    if opaque:
+        den = oracles.pmul(den, opaque)
+    quotient = LaurentPoly(draw(term_maps)).terms
+    num = oracles.pmul(quotient, den)
+    if len(den) > 1 and draw(st.booleans()):
+        stray = {(draw(exponents), draw(exponents)): draw(coeffs) or 1}
+        num, quotient = oracles.padd(num, stray), None
+    return num, den, quotient
+
+
+def _equals(f, num, den):
+    # f == num / den by cross-multiplication on plain dicts
+    return oracles.pmul(f.num.terms, den) == oracles.pmul(num, f.den.terms)
+
+
+@given(factored_fractions(), factored_fractions(), st.sampled_from(_BINOMIALS))
+@settings(max_examples=150, deadline=None)
+def test_factored_fraction_matches_cross_multiplication(x, y, extra):
+    (n1, d1, q1), (n2, d2, _) = x, y
+    f1 = FractionUV(LaurentPoly(n1), LaurentPoly(d1))
+    f2 = FractionUV(LaurentPoly(n2), LaurentPoly(d2))
+    assert _equals(f1, n1, d1)
+    pmul, padd = oracles.pmul, oracles.padd
+    assert _equals(f1 + f2, padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
+    assert _equals(f1 * f2, pmul(n1, n2), pmul(d1, d2))
+    assert (f1 == f2) == (pmul(n1, d2) == pmul(n2, d1))
+    widened = FractionUV(LaurentPoly(pmul(n1, extra)), LaurentPoly(pmul(d1, extra)))
+    assert f1 == widened and widened == f1
+    assert (f1 + f2 == f2) == (not n1)
+    if q1 is None:
+        with pytest.raises(NonDivisible):
+            f1.as_polynomial()
+    else:
+        assert f1.as_polynomial().terms == q1
+
+
+def test_fraction_sum_lifts_to_common_multiple():
+    a = LaurentPoly.parse("1 + 2*u - v")
+    b = LaurentPoly.parse("3 - u*v^2")
+    kernel = (ONE - UV) ** 2 * (ONE - UV**2)
+    total = FractionUV(a, kernel) + FractionUV(b, (ONE - UV) ** 2 * (ONE + UV))
+    assert total.den == kernel
+    assert total.num == a + b * (ONE - UV)
