@@ -9,9 +9,10 @@ For odd n both loci are projective bundles over a common base and C_n has
 a short closed form; for even n the loci stratify into six pieces indexed
 by the shape of the destabilizing filtration, and the closed form is
 cross-checked against the stratum-by-stratum sum on every call of
-``c_n_even`` or ``flip_contribution``.  The flip-sum route reads each
-jump through ``_wall_jump``, which keeps only the checked polynomial,
-so there each wall is built and checked once per process.
+``c_n_even`` or ``flip_contribution``.  Every ``flip_contribution``
+records its checked jump as a polynomial, and the flip-sum route reads
+jumps through ``_wall_jump`` from that record, so a wall that any route
+has built is reused there and built only when no route has yet.
 """
 
 from __future__ import annotations
@@ -72,12 +73,16 @@ def _wall_kernel(g: int) -> FractionUV:
     return FractionUV(num, den)
 
 
-@cache
+# C_n as a polynomial per wall (t, n), recorded by flip_contribution
+# once computed and, for even n, strata-checked; the strata are not
+# kept, so the table holds one polynomial per wall built
+_jumps: dict[tuple[TripleType, int], LaurentPoly] = {}
+
+
 def _wall_jump(t: TripleType, n: int) -> LaurentPoly:
-    # C_n as a polynomial, computed (and for even n strata-checked) once
-    # per wall; the strata are not kept, so the cache holds one
-    # polynomial per wall
-    return flip_contribution(t, n).cn.as_polynomial()
+    if (t, n) not in _jumps:
+        flip_contribution(t, n)
+    return _jumps[t, n]
 
 
 def _validate_critical(t: TripleType, n: int) -> None:
@@ -205,4 +210,6 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
 
 def flip_contribution(t: TripleType, n: int) -> FlipContribution:
     """Wall-crossing data at the critical index n of either parity."""
-    return (c_n_odd if n % 2 else c_n_even)(t, n)
+    flip = (c_n_odd if n % 2 else c_n_even)(t, n)
+    _jumps[t, n] = flip.cn.as_polynomial()
+    return flip

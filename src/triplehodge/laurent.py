@@ -878,8 +878,13 @@ class FractionUV:
         )
 
     def __hash__(self):
-        n = self.normalize()
-        return hash((n.num, n.den))
+        # normalize computes no gcd, so a fraction that does not collapse
+        # has no canonical form to hash; equal fractions either both
+        # collapse to the same polynomial or both take the fixed value
+        try:
+            return hash(self.as_polynomial())
+        except NonDivisible:
+            return hash(FractionUV)
 
     def normalize(self) -> "FractionUV":
         """Polynomial form when ``den`` divides exactly; otherwise the

@@ -26,7 +26,13 @@ from .laurent import (
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
-from .stability import TripleType, chi_triples, criticals, locate
+from .stability import (
+    TripleType,
+    _ChamberMemo,
+    chi_triples,
+    criticals,
+    locate,
+)
 from .flips import _wall_jump, _wall_kernel
 from .zoo import HodgeResult, e_jacobian, e_projective
 
@@ -54,15 +60,27 @@ def e_n31_closed(
     Dimension 7g - 6 + d1 - 3*d2.  sigma may be any exact rational, or
     pass chamber=k for the midpoint of the k-th chamber.  Outside the
     allowed range the result is empty; at a critical value
-    CriticalSigma is raised.
+    CriticalSigma is raised.  sigma enters only through the wall that
+    cuts the sums, the upper wall of its chamber, so each chamber of
+    the last queried type is computed once.
     """
     t = TripleType(3, 1, d1, d2, g)
     ch = locate(t, sigma, chamber)
     if ch is None:
         return HodgeResult(ZERO, 0)
+    return HodgeResult(
+        poly=_closed_n31(t, ch.wall),
+        dim=1 - chi_triples(t, t),
+        smooth_projective=True,
+        chamber=ch,
+    )
+
+
+@_ChamberMemo
+def _closed_n31(t: TripleType, n0: int) -> LaurentPoly:
+    g, d1, d2 = t.g, t.d1, t.d2
     # the sums are cut at the least critical index n0 above sigma and
     # at the least even integer nbar0 >= n0
-    n0 = ch.wall
     nbar0 = n0 + (n0 & 1)
     k0 = d1 - d2 - n0
     kb = d1 - d2 - nbar0
@@ -93,13 +111,7 @@ def e_n31_closed(
 
     # the denominators are cyclotomic in uv, prime to e(Jac)^2, so the
     # sum divides on its own and e(Jac)^2 is multiplied in last
-    poly = jac * jac * (part_a + part_b).as_polynomial()
-    return HodgeResult(
-        poly=poly,
-        dim=1 - chi_triples(t, t),
-        smooth_projective=True,
-        chamber=ch,
-    )
+    return jac * jac * (part_a + part_b).as_polynomial()
 
 
 def e_n31_flipsum(

@@ -24,7 +24,13 @@ from .laurent import (
     halve_exact,
 )
 from .series import extract, sym_series
-from .stability import TripleType, _require_critical, chi_triples, locate
+from .stability import (
+    TripleType,
+    _ChamberMemo,
+    _require_critical,
+    chi_triples,
+    locate,
+)
 from .zoo import HodgeResult, e_jacobian
 
 __all__ = [
@@ -98,28 +104,33 @@ def e_triples21(
     the midpoint of the k-th chamber (1-based).  A sigma outside the
     allowed range (sigma_m, sigma_M] gives the empty space; a sigma
     exactly at a critical value raises CriticalSigma, since the moduli
-    space is not fine there.
+    space is not fine there.  sigma enters only through the wall that
+    cuts the sum, the upper wall of its chamber, so each chamber of the
+    last queried type is computed once.
     """
     t = TripleType(2, 1, d1, d2, g)
     ch = locate(t, sigma, chamber)
     if ch is None:
         return HodgeResult(ZERO, 0)
+    return HodgeResult(
+        poly=_closed_21(t, ch.wall),
+        dim=1 - chi_triples(t, t),
+        smooth_projective=True,
+        chamber=ch,
+    )
 
+
+@_ChamberMemo
+def _closed_21(t: TripleType, d0: int) -> LaurentPoly:
+    g, d1, d2 = t.g, t.d1, t.d2
     # the sum is cut at the least critical index d0 above sigma
-    d0 = ch.wall
     k = d1 - d2 - d0
     w = sym_series(g, k + 1)
     c1 = extract(w, [UV**-1], k)
     c2 = extract(w, [UV**2], k)
     bracket = UV**k * c1 - UV ** (g - 1 - d1 + 2 * d0) * c2
     jac = e_jacobian(g).poly
-    poly = jac * jac * divide_exact(bracket, ONE - UV)
-    return HodgeResult(
-        poly=poly,
-        dim=1 - chi_triples(t, t),
-        smooth_projective=True,
-        chamber=ch,
-    )
+    return jac * jac * divide_exact(bracket, ONE - UV)
 
 
 def e_triples21_critical_stable(

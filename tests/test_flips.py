@@ -1,11 +1,12 @@
 """Tests for wall-crossing contributions at (3, 1) critical values."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from triplehodge import flips, laurent, rank2, zoo
+from triplehodge import flips, laurent, rank2, verify, zoo
 from triplehodge import (
     FractionUV,
     NotCritical,
@@ -24,7 +25,7 @@ from triplehodge import (
 )
 from triplehodge.laurent import ZERO
 from triplehodge.stability import chamber_bounds
-from triplehodge.verify import GRIDS
+from triplehodge.verify import GRIDS, run_suite
 
 
 def test_parity_and_criticality_errors():
@@ -120,7 +121,7 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
     # sweeping every chamber of a type telescopes over the same walls;
     # the flip-sum route must build each of them once, not once per
     # chamber above it
-    flips._wall_jump.cache_clear()
+    flips._jumps.clear()
     calls = []
     original = flips.flip_contribution
 
@@ -150,7 +151,7 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
 def test_walls_never_divide_by_one_term(monkeypatch):
     # a jump that collapses to a polynomial keeps no denominator, so no
     # wall divides by a monomial on the heap route
-    flips._wall_jump.cache_clear()
+    flips._jumps.clear()
     divisors = []
     original = laurent.divide_exact
 
@@ -169,3 +170,23 @@ def test_walls_never_divide_by_one_term(monkeypatch):
                     flip_contribution(t, n)
                     flips._wall_jump(t, n)
     assert divisors and 1 not in divisors
+
+
+def test_verify_suites_build_each_wall_once(monkeypatch):
+    # the crosspath suite's flip sums and -C_top checks reuse the jumps
+    # the flips suite has built and checked, so across both suites each
+    # wall's C_n is computed once
+    flips._jumps.clear()
+    calls = Counter()
+    for name in ("c_n_even", "c_n_odd"):
+        original = getattr(flips, name)
+
+        def counted(t, n, name=name, original=original):
+            calls[name, t, n] += 1
+            return original(t, n)
+
+        for module in (flips, verify):
+            monkeypatch.setattr(module, name, counted)
+    for suite in ("flips", "crosspath"):
+        assert run_suite(suite, "quick").failures == 0
+    assert calls and set(calls.values()) == {1}

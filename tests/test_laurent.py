@@ -612,6 +612,18 @@ def test_fraction_equality_cross_multiplies():
     assert FractionUV(U, V) != FractionUV(V, U)
 
 
+def test_fraction_hash_consistent_with_eq():
+    # equal fractions that do not collapse to polynomials hash alike
+    a = FractionUV(ONE, ONE - UV)
+    b = FractionUV(ONE + UV, ONE - UV**2)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # equal fractions that collapse hash as their polynomial
+    c = FractionUV(ONE - UV**2, ONE - UV)
+    assert hash(c) == hash(FractionUV(ONE + UV)) == hash(ONE + UV)
+
+
 def test_fraction_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         FractionUV(ONE, ZERO)

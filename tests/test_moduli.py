@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import triplehodge
-from triplehodge import moduli
+from triplehodge import moduli, rank2
 from triplehodge import (
     CriticalSigma,
     FractionUV,
@@ -180,6 +180,41 @@ def test_chamber_descriptor_attached():
             h = route(g, d1, d2, outside)
             assert h.chamber is None
             assert h.empty
+
+
+@pytest.mark.parametrize("n1", [3, 2])
+def test_each_chamber_built_once_for_the_last_type(monkeypatch, n1):
+    # a closed form depends on sigma only through the chamber's wall:
+    # a second sigma in a chamber reuses the first one's polynomial,
+    # while only the last queried type's chambers are held
+    if n1 == 3:
+        memo, route = moduli._closed_n31, e_n31_closed
+    else:
+        memo, route = rank2._closed_21, e_triples21
+    builds = []
+    build = memo.build
+
+    def spy(t, wall):
+        builds.append((t, wall))
+        return build(t, wall)
+
+    monkeypatch.setattr(memo, "build", spy)
+    g = 2
+    t, other = (TripleType(n1, 1, d1, 0, g) for d1 in (7, 6))
+
+    def sweep(t):
+        for index, (lo, hi) in enumerate(chamber_bounds(t), start=1):
+            mid = route(g, t.d1, t.d2, chamber=index)
+            again = route(g, t.d1, t.d2, lo + (hi - lo) / 3)
+            assert again.poly == mid.poly
+            assert again.chamber == locate(t, lo + (hi - lo) / 3)
+            assert mid.chamber == locate(t, chamber=index)
+        return [(t, wall) for wall, _sigma in criticals(t)]
+
+    sweep(other)
+    builds.clear()
+    expected = sweep(t) + sweep(other) + sweep(t)
+    assert builds == expected
 
 
 # -- independent t-variable display ----------------------------------------
