@@ -22,11 +22,21 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import OutOfRange, ParityError, StrataMismatch
-from .laurent import ONE, U2V, UV, UV2, ZERO, FractionUV, LaurentPoly, U, V
+from .laurent import (
+    ONE,
+    U2V,
+    UV,
+    UV2,
+    ZERO,
+    FractionUV,
+    LaurentPoly,
+    _times_binomials,
+)
 from .series import extract, sym_series
 from .stability import TripleType, _require_critical
 from .rank2 import e_m2s_even, e_triples21_critical_stable
 from .zoo import (
+    _times_jacobian,
     e_affine,
     e_grassmannian,
     e_jacobian,
@@ -66,9 +76,8 @@ class FlipContribution:
 def _wall_kernel(g: int) -> FractionUV:
     # common rational factor of every wall-crossing term; equals
     # e(M(2,odd)) * (1 - uv) up to the (1-(uv)^2) normalization
-    num = (ONE + U2V) ** g * (ONE + UV2) ** g - UV**g * (ONE + U) ** g * (
-        ONE + V
-    ) ** g
+    num = _times_binomials(ONE, {ONE + U2V: g, ONE + UV2: g})
+    num = num - _times_jacobian(UV**g, g)
     den = (ONE - UV) ** 2 * (ONE - UV**2)
     return FractionUV(num, den)
 
@@ -115,12 +124,12 @@ def c_n_odd(t: TripleType, n: int) -> FlipContribution:
     g = t.g
     n1 = t.d1 - t.d2 - n
     two_n2 = 2 * g - 2 - 2 * t.d1 + 3 * n
-    jac = e_jacobian(g).poly
     sym = e_sym(n1, g).poly
     # the kernel's denominator is cyclotomic in uv, prime to e(Jac)^2,
     # so the jump divides on its own and e(Jac)^2 is multiplied in last
     jump = FractionUV(sym * (UV**two_n2 - UV ** (2 * n1))) * _wall_kernel(g)
-    return _contribution(t, n, FractionUV(jac * jac * jump.as_polynomial()))
+    cn = _times_jacobian(jump.as_polynomial(), g, 2)
+    return _contribution(t, n, FractionUV(cn))
 
 
 def _closed_even(t: TripleType, n: int) -> FractionUV:
@@ -141,7 +150,7 @@ def _closed_even(t: TripleType, n: int) -> FractionUV:
         + p2 * (UV ** (n1 + n2) * e3)
         + _wall_kernel(g) * ((UV ** (2 * n2) - UV ** (2 * n1)) * w.coeff(n1))
     )
-    return FractionUV(jac * jac * inner.as_polynomial())
+    return FractionUV(_times_jacobian(inner.as_polynomial(), g, 2))
 
 
 def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:
@@ -165,22 +174,21 @@ def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:
         )
 
     stable21 = e_triples21_critical_stable(g, d1 - n // 2, d2, n // 2).poly
+    # e(Jac) e(Sym) ends five of the strata: it is formed once, and the
+    # small factors in uv are multiplied together before they meet it
+    js = jac * sym
     x1 = (pp(g - 1 + n1) - pp(g - 1 + n2)) * stable21 * jac
-    x2 = (pp(2 * n1) - pp(2 * n2)) * jac * sym * e_m2s_even(g).poly
+    x2 = (pp(2 * n1) - pp(2 * n2)) * e_m2s_even(g).poly * js
     x3 = (
         (pp(2 * n1) - pp(n1) - pp(2 * n2) + pp(n2))
-        * jac
-        * sym
-        * (jac * jac - jac)
         * pp(g - 1)
+        * (jac * jac - jac)
+        * js
     )
-    x4 = (affine_cone(n1) - affine_cone(n2)) * jac * sym * jac * pp(g)
-    x5 = jac * sym * (sym2_mixed(n1) - sym2_mixed(n2))
+    x4 = (affine_cone(n1) - affine_cone(n2)) * pp(g) * jac * js
+    x5 = (sym2_mixed(n1) - sym2_mixed(n2)) * js
     x6 = (
-        jac
-        * jac
-        * sym
-        * (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly)
+        (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly) * jac * js
     )
     return tuple(FractionUV(x) for x in (x1, x2, x3, x4, x5, x6))
 

@@ -23,6 +23,7 @@ from .laurent import (
     LaurentPoly,
     U,
     V,
+    _times_binomials,
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
@@ -34,7 +35,7 @@ from .stability import (
     locate,
 )
 from .flips import _wall_jump, _wall_kernel
-from .zoo import HodgeResult, e_jacobian, e_projective
+from .zoo import HodgeResult, _times_jacobian, e_jacobian, e_projective
 
 __all__ = [
     "e_m3",
@@ -111,7 +112,7 @@ def _closed_n31(t: TripleType, n0: int) -> LaurentPoly:
 
     # the denominators are cyclotomic in uv, prime to e(Jac)^2, so the
     # sum divides on its own and e(Jac)^2 is multiplied in last
-    return jac * jac * (part_a + part_b).as_polynomial()
+    return _times_jacobian((part_a + part_b).as_polynomial(), g, 2)
 
 
 def e_n31_flipsum(
@@ -158,28 +159,18 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
             f"d={d} is divisible by 3; M(3, d) is singular there"
         )
     jac = e_jacobian(g).poly
-    piece1 = (
-        jac
-        * (ONE + UV) ** 2
-        * UV ** (2 * g - 1)
-        * (ONE + U2V) ** g
-        * (ONE + UV2) ** g
+    u2v3 = LaurentPoly.monomial(2, 3)
+    u3v2 = LaurentPoly.monomial(3, 2)
+    piece1 = _times_binomials(
+        UV ** (2 * g - 1) * jac, {ONE + UV: 2, ONE + U2V: g, ONE + UV2: g}
     )
-    piece2 = (
-        (ONE + U) ** (2 * g)
-        * (ONE + V) ** (2 * g)
-        * UV ** (3 * g - 1)
-        * (ONE + UV + UV**2)
-    )
-    piece3 = (
-        (ONE + LaurentPoly.monomial(2, 3)) ** g
-        * (ONE + LaurentPoly.monomial(3, 2)) ** g
-        * (ONE + U2V) ** g
-        * (ONE + UV2) ** g
+    piece2 = _times_jacobian(UV ** (3 * g - 1) * (ONE + UV + UV**2), g, 2)
+    piece3 = _times_binomials(
+        ONE, {ONE + u2v3: g, ONE + u3v2: g, ONE + U2V: g, ONE + UV2: g}
     )
     den = (ONE - UV) * (ONE - UV**2) ** 2 * (ONE - UV**3)
     # den is cyclotomic in uv, prime to e(Jac): divide, then multiply
-    poly = jac * divide_exact(piece2 - piece1 + piece3, den)
+    poly = _times_jacobian(divide_exact(piece2 - piece1 + piece3, den), g)
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
 
 

@@ -20,6 +20,7 @@ from .laurent import (
     LaurentPoly,
     U,
     V,
+    _times_binomials,
     divide_exact,
     halve_exact,
 )
@@ -31,7 +32,7 @@ from .stability import (
     chi_triples,
     locate,
 )
-from .zoo import HodgeResult, e_jacobian
+from .zoo import HodgeResult, _times_jacobian
 
 __all__ = [
     "e_m2_odd",
@@ -51,10 +52,9 @@ def e_m2_odd(g: int) -> HodgeResult:
         raise OutOfRange(f"genus must be at least 2, got {g}")
     # e(Jac) = (1 + u)^g (1 + v)^g divides the numerator and is prime to
     # the cyclotomic denominator, so it is multiplied in after the division
-    jac = e_jacobian(g).poly
-    num = (ONE + U2V) ** g * (ONE + UV2) ** g - UV**g * jac
+    num = (ONE + U2V) ** g * (ONE + UV2) ** g - _times_jacobian(UV**g, g)
     den = (ONE - UV) * (ONE - UV**2)
-    poly = jac * divide_exact(num, den)
+    poly = _times_jacobian(divide_exact(num, den), g)
     return HodgeResult(poly=poly, dim=4 * g - 3, smooth_projective=True)
 
 
@@ -68,18 +68,19 @@ def e_m2s_even(g: int) -> HodgeResult:
     """
     if g < 2:
         raise OutOfRange(f"genus must be at least 2, got {g}")
-    a = (
-        (ONE + U) ** g
-        * (ONE + V) ** g
-        * (ONE + U2V) ** g
-        * (ONE + UV2) ** g
+    a = _times_binomials(
+        ONE, {ONE + U: g, ONE + V: g, ONE + U2V: g, ONE + UV2: g}
     )
-    b = (ONE + U) ** (2 * g) * (ONE + V) ** (2 * g)
-    c = (ONE - LaurentPoly.monomial(2, 0)) ** g * (
-        ONE - LaurentPoly.monomial(0, 2)
-    ) ** g
     correction = ONE + LaurentPoly.monomial(g + 1, g + 1, 2) - UV**2
-    num = 2 * a - b * correction - c * (ONE - UV) ** 2
+    c = _times_binomials(
+        ONE,
+        {
+            ONE - LaurentPoly.monomial(2, 0): g,
+            ONE - LaurentPoly.monomial(0, 2): g,
+            ONE - UV: 2,
+        },
+    )
+    num = 2 * a - _times_jacobian(correction, g, 2) - c
     den = (ONE - UV) * (ONE - UV**2)
     try:
         half = halve_exact(divide_exact(num, den))
@@ -129,8 +130,7 @@ def _closed_21(t: TripleType, d0: int) -> LaurentPoly:
     c1 = extract(w, [UV**-1], k)
     c2 = extract(w, [UV**2], k)
     bracket = UV**k * c1 - UV ** (g - 1 - d1 + 2 * d0) * c2
-    jac = e_jacobian(g).poly
-    return jac * jac * divide_exact(bracket, ONE - UV)
+    return _times_jacobian(divide_exact(bracket, ONE - UV), g, 2)
 
 
 def e_triples21_critical_stable(
@@ -151,8 +151,7 @@ def e_triples21_critical_stable(
     c2 = extract(w, [UV**2], k - 1)
     c3 = w.coeff(k)
     bracket = UV**k * c1 - UV ** (g + 1 - d1 + 2 * d_m) * c2 - c3
-    jac = e_jacobian(g).poly
-    poly = jac * jac * divide_exact(bracket, ONE - UV)
+    poly = _times_jacobian(divide_exact(bracket, ONE - UV), g, 2)
     return HodgeResult(
         poly=poly, dim=1 - chi_triples(t, t), smooth_projective=False
     )

@@ -19,6 +19,7 @@ from .laurent import (
     LaurentPoly,
     U,
     V,
+    _times_binomials,
     divide_exact,
     halve_exact,
 )
@@ -92,8 +93,13 @@ def e_jacobian(g: int) -> HodgeResult:
     """Hodge polynomial (1+u)^g (1+v)^g of the Jacobian of a genus-g curve."""
     if g < 0:
         raise OutOfRange(f"genus must be nonnegative, got {g}")
-    poly = (ONE + U) ** g * (ONE + V) ** g
+    poly = _times_jacobian(ONE, g)
     return HodgeResult(poly=poly, dim=g, smooth_projective=True)
+
+
+def _times_jacobian(poly: LaurentPoly, g: int, power: int = 1) -> LaurentPoly:
+    """``poly`` times e(Jac)^power, with e(Jac) = (1 + u)^g (1 + v)^g."""
+    return _times_binomials(poly, {ONE + U: power * g, ONE + V: power * g})
 
 
 @cache

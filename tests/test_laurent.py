@@ -3,11 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from triplehodge import FractionUV, LaurentPoly, NonDivisible, divide_exact
+from triplehodge import (
+    FractionUV,
+    LaurentPoly,
+    NonDivisible,
+    divide_exact,
+    e_jacobian,
+    e_m3,
+)
 from triplehodge import laurent
 from triplehodge.laurent import ONE, U, UV, V, ZERO, halve_exact
 
@@ -198,6 +205,57 @@ def test_production_products_match_dict_oracle(g):
         assert (p * q).terms == oracles.pmul(p.terms, q.terms)
 
 
+# the monomials m of the binomials 1 +- m in the package's closed forms
+_BINOMIAL_MONOMIALS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 3), (3, 2)]
+binomial_maps = st.dictionaries(
+    st.tuples(st.sampled_from(_BINOMIAL_MONOMIALS), st.sampled_from([1, -1])),
+    st.integers(min_value=0, max_value=6),
+    max_size=4,
+)
+
+
+@given(polys, binomial_maps)
+@example(ZERO, {((1, 0), 1): 3})
+@example(LaurentPoly.parse("u^-2*v - 3 + 5*u*v^3"), {})
+@settings(max_examples=100, deadline=None)
+def test_times_binomials_matches_dict_oracle(p, factors):
+    binomials = {
+        LaurentPoly({(0, 0): 1, m: sign}): k for (m, sign), k in factors.items()
+    }
+    expected = p.terms
+    for (m, sign), k in factors.items():
+        expected = oracles.pmul(expected, oracles.ppow({(0, 0): 1, m: sign}, k))
+    assert laurent._times_binomials(p, binomials).terms == expected
+
+
+@pytest.mark.parametrize("c, k", [(7, 5), (200, 8), (2**30 - 1, 2), (3, 62)])
+def test_times_binomials_reaches_the_coefficient_bound(c, k):
+    # k + 1 equal coefficients c times (1 + u)^k give c * 2^k at u^k, the
+    # bound that sizes the slots, and its bit length is a multiple of 8,
+    # so only a slot with a byte to spare for the sign holds it
+    assert (c << k).bit_length() % 8 == 0
+    p = LaurentPoly({(i, 0): c for i in range(k + 1)})
+    alternating = LaurentPoly({(i, 0): (-1) ** i * c for i in range(k + 1)})
+    for q, binomial in ((p, ONE + U), (-p, ONE + U), (alternating, ONE - U)):
+        got = laurent._times_binomials(q, {binomial: k})
+        assert abs(got.coefficient(k, 0)) == c << k
+        assert got.terms == oracles.pmul(q.terms, oracles.ppow(binomial.terms, k))
+
+
+def test_e_m3_multiplies_by_e_jacobian_with_shifts(monkeypatch):
+    operands = []
+    kronecker = laurent._mul_kronecker
+
+    def spy(p, q, *rest):
+        operands.extend((p, q))
+        return kronecker(p, q, *rest)
+
+    monkeypatch.setattr(laurent, "_mul_kronecker", spy)
+    for g in range(2, 7):
+        assert e_m3.__wrapped__(g) == e_m3(g)
+        assert e_jacobian(g).poly.terms not in operands
+
+
 @given(polys, st.integers(min_value=0, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_pow_matches_repeated_multiplication(p, k):
@@ -205,6 +263,27 @@ def test_pow_matches_repeated_multiplication(p, k):
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        LaurentPoly.parse("2*u - 3*v"),
+        LaurentPoly.parse("-5*u^-2*v + 4*u*v^-3"),
+        LaurentPoly.parse("7*u^-1"),
+        LaurentPoly.parse("-2"),
+    ],
+)
+def test_pow_of_one_and_two_terms_matches_dict_oracle(base):
+    for k in range(8):
+        assert (base**k).terms == oracles.ppow(base.terms, k)
+
+
+def test_pow_of_zero():
+    assert ZERO**0 == ONE
+    assert ZERO**1 == ZERO**5 == ZERO
+    with pytest.raises(ValueError):
+        ZERO**-1
 
 
 def test_pow_negative_unit_monomials():
@@ -231,6 +310,15 @@ def test_hash_consistent_with_eq():
     assert p == q
     assert hash(p) == hash(q)
     assert len({p, q}) == 1
+
+
+def test_constants_hash_as_their_ints():
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+    assert LaurentPoly.constant(7) == 7
+    assert hash(LaurentPoly.constant(7)) == hash(7)
+    assert len({ONE, 1}) == len({ZERO, 0}) == 1
+    assert FractionUV(ONE) == 1 and hash(FractionUV(ONE)) == hash(1)
 
 
 # -- division -----------------------------------------------------------

@@ -146,6 +146,26 @@ def test_triples21_wall_replay():
             assert below - above == s_minus - s_plus
 
 
+def test_triples21_top_chamber_matches_oracle_bundle():
+    # just below sigma_M the space is a P^(h-1)-bundle over Jac x Jac,
+    # h = d1 - 2*d2 + g - 1; the prediction is built from the oracles only
+    curve = oracles.pmul({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1})
+    types = 0
+    for g in range(2, 6):
+        jac2 = oracles.ppow(curve, 2 * g)
+        for d2 in range(-2, 3):
+            for d1 in range(max(1, 2 * d2 + 1), 16):
+                # sigma_M is critical and the next critical value is
+                # sigma_M - 3, so sigma_M - 1/2 lies in the top chamber
+                _, sigma_top = oracles.sigma_interval(2, d1, d2)
+                got = e_triples21(g, d1, d2, sigma_top - Fraction(1, 2))
+                h = d1 - 2 * d2 + g - 1
+                fiber = {(k, k): 1 for k in range(h)}
+                assert got.poly.terms == oracles.pmul(jac2, fiber)
+                types += 1
+    assert types == 276
+
+
 def test_triples21_top_chamber_closed_form():
     # in the chamber just below the top critical value the space is a
     # projective bundle over Jac x Jac
