@@ -16,16 +16,15 @@ ascending, then by the ``v``-exponent ascending, e.g.::
 Products are formed by Kronecker substitution (D. Harvey, J. Symbolic
 Comput. 44, 2009).  Each operand is shifted to its minimum exponents and
 packed into one integer: the coefficient of ``u^a v^b`` fills the slot
-``a*W + b``, with ``W`` the product's v-span, and every slot is a whole
-number of bytes, wide enough for max|c_p| * max|c_q| * min(len p, len q)
-plus a sign bit.  CPython's Karatsuba bigint product then does the
-convolution, and one ``to_bytes`` call reads the slots back.  Two rules
-keep the term-pair dict loop where it is faster, both measured with
-``perfbench``: products of fewer than 256 term pairs, and products whose
-exponent box has more slots than there are term pairs (sparse operands
-such as a product of factors ``1 - (uv)^k``).  On 2 cores with Python
-3.11, ``verify all --grid full`` took 23% longer without the first rule,
-8% longer without the second, and 64% longer without either.
+``a*W + b``, with ``W`` the product's v-span.  Slots are word-sized (1,
+2, 4 or 8 bytes, or a run of 8-byte words), wide enough for
+max|c_p| * max|c_q| * min(len p, len q) plus a sign bit, so a buffer
+is written and read by one typed ``memoryview`` cast, with no loop per
+slot or per term.  CPython's Karatsuba bigint product then does the
+convolution.  Two rules keep the term-pair dict loop where it is faster,
+both measured with ``perfbench``: products of fewer than 256 term pairs,
+and products whose exponent box has more slots than there are term
+pairs (sparse operands such as a product of factors ``1 - (uv)^k``).
 
 A product by binomials, ``poly`` times prod(1 +- m)^k with each m a
 monomial u^i v^j, takes one packing (``_times_binomials``): ``poly``
@@ -46,11 +45,7 @@ numerator's lines along m by prefix sums.  The route is skipped for
 sparse inputs whose padded lines would need more than len(num) * len(den)
 slots.  Any other divisor, and any division that leaves a remainder,
 goes through heap-ordered multivariate long division, which also
-builds the ``NonDivisible`` remainder.  On 2 cores with Python 3.11,
-together with the M(3) routes dividing before they multiply e(Jac) in,
-``perfbench`` wall_s fell 54% on ``m3_pipeline``, 47% on ``m3_closed``,
-25% on ``n31_sweep`` and 21% on ``verify_full`` (medians of 10
-alternating pairs).
+builds the ``NonDivisible`` remainder.
 
 ``FractionUV`` carries intermediate rational expressions such as
 ``1/((1-uv)^2 (1-(uv)^2))``.  Every denominator on a production route is
@@ -58,23 +53,23 @@ a product of binomials 1 +- m^k, so it is kept as a multiset of them:
 products add multiplicities, and sums and equality lift both numerators
 to the common multiple, multiplying each only by the factors it lacks.
 Conversion to an honest polynomial is one exact division by the product,
-which fails loudly (``NonDivisible``) instead of rounding.  On 2 cores
-with Python 3.11, together with the wall-crossing and rank-2 routes
-dividing before they multiply e(Jac)^2 in, ``perfbench`` wall_s fell
-28% on ``n31_sweep`` and 20% on ``verify_full`` (medians of 10
-alternating pairs).
+which fails loudly (``NonDivisible``) instead of rounding.
+
+Measured timings of these routes are in the README and in the
+``BENCH_*.json`` files at the root of the repository.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+import sys
+from collections import Counter, deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, product, repeat
 from math import comb, gcd
-from operator import neg
+from operator import add, and_, lshift, mul, neg, rshift, sub
 from typing import Iterable, Mapping
 
 from .errors import NonDivisible
@@ -472,22 +467,63 @@ def _raw(terms: dict[tuple[int, int], int]) -> LaurentPoly:
     return p
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per Kronecker slot that hold every |c| <= bound and a sign bit.
+
+    The width is rounded up to 1, 2, 4 or 8 bytes, or to a multiple of 8,
+    so that a memoryview cast reads and writes the slots as whole words.
+    """
+    size = bound.bit_length() // 8 + 1
+    if size > 8:
+        return -(-size // 8) * 8
+    return 1 << (size - 1).bit_length()
+
+
+_WORD = (1 << 64) - 1
+
+
+def _words(buffer, size: int):
+    # ``buffer`` as native words, least significant first, read signed and
+    # unsigned: one word per slot up to 8 bytes, else ``size // 8`` words
+    # of 8 bytes, of which only the top one carries the slot's sign
+    code = min(size, 8).bit_length() - 1
+    view = memoryview(buffer)
+    signed, unsigned = view.cast("bhiq"[code]), view.cast("BHIQ"[code])
+    if sys.byteorder == "big":
+        return signed[::-1], unsigned[::-1]
+    return signed, unsigned
+
+
+def _half_fill(size: int, slots: int) -> int:
+    # half a slot, 1 << (8*size - 1), in each of ``slots`` slots
+    half = (1 << (8 * size - 1)).to_bytes(size, sys.byteorder)
+    return int.from_bytes(half * slots, sys.byteorder)
+
+
 def _pack(terms, width: int, size: int) -> tuple[int, int, int]:
     # u^a v^b -> slot (a - a0) * width + (b - b0) of ``size`` bytes, with
-    # (a0, b0) the operand's minimum exponents; positive and negative
-    # coefficients fill separate buffers, so packing stays linear
+    # (a0, b0) the operand's minimum exponents.  Each coefficient is
+    # written in two's complement into its own slot; flipping every
+    # slot's top bit then turns c into c + half, so subtracting the
+    # half-fill leaves the signed packing without borrows between slots
     us, vs = zip(*terms)
     a0, b0 = min(us), min(vs)
-    pos = bytearray((max(us) - a0 + 1) * width * size)
-    neg = bytearray(len(pos))
-    for (a, b), c in terms.items():
-        i = ((a - a0) * width + b - b0) * size
-        if c > 0:
-            pos[i : i + size] = c.to_bytes(size, "little")
-        else:
-            neg[i : i + size] = (-c).to_bytes(size, "little")
-    packed = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-    return packed, a0, b0
+    slots = (max(us) - a0 + 1) * width
+    buffer = bytearray(slots * size)
+    signed, unsigned = _words(buffer, size)
+    span = len(signed) // slots
+    index = list(
+        map(sub, map(add, map(mul, us, repeat(width)), vs), repeat(a0 * width + b0))
+    )
+    coeffs = terms.values()
+    top = span - 1
+    shifted = map(rshift, coeffs, repeat(64 * top))
+    deque(map(signed[top::span].__setitem__, index, shifted), 0)
+    for t in range(top):
+        low = map(and_, map(rshift, coeffs, repeat(64 * t)), repeat(_WORD))
+        deque(map(unsigned[t::span].__setitem__, index, low), 0)
+    fill = _half_fill(size, slots)
+    return (int.from_bytes(buffer, sys.byteorder) ^ fill) - fill, a0, b0
 
 
 def _mul_kronecker(p, q, width: int, height: int):
@@ -504,7 +540,7 @@ def _mul_kronecker(p, q, width: int, height: int):
         * max(map(abs, q.values()))
         * min(len(p), len(q))
     )
-    size = bound.bit_length() // 8 + 1
+    size = _slot_bytes(bound)
     pp, pa0, pb0 = _pack(p, width, size)
     qq, qa0, qb0 = _pack(q, width, size)
     return _unpack(pp * qq, pa0 + qa0, pb0 + qb0, width, height, size)
@@ -530,7 +566,7 @@ def _times_binomials(poly: LaurentPoly, binomials) -> LaurentPoly:
         height += i * k
         width += j * k
         total += k
-    size = (max(map(abs, terms.values())) << total).bit_length() // 8 + 1
+    size = _slot_bytes(max(map(abs, terms.values())) << total)
     n, a0, b0 = _pack(terms, width, size)
     for i, j, sign, k in steps:
         shift = (i * width + j) * 8 * size
@@ -542,22 +578,19 @@ def _times_binomials(poly: LaurentPoly, binomials) -> LaurentPoly:
 def _unpack(packed, a0: int, b0: int, width: int, height: int, size: int):
     # the term map of a packing whose slot (a - a0) * width + (b - b0),
     # of ``size`` bytes, holds the signed coefficient of u^a v^b: adding
-    # half a slot to every slot makes each one nonnegative, so one
-    # ``to_bytes`` reads the whole box back, slot by slot
+    # the half-fill makes every slot c + half, which never borrows from
+    # the next, and flipping every slot's top bit leaves c in two's
+    # complement, so one ``to_bytes`` and a signed cast read the box back
     slots = height * width
-    half_slot = bytes(size - 1) + b"\x80"
-    half = 1 << (8 * size - 1)
-    packed += int.from_bytes(half_slot * slots, "little")
-    blob = packed.to_bytes(slots * size, "little")
-    out: dict[tuple[int, int], int] = {}
-    i = 0
-    for a in range(a0, a0 + height):
-        for b in range(b0, b0 + width):
-            chunk = blob[i : i + size]
-            if chunk != half_slot:
-                out[(a, b)] = int.from_bytes(chunk, "little") - half
-            i += size
-    return out
+    fill = _half_fill(size, slots)
+    blob = ((packed + fill) ^ fill).to_bytes(slots * size, sys.byteorder)
+    signed, unsigned = _words(blob, size)
+    span = len(signed) // slots
+    values = signed[span - 1 :: span]
+    for t in range(span - 2, -1, -1):
+        values = list(map(add, map(lshift, values, repeat(64)), unsigned[t::span]))
+    points = product(range(a0, a0 + height), range(b0, b0 + width))
+    return dict(zip(compress(points, values), filter(None, values)))
 
 
 def _coerce(value):
@@ -606,10 +639,8 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     allocates O(N) lists.  Every divisor of ``e_m3``, of the
     N_sigma(3, 1) closed form and of the wall kernel is such a product
     in uv, the t-displays divide by one in u, and the M(3) pipeline
-    divides by 1 - (uv)^n, then by (1 + u)^g and by (1 + v)^g.  With
-    those callers, ``perfbench`` wall_s went from 0.139 to 0.065 s on
-    ``m3_pipeline`` and from 0.103 to 0.054 s on ``m3_closed`` (2 cores,
-    Python 3.11).
+    divides by 1 - (uv)^n, then by (1 + u)^g and by (1 + v)^g.  The
+    README gives the measured gain.
 
     Heap route.  Any other divisor, or a line route that leaves a
     remainder, goes through multivariate long division under the project

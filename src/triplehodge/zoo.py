@@ -170,9 +170,18 @@ def smooth_projective_failures(poly: LaurentPoly, dim: int) -> list[str]:
     2*dim, and Poincare duality a_{p,q} = a_{dim-p, dim-q}.
     """
     failures: list[str] = []
-    if poly.is_zero():
-        return failures
-    terms = poly.terms
+    terms = poly._terms
+    get = terms.get
+    # one unsorted pass over the live term map; only a polynomial that
+    # fails a check pays for the ordered diagnostic below
+    for (a, b), c in terms.items():
+        if c < 0 or a < 0 or b < 0:
+            break
+        if get((b, a)) != c or get((dim - a, dim - b)) != c:
+            break
+    else:
+        if not terms or poly.total_degree() == 2 * dim:
+            return failures
     if not poly.is_polynomial():
         failures.append("negative exponents present")
         return failures

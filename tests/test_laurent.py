@@ -1,6 +1,8 @@
 """Unit tests for the exact Laurent-polynomial layer."""
 
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -240,6 +242,110 @@ def test_times_binomials_reaches_the_coefficient_bound(c, k):
         got = laurent._times_binomials(q, {binomial: k})
         assert abs(got.coefficient(k, 0)) == c << k
         assert got.terms == oracles.pmul(q.terms, oracles.ppow(binomial.terms, k))
+
+
+# -- Kronecker slots ----------------------------------------------------
+
+_SLOT_SIZES = [1, 2, 4, 8, 16, 24]
+
+
+@st.composite
+def slot_packings(draw):
+    """A term map for slots of 1 to 24 bytes, and a box width that fits it.
+
+    Coefficients take both signs up to the ends of the slot's signed
+    range, exponents may be negative, and rows of the box may be empty.
+    """
+    size = draw(st.sampled_from(_SLOT_SIZES))
+    half = 1 << (8 * size - 1)
+    coeff = st.one_of(
+        st.sampled_from([-half, half - 1, -1, 1]),
+        st.integers(min_value=-half, max_value=half - 1).filter(bool),
+    )
+    exponent = st.integers(min_value=-4, max_value=4)
+    terms = draw(
+        st.dictionaries(st.tuples(exponent, exponent), coeff, min_size=1, max_size=12)
+    )
+    vs = [b for _, b in terms]
+    width = max(vs) - min(vs) + 1 + draw(st.integers(min_value=0, max_value=3))
+    return terms, width, size
+
+
+@given(slot_packings())
+@example(({(-3, 0): -1, (2, 1): 1}, 2, 1))
+@example(({(0, -2): -(2**127), (4, 0): 2**127 - 1, (1, 3): -1}, 6, 16))
+@example(({(0, 0): 2**191 - 1, (3, 2): -(2**191)}, 3, 24))
+@settings(max_examples=150, deadline=None)
+def test_pack_unpack_roundtrip(packing):
+    terms, width, size = packing
+    packed, a0, b0 = laurent._pack(terms, width, size)
+    assert (a0, b0) == (min(a for a, _ in terms), min(b for _, b in terms))
+    assert packed == sum(
+        c << 8 * size * ((a - a0) * width + b - b0) for (a, b), c in terms.items()
+    )
+    height = max(a for a, _ in terms) - a0 + 1
+    for rows in (height, height + 2):
+        assert laurent._unpack(packed, a0, b0, width, rows, size) == terms
+
+
+# bit lengths of the slot bound at and just below each word edge, and
+# the slot that holds that bound plus a sign bit
+_WORD_EDGES = [
+    (7, 1), (8, 2), (15, 2), (16, 4), (31, 4), (32, 8),
+    (63, 8), (64, 16), (127, 16), (128, 24),
+]
+
+
+@pytest.mark.parametrize("bits, size", _WORD_EDGES)
+def test_mul_fills_word_sized_slots_to_the_edge(bits, size):
+    # 16 x 16 term pairs in a 31-slot box take the Kronecker route, and the
+    # middle coefficient of p * p is 16 c^2, the bound that sizes the slots
+    c = isqrt(((1 << bits) - 1) // 16)
+    assert (16 * c * c).bit_length() == bits
+    assert laurent._slot_bytes(16 * c * c) == size
+    p = LaurentPoly({(i, 0): c for i in range(16)})
+    alternating = LaurentPoly({(i, 0): (-1) ** i * c for i in range(16)})
+    for q in (p, -p, alternating):
+        assert (p * q).terms == oracles.pmul(p.terms, q.terms)
+
+
+@pytest.mark.parametrize("bits, size", _WORD_EDGES)
+def test_times_binomials_fills_word_sized_slots_to_the_edge(bits, size):
+    # seven equal coefficients c times (1 + u)^6 give c * 2^6 at u^6, the
+    # bound that sizes the slots
+    c = (1 << (bits - 6)) - 1
+    assert (c << 6).bit_length() == bits
+    assert laurent._slot_bytes(c << 6) == size
+    p = LaurentPoly({(i, 0): c for i in range(7)})
+    alternating = LaurentPoly({(i, 0): (-1) ** i * c for i in range(7)})
+    for q, binomial in ((p, ONE + U), (-p, ONE + U), (alternating, ONE - U)):
+        got = laurent._times_binomials(q, {binomial: 6})
+        assert abs(got.coefficient(6, 0)) == c << 6
+        assert got.terms == oracles.pmul(q.terms, oracles.ppow(binomial.terms, 6))
+
+
+@pytest.mark.parametrize("size", _SLOT_SIZES)
+def test_pack_and_unpack_convert_once_per_box(size):
+    # a 20 x 20 box of nonzero slots: int.to_bytes and int.from_bytes run
+    # a fixed number of times, not once per term or per slot
+    terms = {(a, b): (-1) ** b * (a + 1) for a in range(20) for b in range(20)}
+    conversions = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__ in ("to_bytes", "from_bytes"):
+            conversions.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        packed, a0, b0 = laurent._pack(terms, 20, size)
+        packing = len(conversions)
+        got = laurent._unpack(packed, a0, b0, 20, 20, size)
+    finally:
+        sys.setprofile(None)
+    assert got == terms
+    assert packing <= 3
+    assert conversions[packing:].count("from_bytes") <= 1
+    assert len(conversions) - packing <= 3
 
 
 def test_e_m3_multiplies_by_e_jacobian_with_shifts(monkeypatch):

@@ -159,6 +159,11 @@ def test_failure_checks_catch_violations():
     assert smooth_projective_failures(ONE + UV, 2)
 
 
+def test_failure_checks_report_a_lone_degree_failure():
+    # every term passes its own checks; only the total degree is off
+    assert smooth_projective_failures(UV, 2) == ["total degree 2 != 2*dim = 4"]
+
+
 def test_failure_messages_ignore_term_insertion_order():
     # one polynomial, its term map filled in two orders
     terms = [((0, 0), 1), ((1, 0), -2), ((0, 1), 3), ((2, 1), 4), ((1, 1), -1)]
