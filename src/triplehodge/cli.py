@@ -11,7 +11,10 @@ import csv
 import json
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from itertools import product
+from typing import NamedTuple
 
 from . import __version__
 from .errors import CriticalSigma, OutOfRange, TripleHodgeError
@@ -30,17 +33,58 @@ from .zoo import (
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-_TABLE_TARGETS = (
-    "n31",
-    "n21",
-    "m2odd",
-    "m2even",
-    "m3",
-    "sym",
-    "jac",
-    "grass",
-    "proj",
+
+class _Target(NamedTuple):
+    """One Hodge target of ``compute`` and ``table``.
+
+    fn takes keyword arguments named after the flags: the integer flags
+    in the order ``table`` nests its loops, then (flag, default) scalars
+    that ``table`` does not loop over.  ranks "31" or "21" marks a
+    triple space, placed by --sigma or --chamber and tabled one row per
+    chamber; column fills the "chamber" column of the other targets.
+    """
+
+    fn: Callable[..., HodgeResult]
+    help: str
+    flags: tuple[str, ...]
+    ranks: str = ""
+    scalars: tuple[tuple[str, int], ...] = ()
+    column: Callable[[dict], object] = lambda values: ""
+
+
+# a triple type's flags, which are also the table's type columns
+_TRIPLE = ("g", "d1", "d2")
+_G = ("g",)
+
+_TARGETS = {
+    "n31": _Target(e_n31_closed, "triple space of type (3,1)", _TRIPLE, "31"),
+    "n21": _Target(e_triples21, "triple space of type (2,1)", _TRIPLE, "21"),
+    "m2odd": _Target(e_m2_odd, "rank-2 moduli, odd degree", _G),
+    "m2even": _Target(e_m2s_even, "rank-2 semistable locus, even degree", _G),
+    "jac": _Target(e_jacobian, "Jacobian of the curve", _G),
+    "m3": _Target(
+        e_m3, "rank-3 moduli, degree coprime to 3", _G, scalars=(("d", 1),)
+    ),
+    "sym": _Target(
+        e_sym,
+        "symmetric power of the curve",
+        ("g", "k"),
+        column=lambda values: values["k"],
+    ),
+    "grass": _Target(
+        e_grassmannian,
+        "Grassmannian Gr(k, n)",
+        ("k", "n"),
+        column="{k}/{n}".format_map,
+    ),
+    "proj": _Target(e_projective, "projective space P^(n-1)", ("n",)),
+}
+
+# table's comma-separated integer lists, and its unlooped integer flags
+_LIST_FLAGS = tuple(
+    dict.fromkeys(flag for t in _TARGETS.values() for flag in t.flags)
 )
+_SCALARS = dict(pair for t in _TARGETS.values() for pair in t.scalars)
 
 
 class UsageError(Exception):
@@ -57,10 +101,6 @@ def _parse_sigma(text: str) -> Fraction:
     return Fraction(text)
 
 
-# table's comma-separated integer lists
-_LIST_FLAGS = ("--g", "--d1", "--d2", "--k", "--n")
-
-
 def _attach_list_values(argv: list[str]) -> list[str]:
     """Rewrite ``table … --d2 -1,-2`` as ``table … --d2=-1,-2``.
 
@@ -70,9 +110,10 @@ def _attach_list_values(argv: list[str]) -> list[str]:
     """
     if argv[:1] != ["table"]:
         return argv
+    flags = [f"--{flag}" for flag in _LIST_FLAGS]
     out = [argv[0]]
     for token in argv[1:]:
-        if out[-1] in _LIST_FLAGS and re.match(r"-\d", token):
+        if out[-1] in flags and re.match(r"-\d", token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -120,26 +161,15 @@ def _render_hodge(target: str, h: HodgeResult, fmt: str) -> str:
 
 
 def _compute_hodge(args) -> HodgeResult:
-    target = args.target
-    if target == "n31" or target == "n21":
+    target = _TARGETS[args.target]
+    flags = (*target.flags, *(flag for flag, _ in target.scalars))
+    kwargs = {flag: getattr(args, flag) for flag in flags}
+    if target.ranks:
+        if (args.sigma is None) == (args.chamber is None):
+            raise UsageError("pass exactly one of --sigma and --chamber")
         sigma = _parse_sigma(args.sigma) if args.sigma is not None else None
-        fn = e_n31_closed if target == "n31" else e_triples21
-        return fn(args.g, args.d1, args.d2, sigma, chamber=args.chamber)
-    if target == "m2odd":
-        return e_m2_odd(args.g)
-    if target == "m2even":
-        return e_m2s_even(args.g)
-    if target == "m3":
-        return e_m3(args.g, args.d)
-    if target == "sym":
-        return e_sym(args.k, args.g)
-    if target == "jac":
-        return e_jacobian(args.g)
-    if target == "grass":
-        return e_grassmannian(args.k, args.n)
-    if target == "proj":
-        return e_projective(args.n)
-    raise UsageError(f"unknown compute target {target!r}")
+        kwargs.update(sigma=sigma, chamber=args.chamber)
+    return target.fn(**kwargs)
 
 
 def _triple_type(ranks: str, g: int, d1: int, d2: int) -> TripleType:
@@ -183,10 +213,6 @@ def _cmd_compute(args) -> int:
     if args.target == "chambers":
         print(_render_chambers(args))
         return 0
-    if args.target in ("n31", "n21") and (
-        (args.sigma is None) == (args.chamber is None)
-    ):
-        raise UsageError("pass exactly one of --sigma and --chamber")
     result = _compute_hodge(args)
     print(_render_hodge(args.target, result, args.output))
     return 0
@@ -229,77 +255,52 @@ def _betti(h: HodgeResult) -> list[int]:
     return [series.get(k, 0) for k in range(max(series) + 1)]
 
 
-def _row(target, h: HodgeResult, g="", d1="", d2="", chamber="") -> dict:
+def _row(name: str, h: HodgeResult, values: dict, chamber) -> dict:
     return {
-        "target": target,
-        "g": g,
-        "d1": d1,
-        "d2": d2,
+        "target": name,
+        **{flag: values.get(flag, "") for flag in _TRIPLE},
         "chamber": chamber,
         "empty": h.empty,
         "betti": _betti(h),
     }
 
 
-def _chamber_rows(target: str, g: int, d1: int, d2: int) -> list[dict]:
-    bounds = chamber_bounds(_triple_type(target[1:], g, d1, d2))
-    compute = e_n31_closed if target == "n31" else e_triples21
-    if not bounds:
-        return [_row(target, HodgeResult(ZERO, 0), g, d1, d2, "-")]
+def _target_rows(name: str, target: _Target, values: dict) -> list[dict]:
+    """The rows of one point of a target's flag grid: one per chamber
+    for a triple target, else one."""
+    if not target.ranks:
+        h = target.fn(**values)
+        return [_row(name, h, values, target.column(values))]
+    count = len(chamber_bounds(_triple_type(target.ranks, **values)))
+    if not count:
+        return [_row(name, HodgeResult(ZERO, 0), values, "-")]
     return [
-        _row(target, compute(g, d1, d2, chamber=index), g, d1, d2, index)
-        for index in range(1, len(bounds) + 1)
+        _row(name, target.fn(**values, chamber=index), values, index)
+        for index in range(1, count + 1)
     ]
 
 
 def _table_rows(args) -> list[dict]:
     rows: list[dict] = []
-    for target in args.targets:
-        if target in ("n31", "n21"):
-            for g in args.g:
-                for d1 in args.d1:
-                    for d2 in args.d2:
-                        rows.extend(_chamber_rows(target, g, d1, d2))
-        elif target in ("m2odd", "m2even", "m3", "jac"):
-            fn = {
-                "m2odd": e_m2_odd,
-                "m2even": e_m2s_even,
-                "jac": e_jacobian,
-            }.get(target)
-            for g in args.g:
-                h = e_m3(g, args.d) if target == "m3" else fn(g)
-                rows.append(_row(target, h, g))
-        elif target == "sym":
-            for g in args.g:
-                for k in args.k:
-                    rows.append(_row(target, e_sym(k, g), g, chamber=k))
-        elif target == "grass":
-            for k in args.k:
-                for n in args.n:
-                    h = e_grassmannian(k, n)
-                    rows.append(_row(target, h, chamber=f"{k}/{n}"))
-        elif target == "proj":
-            for n in args.n:
-                rows.append(_row(target, e_projective(n)))
-        else:
-            raise UsageError(f"unknown table target {target!r}")
+    for name in args.targets:
+        target = _TARGETS[name]
+        scalars = {flag: getattr(args, flag) for flag, _ in target.scalars}
+        grid = product(*(getattr(args, flag) for flag in target.flags))
+        for point in grid:
+            values = dict(zip(target.flags, point), **scalars)
+            rows.extend(_target_rows(name, target, values))
     return rows
 
 
 def _cmd_table(args) -> int:
     args.targets = [part for part in args.targets.split(",") if part]
-    for target in args.targets:
-        if target not in _TABLE_TARGETS:
-            raise UsageError(f"unknown table target {target!r}")
-    needs_g = {"n31", "n21", "m2odd", "m2even", "m3", "sym", "jac"}
-    if needs_g & set(args.targets) and not args.g:
-        raise UsageError("--g is required for the requested targets")
-    if {"n31", "n21"} & set(args.targets) and not args.d1:
-        raise UsageError("--d1 is required for triple targets")
-    if {"sym", "grass"} & set(args.targets) and not args.k:
-        raise UsageError("--k is required for sym and grass targets")
-    if {"grass", "proj"} & set(args.targets) and not args.n:
-        raise UsageError("--n is required for grass and proj targets")
+    for name in args.targets:
+        if name not in _TARGETS:
+            raise UsageError(f"unknown table target {name!r}")
+    for flag in _LIST_FLAGS:
+        users = [name for name in args.targets if flag in _TARGETS[name].flags]
+        if users and not getattr(args, flag):
+            raise UsageError(f"--{flag} is required for {', '.join(users)}")
     rows = _table_rows(args)
     if args.output == "json":
         print(json.dumps(rows))
@@ -312,17 +313,8 @@ def _cmd_table(args) -> int:
     writer.writerow(header)
     for row in rows:
         betti = row["betti"] + [0] * (width - len(row["betti"]))
-        writer.writerow(
-            [
-                row["target"],
-                row["g"],
-                row["d1"],
-                row["d2"],
-                row["chamber"],
-                "yes" if row["empty"] else "no",
-                *betti,
-            ]
-        )
+        empty = "yes" if row["empty"] else "no"
+        writer.writerow([*(row[key] for key in header[:5]), empty, *betti])
     return 0
 
 
@@ -350,42 +342,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     targets = compute.add_subparsers(dest="target", required=True)
 
-    for name in ("n31", "n21"):
-        p = targets.add_parser(name, help=f"triple space of type ({name[1]},1)")
-        p.add_argument("--g", type=int, required=True)
-        p.add_argument("--d1", type=int, required=True)
-        p.add_argument("--d2", type=int, required=True)
-        p.add_argument("--sigma", type=str, default=None)
-        p.add_argument("--chamber", type=int, default=None)
+    for name, target in _TARGETS.items():
+        p = targets.add_parser(name, help=target.help)
+        for flag in target.flags:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        for flag, default in target.scalars:
+            p.add_argument(f"--{flag}", type=int, default=default)
+        if target.ranks:
+            p.add_argument("--sigma", type=str, default=None)
+            p.add_argument("--chamber", type=int, default=None)
         _add_output_flag(p)
-
-    for name, help_text in (
-        ("m2odd", "rank-2 moduli, odd degree"),
-        ("m2even", "rank-2 semistable locus, even degree"),
-        ("jac", "Jacobian of the curve"),
-    ):
-        p = targets.add_parser(name, help=help_text)
-        p.add_argument("--g", type=int, required=True)
-        _add_output_flag(p)
-
-    p = targets.add_parser("m3", help="rank-3 moduli, degree coprime to 3")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    _add_output_flag(p)
-
-    p = targets.add_parser("sym", help="symmetric power of the curve")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    _add_output_flag(p)
-
-    p = targets.add_parser("grass", help="Grassmannian Gr(k, n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_output_flag(p)
-
-    p = targets.add_parser("proj", help="projective space P^(n-1)")
-    p.add_argument("--n", type=int, required=True)
-    _add_output_flag(p)
 
     for name, help_text in (
         ("criticals", "critical values of the stability parameter"),
@@ -404,12 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="emit Betti-number tables")
     table.add_argument("--targets", type=str, required=True)
-    table.add_argument("--g", type=str, default="")
-    table.add_argument("--d1", type=str, default="")
-    table.add_argument("--d2", type=str, default="0")
-    table.add_argument("--k", type=str, default="")
-    table.add_argument("--n", type=str, default="")
-    table.add_argument("--d", type=int, default=1)
+    for flag in _LIST_FLAGS:
+        # triple rows default to d2 = 0
+        table.add_argument(
+            f"--{flag}", type=str, default="0" if flag == "d2" else ""
+        )
+    for flag, default in _SCALARS.items():
+        table.add_argument(f"--{flag}", type=int, default=default)
     table.add_argument("--output", choices=("csv", "json"), default="csv")
     return parser
 
@@ -427,7 +394,7 @@ def main(argv=None) -> int:
             return _cmd_compute(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        for flag in ("g", "d1", "d2", "k", "n"):
+        for flag in _LIST_FLAGS:
             setattr(args, flag, _int_list(getattr(args, flag)))
         return _cmd_table(args)
     except CriticalSigma as exc:

@@ -318,10 +318,6 @@ class LaurentPoly:
             out[(2 * a, 2 * b)] = c if (a + b) % 2 == 0 else -c
         return _raw(out)
 
-    def invert_variables(self) -> "LaurentPoly":
-        """Substitute u -> 1/u, v -> 1/v (negate every exponent)."""
-        return _raw({(-a, -b): c for (a, b), c in self._terms.items()})
-
     def evaluate(self, u0, v0) -> Fraction:
         """Exact value at rational arguments.
 

@@ -27,15 +27,15 @@ from .laurent import (
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
-from .stability import (
-    TripleType,
-    _ChamberMemo,
-    chi_triples,
-    criticals,
-    locate,
-)
+from .stability import TripleType, _ChamberMemo, criticals, locate
 from .flips import _wall_jump, _wall_kernel
-from .zoo import HodgeResult, _times_jacobian, e_jacobian, e_projective
+from .zoo import (
+    HodgeResult,
+    _chamber_result,
+    _times_jacobian,
+    e_jacobian,
+    e_projective,
+)
 
 __all__ = [
     "e_m3",
@@ -65,15 +65,8 @@ def e_n31_closed(
     cuts the sums, the upper wall of its chamber, so each chamber of
     the last queried type is computed once.
     """
-    t = TripleType(3, 1, d1, d2, g)
-    ch = locate(t, sigma, chamber)
-    if ch is None:
-        return HodgeResult(ZERO, 0)
-    return HodgeResult(
-        poly=_closed_n31(t, ch.wall),
-        dim=1 - chi_triples(t, t),
-        smooth_projective=True,
-        chamber=ch,
+    return _chamber_result(
+        TripleType(3, 1, d1, d2, g), sigma, chamber, _closed_n31
     )
 
 
@@ -129,20 +122,17 @@ def e_n31_flipsum(
     each wall adds -C_n; the result must agree with e_n31_closed
     exactly, which the verification suite checks chamber by chamber.
     """
-    t = TripleType(3, 1, d1, d2, g)
-    ch = locate(t, sigma, chamber)
-    if ch is None:
-        return HodgeResult(ZERO, 0)
+    return _chamber_result(
+        TripleType(3, 1, d1, d2, g), sigma, chamber, _flip_sum
+    )
+
+
+def _flip_sum(t: TripleType, wall: int) -> LaurentPoly:
     poly = ZERO
     for n, _crit in criticals(t):
-        if n >= ch.wall:
+        if n >= wall:
             poly = poly - _wall_jump(t, n)
-    return HodgeResult(
-        poly=poly,
-        dim=1 - chi_triples(t, t),
-        smooth_projective=True,
-        chamber=ch,
-    )
+    return poly
 
 
 @cache

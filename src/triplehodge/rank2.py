@@ -16,7 +16,6 @@ from .laurent import (
     U2V,
     UV,
     UV2,
-    ZERO,
     LaurentPoly,
     U,
     V,
@@ -30,9 +29,8 @@ from .stability import (
     _ChamberMemo,
     _require_critical,
     chi_triples,
-    locate,
 )
-from .zoo import HodgeResult, _times_jacobian
+from .zoo import HodgeResult, _chamber_result, _times_jacobian
 
 __all__ = [
     "e_m2_odd",
@@ -109,15 +107,8 @@ def e_triples21(
     cuts the sum, the upper wall of its chamber, so each chamber of the
     last queried type is computed once.
     """
-    t = TripleType(2, 1, d1, d2, g)
-    ch = locate(t, sigma, chamber)
-    if ch is None:
-        return HodgeResult(ZERO, 0)
-    return HodgeResult(
-        poly=_closed_21(t, ch.wall),
-        dim=1 - chi_triples(t, t),
-        smooth_projective=True,
-        chamber=ch,
+    return _chamber_result(
+        TripleType(2, 1, d1, d2, g), sigma, chamber, _closed_21
     )
 
 

@@ -8,6 +8,7 @@ nonnegative for the smooth projective cases handled here.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 
@@ -24,7 +25,7 @@ from .laurent import (
     halve_exact,
 )
 from .series import sym_series
-from .stability import Chamber
+from .stability import Chamber, TripleType, chi_triples, locate
 
 __all__ = [
     "HodgeResult",
@@ -63,6 +64,29 @@ class HodgeResult:
     def empty(self) -> bool:
         """True when the variety is empty, i.e. the polynomial is zero."""
         return self.poly.is_zero()
+
+
+def _chamber_result(
+    t: TripleType,
+    sigma,
+    chamber: int | None,
+    build: Callable[[TripleType, int], LaurentPoly],
+) -> HodgeResult:
+    """The triple space of type t at sigma (or at a chamber's midpoint).
+
+    build(t, wall) gives the Hodge polynomial of the chamber whose upper
+    wall is ``wall``; a sigma outside the allowed range gives the empty
+    space.
+    """
+    ch = locate(t, sigma, chamber)
+    if ch is None:
+        return HodgeResult(ZERO, 0)
+    return HodgeResult(
+        poly=build(t, ch.wall),
+        dim=1 - chi_triples(t, t),
+        smooth_projective=True,
+        chamber=ch,
+    )
 
 
 @cache

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from triplehodge import LaurentPoly, e_m2_odd, e_n31_closed
-from triplehodge.cli import _TABLE_TARGETS, main
+from triplehodge.cli import _TARGETS, main
 
 
 def run(capsys, *argv):
@@ -408,7 +408,7 @@ _TABLE = [
     _flag(
         "targets",
         st.lists(
-            st.sampled_from([*_TABLE_TARGETS, "nope"]), min_size=1, max_size=3
+            st.sampled_from([*_TARGETS, "nope"]), min_size=1, max_size=3
         ).map(",".join),
     ),
     _flag("g", _int_list(_GENUS)),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from triplehodge.cli import main
+from triplehodge.cli import _TARGETS, main
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 
@@ -61,6 +61,12 @@ _TABLES = (
     "--targets sym --g 2 --k 0,1,3",
     "--targets grass --k 1,2 --n 4,5",
     "--targets proj --n 1,3",
+    "--targets sym --g 2,3 --k 0,2",
+    "--targets grass,proj --k 1,2 --n 3,4",
+    "--targets m2odd,m3,jac --g 2,3 --d 2",
+    "--targets n21,n31 --g 2,3 --d1 5 --d2 0,1",
+    "--targets grass --k 1",
+    "--targets n31 --g 2",
 )
 
 ARGVS = (
@@ -97,6 +103,26 @@ def replay(argv: str) -> dict:
 
 def test_corpus_covers_every_argv():
     assert sorted(json.loads(CORPUS.read_text())) == sorted(ARGVS)
+
+
+def test_corpus_covers_every_target():
+    """Each CLI target is pinned under compute in every format, and in
+    at least one table."""
+    computed = {
+        (argv.split()[1], argv.split()[-1])
+        for argv in ARGVS
+        if argv.startswith("compute ")
+    }
+    tabled = {
+        target
+        for argv in ARGVS
+        if argv.startswith("table --targets ")
+        for target in argv.split()[2].split(",")
+    }
+    for target in _TARGETS:
+        for fmt in ("text", "json", "latex"):
+            assert (target, fmt) in computed
+        assert target in tabled
 
 
 @pytest.mark.parametrize("argv", ARGVS)

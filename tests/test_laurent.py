@@ -691,12 +691,6 @@ def test_square_negate():
     assert p.square_negate() == expected
 
 
-def test_invert_variables():
-    p = LaurentPoly({(1, -2): 5, (0, 0): 1})
-    assert p.invert_variables() == LaurentPoly({(-1, 2): 5, (0, 0): 1})
-    assert p.invert_variables().invert_variables() == p
-
-
 def test_evaluate_exact():
     p = ONE + UV + UV**2
     assert p.evaluate(1, 1) == 3
