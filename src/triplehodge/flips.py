@@ -153,6 +153,24 @@ def _closed_even(t: TripleType, n: int) -> FractionUV:
     return FractionUV(_times_jacobian(inner.as_polynomial(), g, 2))
 
 
+# the strata's pieces that depend on g alone or on (g, m) alone, built
+# once per key; the cached polynomials are shared and never mutated
+
+
+@cache
+def _jac_square_minus_jac(g: int) -> LaurentPoly:
+    jac = e_jacobian(g).poly
+    return jac * jac - jac
+
+
+@cache
+def _sym2_mixed(g: int, m: int) -> LaurentPoly:
+    # Sym^2(P^{m-1} x Jac) - e(Jac) Sym^2(P^{m-1})
+    jac = e_jacobian(g).poly
+    pp = e_projective(m).poly
+    return e_sym2_quotient(pp * jac).poly - jac * e_sym2_quotient(pp).poly
+
+
 def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:
     g, d1, d2 = t.g, t.d1, t.d2
     n1 = d1 - d2 - n
@@ -167,12 +185,6 @@ def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:
         # (uv)^{m-1} * e(P^{m-1}); zero when m < 1
         return e_affine(m - 1).poly * pp(m)
 
-    def sym2_mixed(m: int) -> LaurentPoly:
-        return (
-            e_sym2_quotient(pp(m) * jac).poly
-            - jac * e_sym2_quotient(pp(m)).poly
-        )
-
     stable21 = e_triples21_critical_stable(g, d1 - n // 2, d2, n // 2).poly
     # e(Jac) e(Sym) ends five of the strata: it is formed once, and the
     # small factors in uv are multiplied together before they meet it
@@ -182,11 +194,11 @@ def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:
     x3 = (
         (pp(2 * n1) - pp(n1) - pp(2 * n2) + pp(n2))
         * pp(g - 1)
-        * (jac * jac - jac)
+        * _jac_square_minus_jac(g)
         * js
     )
     x4 = (affine_cone(n1) - affine_cone(n2)) * pp(g) * jac * js
-    x5 = (sym2_mixed(n1) - sym2_mixed(n2)) * js
+    x5 = (_sym2_mixed(g, n1) - _sym2_mixed(g, n2)) * js
     x6 = (
         (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly) * jac * js
     )

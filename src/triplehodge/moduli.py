@@ -260,10 +260,7 @@ def poincare_n31(
     sym = [ONE, _t(2)]
     ca1 = extract(w, [*sym, _t(-4)], k0)
     ca2 = extract(w, [*sym, _t(6)], k0)
-    kernel = FractionUV(
-        (ONE + _t(3)) ** (2 * g) - _t(2 * g) * (ONE + _t(1)) ** (2 * g),
-        (ONE - _t(2)) ** 2 * (ONE - _t(4)),
-    )
+    kernel, prefac, prefactor = _t_display_factors(g)
     part_a = kernel * (
         _t(4 * k0) * ca1 - _t(4 * g - 4 - 4 * d1 + 6 * n0) * ca2
     )
@@ -272,10 +269,6 @@ def poincare_n31(
         cb1 = extract(w, [*sym, _t(-4), _t(-2)], kb)
         cb2 = extract(w, [*sym, _t(6), _t(4)], kb)
         cb3 = extract(w, [*sym, _t(4), _t(-2)], kb)
-        prefac = FractionUV(
-            _t(2 * g - 2) * (ONE + _t(1)) ** (2 * g),
-            (ONE - _t(2)) ** 2 * (ONE + _t(2)),
-        )
         part_b = prefac * (
             _t(4 * kb + 2) * cb1
             + _t(4 * g - 4 - 4 * d1 + 6 * nbar0) * cb2
@@ -284,5 +277,22 @@ def poincare_n31(
     else:
         part_b = FractionUV(ZERO)
 
-    prefactor = FractionUV((ONE + _t(1)) ** (4 * g))
     return (prefactor * (part_a + part_b)).as_polynomial()
+
+
+@cache
+def _t_display_factors(g: int) -> tuple[FractionUV, FractionUV, FractionUV]:
+    """The factors of poincare_n31 that depend on g alone: the wall
+    kernel, the prefactor of the even-wall part and the overall
+    prefactor, in t.  Built once per genus; the fractions are shared,
+    so they are never mutated."""
+    kernel = FractionUV(
+        (ONE + _t(3)) ** (2 * g) - _t(2 * g) * (ONE + _t(1)) ** (2 * g),
+        (ONE - _t(2)) ** 2 * (ONE - _t(4)),
+    )
+    prefac = FractionUV(
+        _t(2 * g - 2) * (ONE + _t(1)) ** (2 * g),
+        (ONE - _t(2)) ** 2 * (ONE + _t(2)),
+    )
+    prefactor = FractionUV((ONE + _t(1)) ** (4 * g))
+    return kernel, prefac, prefactor

@@ -130,18 +130,29 @@ def curve_numerator(g: int, order: int) -> XSeries:
     return XSeries(order, coeffs)
 
 
+# the longest sym_series built so far, per genus
+_sym_longest: dict[int, XSeries] = {}
+
+
 def sym_series(g: int, order: int) -> XSeries:
     """Generating series of symmetric powers of a genus-g curve.
 
     (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)); the coefficient of x^k is the
-    Hodge polynomial of Sym^k of the curve.
+    Hodge polynomial of Sym^k of the curve.  The coefficient of x^k does
+    not depend on the truncation order, so the longest series built so
+    far for g is kept and a shorter order is its truncation: one series
+    per genus is held, and it is built again only for a longer order.
+    Each caller gets its own series; the coefficients are shared and
+    never mutated.
     """
-    uv = U * V
-    return (
-        curve_numerator(g, order)
-        * XSeries.geometric(ONE, order)
-        * XSeries.geometric(uv, order)
-    )
+    w = _sym_longest.get(g)
+    if w is None or w.order < order:
+        w = _sym_longest[g] = (
+            curve_numerator(g, order)
+            * XSeries.geometric(ONE, order)
+            * XSeries.geometric(U * V, order)
+        )
+    return XSeries(order, w._coeffs)
 
 
 def extract(w: XSeries, poles, k: int) -> LaurentPoly:

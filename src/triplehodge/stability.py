@@ -6,13 +6,17 @@ Stability depends on a real parameter sigma; the moduli space changes only
 when sigma crosses one of finitely many critical values, and is constant
 on the open chambers in between.  criticals is the one list of a
 type's walls, and locate is the one place a moduli query's sigma (or
-chamber index) is resolved, checked and placed in its chamber.
+chamber index) is resolved, checked and placed in its chamber.  A
+type's chamber structure (its sigma range and the Fraction bounds of
+every chamber) is built once per process and shared by every query of
+that type; chamber_bounds hands each caller its own list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import CriticalSigma, NotCritical, OutOfRange
 
@@ -143,11 +147,17 @@ def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
     The first chamber starts at sigma_m; the last one ends at the top
     critical value, which equals sigma_M for the (2,1) and (3,1) types.
     """
+    return list(_chambers(t))
+
+
+@cache
+def _chambers(t: TripleType) -> tuple[tuple[Fraction, Fraction], ...]:
+    # chamber_bounds(t), built once per type; the tuple is shared
     rng = sigma_range(t)
     if not rng.criticals:
-        return []
+        return ()
     cuts = [rng.sigma_m, *rng.criticals]
-    return list(zip(cuts[:-1], cuts[1:]))
+    return tuple(zip(cuts[:-1], cuts[1:]))
 
 
 def locate(
@@ -161,7 +171,7 @@ def locate(
     space is empty.  A sigma exactly at a critical value raises
     CriticalSigma, since the moduli space is not fine there.
     """
-    bounds = chamber_bounds(t)
+    bounds = _chambers(t)
     if chamber is not None:
         if sigma is not None:
             raise OutOfRange("pass sigma or chamber, not both")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from random import Random
 from typing import Callable
 
@@ -279,16 +280,21 @@ def _suite_zoo(grid: Grid) -> list[Case]:
 # -- rank2 ------------------------------------------------------------
 
 
-def _s_minus_21(g: int, d1: int, d2: int, d_m: int) -> LaurentPoly:
+@cache
+def _jac2_sym(g: int, k: int) -> LaurentPoly:
+    # e(Jac)^2 e(Sym^k), the base shared by S^- and S^+; built once per
+    # (g, k), shared and never mutated
     jac = e_jacobian(g).poly
-    sym = e_sym(d1 - d2 - d_m, g).poly
-    return jac * jac * sym * e_projective(2 * d_m - d1 + g - 1).poly
+    return jac * jac * e_sym(k, g).poly
+
+
+def _s_minus_21(g: int, d1: int, d2: int, d_m: int) -> LaurentPoly:
+    fiber = e_projective(2 * d_m - d1 + g - 1).poly
+    return _jac2_sym(g, d1 - d2 - d_m) * fiber
 
 
 def _s_plus_21(g: int, d1: int, d2: int, d_m: int) -> LaurentPoly:
-    jac = e_jacobian(g).poly
-    sym = e_sym(d1 - d2 - d_m, g).poly
-    return jac * jac * sym * e_projective(d1 - d2 - d_m).poly
+    return _jac2_sym(g, d1 - d2 - d_m) * e_projective(d1 - d2 - d_m).poly
 
 
 def _suite_rank2(grid: Grid) -> list[Case]:

@@ -1,0 +1,206 @@
+"""Tests for the per-genus and per-type values that are built once.
+
+The pieces every chamber and wall of a genus (or every query of a
+triple type) shares are memoized: a type's chamber bounds, the series
+of symmetric powers, the Sym^2 terms and e(Jac)^2 - e(Jac) of the flip
+strata, the t-display factors of ``poincare_n31`` and the product
+e(Jac)^2 e(Sym^k) of the rank-2 wall replay.  These tests check that
+callers still get values of their own, that a truncated series equals a
+fresh build, and that one full-grid verify builds each piece at most
+once per key.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import triplehodge
+from triplehodge import OrderTooLow, TripleType, criticals
+from triplehodge.laurent import ONE, U, V
+from triplehodge.series import XSeries, curve_numerator, sym_series
+from triplehodge.stability import chamber_bounds
+
+
+def test_returned_lists_are_the_callers_own():
+    t = TripleType(3, 1, 9, 0, 3)
+    walls, bounds = criticals(t), chamber_bounds(t)
+    expected_walls, expected_bounds = list(walls), list(bounds)
+    walls.append((99, 99))
+    walls[0] = (0, 0)
+    bounds.clear()
+    assert criticals(t) == expected_walls
+    assert chamber_bounds(t) == expected_bounds
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6),
+)
+def test_sym_series_in_any_request_order_equals_a_fresh_build(g, orders):
+    for order in orders:
+        got = sym_series(g, order)
+        fresh = (
+            curve_numerator(g, order)
+            * XSeries.geometric(ONE, order)
+            * XSeries.geometric(U * V, order)
+        )
+        assert got.order == order
+        for k in range(order):
+            assert got.coeff(k) == fresh.coeff(k)
+        for k in (order, order + 1):
+            with pytest.raises(OrderTooLow):
+                got.coeff(k)
+
+
+def _count_builds() -> dict[str, list]:
+    """Run one full-grid verify with spies; builds per key of each piece.
+
+    Each spy recognises one piece's build by a call that only that
+    build makes, and the piece's key is read off the call's arguments.
+    """
+    import contextlib
+    import io
+
+    from triplehodge import cli, flips, moduli, series, stability
+    from triplehodge.laurent import FractionUV, LaurentPoly
+    from triplehodge.zoo import e_jacobian, e_projective, e_sym
+
+    counts = {name: Counter() for name in
+              ("chambers", "sym_series", "sym2", "t_display",
+               "jac_square_minus_jac", "jac2_sym")}
+    genera = range(2, 7)
+    jacs = {id(e_jacobian(g).poly): g for g in genera}
+
+    sigma_range = stability.sigma_range
+
+    def spy_sigma_range(t):
+        counts["chambers"][str((t.n1, t.n2, t.d1, t.d2, t.g))] += 1
+        return sigma_range(t)
+
+    stability.sigma_range = spy_sigma_range
+
+    # a build makes new coefficients; a truncation shares them, so the
+    # request that first returns a coefficient object is its build
+    series_seen = []
+    build_of = {}
+    sym = series.sym_series
+
+    def spy_sym_series(g, order):
+        w = sym(g, order)
+        series_seen.append(w)
+        if order and id(w.coeff(0)) not in build_of:
+            build_of[id(w.coeff(0))] = (g, order)
+        return w
+
+    for module in vars(triplehodge).values():
+        if getattr(module, "sym_series", None) is sym:
+            module.sym_series = spy_sym_series
+
+    sym2_args = []
+    sym2_quotient = flips.e_sym2_quotient
+
+    def spy_sym2_quotient(e_m):
+        sym2_args.append(e_m)
+        return sym2_quotient(e_m)
+
+    flips.e_sym2_quotient = spy_sym2_quotient
+
+    t_display_nums = []
+
+    def spy_fraction(num, den=None):
+        t_display_nums.append(num)
+        return FractionUV(num, den)
+
+    moduli.FractionUV = spy_fraction
+
+    sub, mul = LaurentPoly.__sub__, LaurentPoly.__mul__
+    jac_squares = {g: mul(jac, jac) for jac, g in
+                   ((e_jacobian(g).poly, g) for g in genera)}
+    jac2_sym_right = []
+
+    def spy_sub(left, right):
+        g = jacs.get(id(right))
+        if g is not None and left == jac_squares[g]:
+            counts["jac_square_minus_jac"][str(g)] += 1
+        return sub(left, right)
+
+    def spy_mul(left, right):
+        for g, square in jac_squares.items():
+            if len(left) == len(square) and left == square:
+                jac2_sym_right.append((g, right))
+        return mul(left, right)
+
+    LaurentPoly.__sub__, LaurentPoly.__mul__ = spy_sub, spy_mul
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", "all", "--grid", "full"])
+    finally:
+        LaurentPoly.__sub__, LaurentPoly.__mul__ = sub, mul
+    assert code == 0
+
+    counts["sym_series"].update(str(key) for key in build_of.values())
+    # Sym^2(P^{m-1} x Jac) is built only by the Sym^2 term of key
+    # (g, m); m = 0 is left out, since P^{-1} is empty for every g
+    mixed = {
+        e_projective(m).poly * e_jacobian(g).poly: (g, m)
+        for g in genera for m in range(1, 16)
+    }
+    for e_m in sym2_args:
+        key = mixed.get(e_m)
+        if key is not None:
+            counts["sym2"][str(key)] += 1
+    t = LaurentPoly.monomial(1, 0)
+    factors = {}
+    for g in genera:
+        factors[(ONE + t**3) ** (2 * g) - t ** (2 * g) * (ONE + t) ** (2 * g)] \
+            = ("kernel", g)
+        factors[t ** (2 * g - 2) * (ONE + t) ** (2 * g)] = ("prefac", g)
+        factors[(ONE + t) ** (4 * g)] = ("prefactor", g)
+    for num in t_display_nums:
+        key = factors.get(num) if isinstance(num, LaurentPoly) else None
+        if key is not None:
+            counts["t_display"][str(key)] += 1
+    syms = {(g, e_sym(k, g).poly): k for g in genera for k in range(16)}
+    for g, right in jac2_sym_right:
+        k = syms.get((g, right))
+        if k is not None:
+            counts["jac2_sym"][str((g, k))] += 1
+    return {name: sorted(c.items()) for name, c in counts.items()}
+
+
+@pytest.fixture(scope="module")
+def builds():
+    """Builds per key in one full-grid verify, in a fresh process so
+    that every cache starts empty."""
+    tests = Path(__file__).parent
+    src = Path(triplehodge.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    code = (
+        "import json, test_caches; "
+        "print(json.dumps(test_caches._count_builds()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=300, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "piece",
+    ["chambers", "sym_series", "sym2", "t_display", "jac_square_minus_jac",
+     "jac2_sym"],
+)
+def test_full_grid_verify_builds_each_piece_once_per_key(builds, piece):
+    assert builds[piece], f"no build of {piece} was seen"
+    repeated = {key: n for key, n in builds[piece] if n > 1}
+    assert repeated == {}

@@ -1,7 +1,9 @@
 """Replay a pinned corpus of CLI invocations, byte for byte.
 
 ``cli_corpus.json`` maps each argv (space-joined) to the sha256 of its
-stdout and its exit code.  Refactors must reproduce every entry.  To
+stdout, the sha256 of its stderr and its exit code.  ``verify`` prints
+its run time as a ``wall:`` line on stderr; that line is dropped before
+hashing.  Refactors must reproduce every entry.  To
 re-pin after an intended output change, on a commit whose outputs are
 trusted, run::
 
@@ -93,12 +95,21 @@ ARGVS = (
 )
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def replay(argv: str) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv.split())
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    return {"exit": code, "stdout_sha256": digest}
+    lines = err.getvalue().splitlines(keepends=True)
+    timeless = "".join(line for line in lines if not line.startswith("wall: "))
+    return {
+        "exit": code,
+        "stderr_sha256": _sha256(timeless),
+        "stdout_sha256": _sha256(out.getvalue()),
+    }
 
 
 def test_corpus_covers_every_argv():
