@@ -31,6 +31,7 @@ from .laurent import (
     FractionUV,
     LaurentPoly,
     _times_binomials,
+    divide_exact,
 )
 from .series import extract, sym_series
 from .stability import TripleType, _require_critical
@@ -72,14 +73,17 @@ class FlipContribution:
     strata: tuple[FractionUV, ...] | None = None
 
 
+# every denominator of the (3, 1) routes divides DEN, so each route sums
+# its numerators over DEN and divides once
+_DEN = (ONE - UV) ** 2 * (ONE - UV**2)
+
+
 @cache
-def _wall_kernel(g: int) -> FractionUV:
-    # common rational factor of every wall-crossing term; equals
-    # e(M(2,odd)) * (1 - uv) up to the (1-(uv)^2) normalization
+def _wall_kernel(g: int) -> LaurentPoly:
+    # numerator over _DEN of the factor common to every wall-crossing
+    # term: _wall_kernel(g) e(Jac) = e(M(2,odd)) (1 - uv) (1 - (uv)^2)
     num = _times_binomials(ONE, {ONE + U2V: g, ONE + UV2: g})
-    num = num - _times_jacobian(UV**g, g)
-    den = (ONE - UV) ** 2 * (ONE - UV**2)
-    return FractionUV(num, den)
+    return num - _times_jacobian(UV**g, g)
 
 
 # C_n as a polynomial per wall (t, n), recorded by flip_contribution
@@ -125,10 +129,10 @@ def c_n_odd(t: TripleType, n: int) -> FlipContribution:
     n1 = t.d1 - t.d2 - n
     two_n2 = 2 * g - 2 - 2 * t.d1 + 3 * n
     sym = e_sym(n1, g).poly
-    # the kernel's denominator is cyclotomic in uv, prime to e(Jac)^2,
-    # so the jump divides on its own and e(Jac)^2 is multiplied in last
-    jump = FractionUV(sym * (UV**two_n2 - UV ** (2 * n1))) * _wall_kernel(g)
-    cn = _times_jacobian(jump.as_polynomial(), g, 2)
+    # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the jump divides
+    # on its own and e(Jac)^2 is multiplied in last
+    jump = sym * (UV**two_n2 - UV ** (2 * n1)) * _wall_kernel(g)
+    cn = _times_jacobian(divide_exact(jump, _DEN), g, 2)
     return _contribution(t, n, FractionUV(cn))
 
 
@@ -142,15 +146,15 @@ def _closed_even(t: TripleType, n: int) -> FractionUV:
     e1 = extract(w, q1, n1) + UV**-2 * extract(w, q1, n1 - 1)
     e2 = extract(w, q2, n1) + UV**3 * extract(w, q2, n1 - 1)
     e3 = extract(w, q12, n1) - UV * extract(w, q12, n1 - 2)
-    p_shared = UV ** (g - 1) * jac
-    p1 = FractionUV(p_shared, (ONE - UV) ** 2 * (ONE + UV))
-    p2 = FractionUV(p_shared, (ONE - UV) ** 2)
-    inner = (
-        -(p1 * (UV ** (2 * n1 + 1) * e1 + UV ** (2 * n2) * e2))
-        + p2 * (UV ** (n1 + n2) * e3)
-        + _wall_kernel(g) * ((UV ** (2 * n2) - UV ** (2 * n1)) * w.coeff(n1))
+    # the prefactors' denominators (1 - uv)^2 (1 + uv) and (1 - uv)^2,
+    # brought to _DEN by 1 - uv and 1 - (uv)^2
+    bracket = (ONE - UV**2) * UV ** (n1 + n2) * e3 - (ONE - UV) * (
+        UV ** (2 * n1 + 1) * e1 + UV ** (2 * n2) * e2
     )
-    return FractionUV(_times_jacobian(inner.as_polynomial(), g, 2))
+    inner = UV ** (g - 1) * jac * bracket + _wall_kernel(g) * (
+        (UV ** (2 * n2) - UV ** (2 * n1)) * w.coeff(n1)
+    )
+    return FractionUV(_times_jacobian(divide_exact(inner, _DEN), g, 2))
 
 
 # the strata's pieces that depend on g alone or on (g, m) alone, built

@@ -37,15 +37,19 @@ the cross-check routes (the strata of an even wall, the rank-2 flip
 loci, the structural odd jump) keep ``*``, so the checks stay
 independent of the kernel.
 
-Exact division (``divide_exact``) takes a line route when the divisor
-is D(m), a polynomial in one monomial m = u^i v^j, and D is +-1 times a
-product of binomials 1 +- m^k, as every divisor on the M(3) and
-N_sigma(3, 1) routes is: each binomial is divided out of the
-numerator's lines along m by prefix sums.  The route is skipped for
-sparse inputs whose padded lines would need more than len(num) * len(den)
-slots.  Any other divisor, and any division that leaves a remainder,
-goes through heap-ordered multivariate long division, which also
-builds the ``NonDivisible`` remainder.
+Exact division (``divide_exact``) picks its route by the shape of the
+divisor; every divisor on a production route is built from binomials
+1 +- m, m = u^i v^j.  Two unit terms, +-u^a v^b (+-1 +- m), take the
+walk: along each line of m the quotient follows
+q_t = c0*(n_t - c1*q_(t-1)), one step per term of the numerator and of
+the quotient.  +-1 times a product of binomials 1 +- m^k on one ray,
+such as DEN = (1 - uv)^2 (1 - (uv)^2) of the N_sigma(3, 1) routes, takes
+the line route: each binomial is divided out of the numerator's lines
+along m by prefix sums, unless the padded lines would need more than
+len(num) * len(den) slots.  Any other divisor takes heap-ordered
+multivariate long division.  The walk and the line route give up on a
+remainder, and the heap route, run on the original inputs, builds the
+``NonDivisible`` remainder.
 
 ``FractionUV`` carries intermediate rational expressions such as
 ``1/((1-uv)^2 (1-(uv)^2))``.  Every denominator on a production route is
@@ -53,7 +57,8 @@ a product of binomials 1 +- m^k, so it is kept as a multiset of them:
 products add multiplicities, and sums and equality lift both numerators
 to the common multiple, multiplying each only by the factors it lacks.
 Conversion to an honest polynomial is one exact division by the product,
-which fails loudly (``NonDivisible``) instead of rounding.
+which fails loudly (``NonDivisible``) instead of rounding.  The
+N_sigma(3, 1) routes instead sum numerators over DEN and divide once.
 
 Measured timings of these routes are in the README and in the
 ``BENCH_*.json`` files at the root of the repository.
@@ -204,13 +209,20 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _raw(out)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -622,6 +634,12 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     minimum exponent of a product is additive in each variable, so exact
     Laurent divisibility reduces to honest-polynomial divisibility).
 
+    Walk.  A divisor of two unit terms, +-u^a v^b (+-1 +- m), divides
+    along the lines of m, one step per term of the numerator and of the
+    quotient, so (1 - (uv)^(2N)) / (1 - (uv)^N) takes three steps.  The
+    residue forms' differences of monomial poles, 1 - uv and the
+    pipeline's 1 - (uv)^(3g-2) are such divisors.
+
     Line route.  When the shifted divisor is D(m) for one monomial
     m = u^i v^j (a constant term 1 or -1, and every term on the ray
     k*(i, j)), multiplying by D maps each line ``base + t*(i, j)`` to
@@ -630,16 +648,13 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     constant term, must split into binomials 1 - x^k and 1 + x^k, peeled
     at its lowest nonzero k; each comes out of every line by prefix sums
     over stride-k slices.  The route is taken only when the lines, each
-    with deg D slots of padding, fit in ``len(num) * len(den)`` slots, so
-    a sparse input such as (1 - (uv)^(2N)) / (1 - (uv)^N) never
-    allocates O(N) lists.  Every divisor of ``e_m3``, of the
-    N_sigma(3, 1) closed form and of the wall kernel is such a product
-    in uv, the t-displays divide by one in u, and the M(3) pipeline
-    divides by 1 - (uv)^n, then by (1 + u)^g and by (1 + v)^g.  The
-    README gives the measured gain.
+    with deg D slots of padding, fit in ``len(num) * len(den)`` slots.
+    DEN = (1 - uv)^2 (1 - (uv)^2), over which every N_sigma(3, 1) route
+    divides once, the denominator of ``e_m3``, its t-display, and the
+    pipeline's (1 + u)^g and (1 + v)^g take it.
 
-    Heap route.  Any other divisor, or a line route that leaves a
-    remainder, goes through multivariate long division under the project
+    Heap route.  Any other divisor, or a walk or line route that leaves
+    a remainder, goes through multivariate long division under the project
     monomial order, on the original inputs.  Leading terms come off a
     min-heap keyed by ``(-(a + b), -b)``, so each step takes the
     graded-lex largest term without scanning the rest.  A term whose
@@ -655,6 +670,11 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return ZERO
+
+    if len(den._terms) == 2:
+        walked = _divide_walk(num._terms, den._terms)
+        if walked is not None:
+            return _raw(walked)
 
     da, db = den.min_exponents()
     dterms = {(a - da, b - db): c for (a, b), c in den._terms.items()}
@@ -707,6 +727,35 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         )
     sa, sb = shift
     return _raw({(a + sa, b + sb): c for (a, b), c in quotient.items()})
+
+
+def _divide_walk(terms, dterms):
+    """``terms / dterms`` for a divisor c0*u^a0 v^b0 + c1*u^a1 v^b1 with
+    (a0, b0) < (a1, b1), or None when c0 or c1 is no unit or on a
+    remainder.  The sorted numerator meets each line of the step
+    m = (a1 - a0, b1 - b0) in ascending order; along it the quotient
+    follows q_t = c0*(n_t - c1*q_(t-1)), written out while nonzero up to
+    the line's next term, and a nonzero q_t past its last term is a
+    remainder.  Neither map is mutated."""
+    ((a0, b0), c0), ((a1, b1), c1) = sorted(dterms.items())
+    if c0 not in (1, -1) or c1 not in (1, -1):
+        return None
+    i, j, r = a1 - a0, b1 - b0, -c0 * c1
+    # no term lies past this bound on a coordinate that m moves
+    limit = max(terms)[0] if i else max(b for _, b in terms)
+    quotient: dict[tuple[int, int], int] = {}
+    for (a, b), c in sorted(terms.items()):
+        # q_(t-1) is stored at (a, b) - m - (a0, b0)
+        q = c0 * c + r * quotient.get((a - a1, b - b1), 0)
+        while q:
+            quotient[a - a0, b - b0] = q
+            a, b = a + i, b + j
+            if (a, b) in terms:
+                break
+            if (a if i else b) > limit:
+                return None
+            q *= r
+    return quotient
 
 
 def _divide_lines(terms, dterms, da, db):

@@ -28,7 +28,7 @@ from .laurent import (
 )
 from .series import XSeries, extract, sym_series
 from .stability import TripleType, _ChamberMemo, criticals, locate
-from .flips import _wall_jump, _wall_kernel
+from .flips import _DEN, _wall_jump, _wall_kernel
 from .zoo import (
     HodgeResult,
     _chamber_result,
@@ -81,6 +81,7 @@ def _closed_n31(t: TripleType, n0: int) -> LaurentPoly:
     # kb <= k0, so one series serves both parts
     w = sym_series(g, k0 + 1)
 
+    # both parts are numerators over _DEN
     ca1 = extract(w, [UV**-2], k0)
     ca2 = extract(w, [UV**3], k0)
     part_a = _wall_kernel(g) * (
@@ -92,20 +93,20 @@ def _closed_n31(t: TripleType, n0: int) -> LaurentPoly:
         cb1 = extract(w, [UV**-2, UV**-1], kb)
         cb2 = extract(w, [UV**3, UV**2], kb)
         cb3 = extract(w, [UV**2, UV**-1], kb)
-        prefac = FractionUV(
-            UV ** (g - 1) * jac, (ONE - UV) ** 2 * (ONE + UV)
-        )
-        part_b = prefac * (
+        # the prefactor (uv)^(g-1) e(Jac) / ((1 - uv)^2 (1 + uv)),
+        # brought over _DEN by 1 - uv
+        part_b = UV ** (g - 1) * jac * (ONE - UV) * (
             UV ** (2 * kb + 1) * cb1
             + UV ** (2 * g - 2 - 2 * d1 + 3 * nbar0) * cb2
             - (ONE + UV) * UV ** (g - 1 - d2 + nbar0 // 2) * cb3
         )
     else:
-        part_b = FractionUV(ZERO)
+        part_b = ZERO
 
-    # the denominators are cyclotomic in uv, prime to e(Jac)^2, so the
-    # sum divides on its own and e(Jac)^2 is multiplied in last
-    return _times_jacobian((part_a + part_b).as_polynomial(), g, 2)
+    # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the sum divides
+    # on its own and e(Jac)^2 is multiplied in last
+    whole = FractionUV(part_a + part_b, _DEN).as_polynomial()
+    return _times_jacobian(whole, g, 2)
 
 
 def e_n31_flipsum(
@@ -275,24 +276,25 @@ def poincare_n31(
             - (ONE + _t(2)) * _t(2 * g - 2 - 2 * d2 + nbar0) * cb3
         )
     else:
-        part_b = FractionUV(ZERO)
+        part_b = ZERO
 
-    return (prefactor * (part_a + part_b)).as_polynomial()
+    # the sum is the t-form of a multiple of DEN, so it divides on its
+    # own and the prefactor is multiplied in last
+    return prefactor * divide_exact(part_a + part_b, _DEN_T)
+
+
+# DEN = (1 - uv)^2 (1 - (uv)^2) in t
+_DEN_T = (ONE - _t(2)) ** 2 * (ONE - _t(4))
 
 
 @cache
-def _t_display_factors(g: int) -> tuple[FractionUV, FractionUV, FractionUV]:
-    """The factors of poincare_n31 that depend on g alone: the wall
-    kernel, the prefactor of the even-wall part and the overall
-    prefactor, in t.  Built once per genus; the fractions are shared,
-    so they are never mutated."""
-    kernel = FractionUV(
-        (ONE + _t(3)) ** (2 * g) - _t(2 * g) * (ONE + _t(1)) ** (2 * g),
-        (ONE - _t(2)) ** 2 * (ONE - _t(4)),
-    )
-    prefac = FractionUV(
-        _t(2 * g - 2) * (ONE + _t(1)) ** (2 * g),
-        (ONE - _t(2)) ** 2 * (ONE + _t(2)),
-    )
-    prefactor = FractionUV((ONE + _t(1)) ** (4 * g))
+def _t_display_factors(g: int) -> tuple[LaurentPoly, ...]:
+    """The factors of poincare_n31 that depend on g alone, in t: the
+    numerators over DEN(t) of the wall kernel and of the prefactor of
+    the even-wall part, and the overall prefactor.  Built once per
+    genus; the polynomials are shared and never mutated."""
+    kernel = (ONE + _t(3)) ** (2 * g) - _t(2 * g) * (ONE + _t(1)) ** (2 * g)
+    # over (1 - t^2)^2 (1 + t^2), which times 1 - t^2 is DEN(t)
+    prefac = _t(2 * g - 2) * (ONE + _t(1)) ** (2 * g) * (ONE - _t(2))
+    prefactor = (ONE + _t(1)) ** (4 * g)
     return kernel, prefac, prefactor

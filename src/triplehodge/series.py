@@ -12,18 +12,22 @@ route multiplies series just to read one coefficient.
 
 The module also carries the closed residue forms ``residue_f1`` and
 ``residue_f2``.  They evaluate the x^0-coefficient extractions that
-appear in the final rank-(3,1) formulas as finite sums over the poles.
-No production route calls them: the closed route extracts coefficients
-from series like every other route, and only the verification suite
-and the tests compare the residue forms with ``f1_via_series`` and
-``f2_via_series``.
+appear in the final rank-(3,1) formulas as finite sums over the poles,
+sum_i N(p_i) / prod_(j != i) (p_i - p_j) with N(x) = (x+u)^g (x+v)^g:
+Newton's divided difference N[p_0, ..., p_k], computed by its table with
+exact divisions and never ``extract``.  No production route calls them:
+the closed route extracts coefficients from series like every other
+route, and only the verification suite and the tests compare the
+residue forms with ``f1_via_series`` and ``f2_via_series``.
 """
 from __future__ import annotations
 
 from math import comb
 
 from .errors import DegeneratePoles, OrderTooLow
-from .laurent import ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly
+from .laurent import (
+    ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly, divide_exact
+)
 
 __all__ = [
     "XSeries",
@@ -188,9 +192,18 @@ def _check_distinct(poles):
                 )
 
 
-def _pole_numerator(g: int, a: LaurentPoly) -> LaurentPoly:
-    # (a + u)^g (a + v)^g
-    return (a + U) ** g * (a + V) ** g
+def _divided_difference(g: int, poles) -> LaurentPoly:
+    # N[p_0, ..., p_k] for N(x) = (x + u)^g (x + v)^g; x - y divides
+    # N(x) - N(y), so every entry is a polynomial and every division exact
+    poles = [_as_poly(p) for p in poles]
+    _check_distinct(poles)
+    row = [(p + U) ** g * (p + V) ** g for p in poles]
+    for step in range(1, len(poles)):
+        row = [
+            divide_exact(row[i] - row[i + 1], poles[i] - poles[i + step])
+            for i in range(len(row) - 1)
+        ]
+    return row[0]
 
 
 def residue_f1(g: int, a, b, c) -> FractionUV:
@@ -199,33 +212,22 @@ def residue_f1(g: int, a, b, c) -> FractionUV:
     Equals the sum over the three poles of
     (p+u)^g (p+v)^g / prod(p - other poles), by the residue theorem: the
     integrand has no pole at infinity, so the coefficient at x^(2g-2) is
-    minus the sum of the residues at the finite nonzero poles.
+    minus the sum of the residues at the finite nonzero poles.  That sum
+    is the divided difference N[a, b, c] of N(x) = (x+u)^g (x+v)^g,
+    three exact divisions of a difference of entries by a difference of
+    poles.  Coincident poles raise ``DegeneratePoles`` before any.
     """
-    a, b, c = _as_poly(a), _as_poly(b), _as_poly(c)
-    _check_distinct([a, b, c])
-    total = FractionUV(ZERO)
-    for p, q, r in ((a, b, c), (b, a, c), (c, a, b)):
-        total = total + FractionUV(_pole_numerator(g, p), (p - q) * (p - r))
-    return total
+    return FractionUV(_divided_difference(g, (a, b, c)))
 
 
 def residue_f2(g: int, a, b, c, d) -> FractionUV:
     """Closed form of [x^(2g-3)] (1+ux)^g (1+vx)^g / ((1-ax)(1-bx)(1-cx)(1-dx)).
 
     Four-pole analogue of :func:`residue_f1`; each summand divides by the
-    product of the three differences to the other poles.
+    product of the three differences to the other poles, and the sum is
+    the divided difference N[a, b, c, d], six exact divisions.
     """
-    a, b, c, d = _as_poly(a), _as_poly(b), _as_poly(c), _as_poly(d)
-    _check_distinct([a, b, c, d])
-    total = FractionUV(ZERO)
-    quadruple = (a, b, c, d)
-    for i, p in enumerate(quadruple):
-        others = [q for j, q in enumerate(quadruple) if j != i]
-        den = ONE
-        for q in others:
-            den = den * (p - q)
-        total = total + FractionUV(_pole_numerator(g, p), den)
-    return total
+    return FractionUV(_divided_difference(g, (a, b, c, d)))
 
 
 def f1_via_series(g: int, a, b, c) -> LaurentPoly:

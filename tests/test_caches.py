@@ -70,7 +70,7 @@ def _count_builds() -> dict[str, list]:
     import io
 
     from triplehodge import cli, flips, moduli, series, stability
-    from triplehodge.laurent import FractionUV, LaurentPoly
+    from triplehodge.laurent import LaurentPoly
     from triplehodge.zoo import e_jacobian, e_projective, e_sym
 
     counts = {name: Counter() for name in
@@ -113,13 +113,17 @@ def _count_builds() -> dict[str, list]:
 
     flips.e_sym2_quotient = spy_sym2_quotient
 
-    t_display_nums = []
+    # a build makes new pieces and a memo hit returns the same ones; the
+    # list keeps every returned piece alive, so no id is reused
+    t_display_seen = []
+    t_display = moduli._t_display_factors
 
-    def spy_fraction(num, den=None):
-        t_display_nums.append(num)
-        return FractionUV(num, den)
+    def spy_t_display(g):
+        pieces = t_display(g)
+        t_display_seen.append((g, pieces))
+        return pieces
 
-    moduli.FractionUV = spy_fraction
+    moduli._t_display_factors = spy_t_display
 
     sub, mul = LaurentPoly.__sub__, LaurentPoly.__mul__
     jac_squares = {g: mul(jac, jac) for jac, g in
@@ -159,16 +163,17 @@ def _count_builds() -> dict[str, list]:
         if key is not None:
             counts["sym2"][str(key)] += 1
     t = LaurentPoly.monomial(1, 0)
-    factors = {}
-    for g in genera:
-        factors[(ONE + t**3) ** (2 * g) - t ** (2 * g) * (ONE + t) ** (2 * g)] \
-            = ("kernel", g)
-        factors[t ** (2 * g - 2) * (ONE + t) ** (2 * g)] = ("prefac", g)
-        factors[(ONE + t) ** (4 * g)] = ("prefactor", g)
-    for num in t_display_nums:
-        key = factors.get(num) if isinstance(num, LaurentPoly) else None
-        if key is not None:
-            counts["t_display"][str(key)] += 1
+    kernels = {
+        (ONE + t**3) ** (2 * g) - t ** (2 * g) * (ONE + t) ** (2 * g): g
+        for g in genera
+    }
+    built = set()
+    for g, pieces in t_display_seen:
+        # the first piece is the kernel's numerator of that genus
+        assert kernels[pieces[0]] == g
+        if id(pieces[0]) not in built:
+            built.add(id(pieces[0]))
+            counts["t_display"][str(g)] += 1
     syms = {(g, e_sym(k, g).poly): k for g in genera for k in range(16)}
     for g, right in jac2_sym_right:
         k = syms.get((g, right))

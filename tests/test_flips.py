@@ -23,7 +23,7 @@ from triplehodge import (
     e_sym,
     flip_contribution,
 )
-from triplehodge.laurent import ZERO
+from triplehodge.laurent import ONE, UV, ZERO
 from triplehodge.stability import chamber_bounds
 from triplehodge.verify import GRIDS, run_suite
 
@@ -190,3 +190,11 @@ def test_verify_suites_build_each_wall_once(monkeypatch):
     for suite in ("flips", "crosspath"):
         assert run_suite(suite, "quick").failures == 0
     assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_wall_kernel_anchor(g):
+    # the kernel's numerator over (1 - uv)^2 (1 - (uv)^2), times e(Jac),
+    # is e(M(2, odd)) (1 - uv) (1 - (uv)^2)
+    lhs = flips._wall_kernel(g) * e_jacobian(g).poly
+    assert lhs == e_m2_odd(g).poly * (ONE - UV) * (ONE - UV**2)

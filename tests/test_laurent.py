@@ -540,10 +540,10 @@ _N = 10**6
 
 
 @pytest.mark.parametrize(
-    "num, den, lined",
+    "num, den, route",
     [
         *(
-            (den * (ONE + 2 * U - 3 * V**2 + U**-1 * V) ** 3, den, True)
+            (den * (ONE + 2 * U - 3 * V**2 + U**-1 * V) ** 3, den, "lines")
             for den in (
                 _production_divisors(6)[1],
                 (ONE + U) ** 6,
@@ -554,13 +554,12 @@ _N = 10**6
                 -((ONE - UV) ** 2 * (ONE + UV)),
             )
         ),
-        # the pipeline's e(P^(3g-3)) (1 - uv) at g = 2, under a numerator
-        # dense enough along uv for the sparse rule, as the pipeline's is
-        (_production_divisors(6)[0] * (ONE - UV**4), ONE - UV**4, True),
+        # the pipeline's e(P^(3g-3)) (1 - uv) at g = 2: two terms
+        (_production_divisors(6)[0] * (ONE - UV**4), ONE - UV**4, "walk"),
         # on one ray, but not a product of binomials: a cofactor
         # 1 + 2uv + 3(uv)^2, and e(P^4) = 1 + uv + ... + (uv)^4
         *(
-            (_production_divisors(4)[0] * den, den, False)
+            (_production_divisors(4)[0] * den, den, "heap")
             for den in (
                 (ONE - UV) * (1 + 2 * UV + 3 * UV**2),
                 (ONE + UV) * (1 + 2 * UV + 3 * UV**2),
@@ -571,26 +570,32 @@ _N = 10**6
         (
             _production_divisors(6)[0] * (ONE + U + V) ** 4,
             _production_divisors(6)[0],
-            False,
+            "heap",
         ),
-        # u - v: no constant term after the shift
-        ((U - V) * (ONE + U + V) ** 4, U - V, False),
-        # sparse: lines of length 2N + 1 for a 2-term numerator
-        (ONE - UV ** (2 * _N), ONE - UV**_N, False),
+        # u - v = u (1 - v/u): two unit terms, walked along v/u
+        ((U - V) * (ONE + U + V) ** 4, U - V, "walk"),
+        # sparse: two numerator terms on one line of (uv)^N
+        (ONE - UV ** (2 * _N), ONE - UV**_N, "walk"),
+        # two terms, but 2 is no unit
+        ((2 - 2 * UV) * (ONE + U + V) ** 4, 2 - 2 * UV, "heap"),
     ],
 )
-def test_divide_routing(monkeypatch, num, den, lined):
-    results = []
-    lines = laurent._divide_lines
+def test_divide_routing(monkeypatch, num, den, route):
+    routes = []
+    for name in ("_divide_walk", "_divide_lines"):
+        original = getattr(laurent, name)
 
-    def spy(*args):
-        results.append(lines(*args))
-        return results[-1]
+        def spy(*args, name=name, original=original):
+            result = original(*args)
+            if result is not None:
+                routes.append(name)
+            return result
 
-    monkeypatch.setattr(laurent, "_divide_lines", spy)
+        monkeypatch.setattr(laurent, name, spy)
     quotient = divide_exact(num, den)
     assert (quotient * den).terms == num.terms
-    assert any(r is not None for r in results) == lined
+    assert routes == {"walk": ["_divide_walk"], "lines": ["_divide_lines"],
+                      "heap": []}[route]
 
 
 @st.composite
@@ -652,6 +657,54 @@ def test_line_route_matches_heap_route(q, den, bump):
             divide_exact(num + bump, den)
     assert by_lines.value.remainder == by_heap.value.remainder
     assert str(by_lines.value) == str(by_heap.value)
+
+
+# m = u^k, v^k, (uv)^k with k <= 7, or u^2 v^3
+walk_steps = st.one_of(
+    st.integers(1, 7).flatmap(
+        lambda k: st.sampled_from([(k, 0), (0, k), (k, k)])
+    ),
+    st.just((2, 3)),
+)
+
+
+@st.composite
+def two_term_divisors(draw):
+    """+-u^a v^b (+-1 +- m) for a step m of ``walk_steps``."""
+    a, b = draw(exponents), draw(exponents)
+    i, j = draw(walk_steps)
+    signs = st.sampled_from([1, -1])
+    return LaurentPoly({(a, b): draw(signs), (a + i, b + j): draw(signs)})
+
+
+@given(polys, two_term_divisors())
+@settings(max_examples=100, deadline=None)
+def test_walk_divides_every_multiple(p, den):
+    num = LaurentPoly(oracles.pmul(p.terms, den.terms))
+    assert divide_exact(num, den) == p
+
+
+@given(polys, two_term_divisors(), bumps)
+@settings(max_examples=100, deadline=None)
+def test_walk_leaves_non_multiples_to_the_old_routes(p, den, bump):
+    num = LaurentPoly(oracles.pmul(p.terms, den.terms)) + bump
+    assert laurent._divide_walk(num.terms, den.terms) is None
+    with pytest.raises(NonDivisible) as walked:
+        divide_exact(num, den)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_divide_walk", lambda *args: None)
+        with pytest.raises(NonDivisible) as unwalked:
+            divide_exact(num, den)
+    assert str(walked.value) == str(unwalked.value)
+    assert walked.value.remainder == unwalked.value.remainder
+
+
+def test_walk_skips_the_gap_between_far_terms():
+    # a line of (uv)^N with terms at t = 0 and t = 2 costs three steps
+    assert divide_exact(ONE - UV ** (2 * _N), ONE - UV**_N) == ONE + UV**_N
+    assert divide_exact(ONE + UV ** (3 * _N), ONE + UV**_N) == (
+        ONE - UV**_N + UV ** (2 * _N)
+    )
 
 
 @given(polys)

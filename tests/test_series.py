@@ -1,6 +1,7 @@
 """Tests for truncated x-series and the residue coefficient formulas."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -164,6 +165,28 @@ def test_residues_with_mixed_pole_shapes():
     brute = LaurentPoly(oracles.coeff_extract(g, dicts, 2 * g - 2))
     assert residue_f1(g, *poles) == brute
     assert f1_via_series(g, *poles) == brute
+
+
+# non-monomial poles: their differences reach the heap route of
+# divide_exact inside the divided-difference table
+_POLES = {
+    "1 + u": {(0, 0): 1, (1, 0): 1},
+    "v": {(0, 1): 1},
+    "1 - uv": {(0, 0): 1, (1, 1): -1},
+    "2 + uv": {(0, 0): 2, (1, 1): 1},
+    "u - v^2": {(1, 0): 1, (0, 2): -1},
+    "u^2 v": {(2, 1): 1},
+}
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_residues_match_brute_force_at_non_monomial_poles(g):
+    for count, residue in ((3, residue_f1), (4, residue_f2)):
+        for names in combinations(_POLES, count):
+            dicts = [_POLES[name] for name in names]
+            brute = oracles.coeff_extract(g, dicts, 2 * g + 1 - count)
+            closed = residue(g, *map(LaurentPoly, dicts))
+            assert closed == LaurentPoly(brute), names
 
 
 def test_residue_pole_order_is_immaterial():
