@@ -9,10 +9,11 @@ For odd n both loci are projective bundles over a common base and C_n has
 a short closed form; for even n the loci stratify into six pieces indexed
 by the shape of the destabilizing filtration, and the closed form is
 cross-checked against the stratum-by-stratum sum on every call of
-``c_n_even`` or ``flip_contribution``.  Every ``flip_contribution``
-records its checked jump as a polynomial, and the flip-sum route reads
-jumps through ``_wall_jump`` from that record, so a wall that any route
-has built is reused there and built only when no route has yet.
+``c_n_even`` or ``flip_contribution``, with Sym^2(P x Jac) by a product
+rule.  Every ``flip_contribution`` records its checked jump as a
+polynomial, and the flip-sum route's running sums read jumps through
+``_wall_jump`` from that record, so a wall that any route has built is
+reused there and built only when no route has yet.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import OutOfRange, ParityError, StrataMismatch
+from .errors import NonIntegral, OutOfRange, ParityError, StrataMismatch
 from .laurent import (
     ONE,
     U2V,
     UV,
     UV2,
-    ZERO,
     FractionUV,
     LaurentPoly,
+    _raw,
     _times_binomials,
     divide_exact,
+    halve_exact,
 )
 from .series import extract, sym_series
 from .stability import TripleType, _require_critical
@@ -43,7 +45,6 @@ from .zoo import (
     e_jacobian,
     e_projective,
     e_sym,
-    e_sym2_quotient,
 )
 
 __all__ = [
@@ -157,29 +158,20 @@ def _closed_even(t: TripleType, n: int) -> FractionUV:
     return FractionUV(_times_jacobian(divide_exact(inner, _DEN), g, 2))
 
 
-# the strata's pieces that depend on g alone or on (g, m) alone, built
-# once per key; the cached polynomials are shared and never mutated
-
-
 @cache
-def _jac_square_minus_jac(g: int) -> LaurentPoly:
+def _strata_bases(g: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    # J = e(Jac), J^2 - J and J~ - J with J~ = J(-u^2, -v^2): built once
+    # per genus for the strata, shared and never mutated
     jac = e_jacobian(g).poly
-    return jac * jac - jac
+    return jac, jac * jac - jac, jac.square_negate() - jac
 
 
-@cache
-def _sym2_mixed(g: int, m: int) -> LaurentPoly:
-    # Sym^2(P^{m-1} x Jac) - e(Jac) Sym^2(P^{m-1})
-    jac = e_jacobian(g).poly
-    pp = e_projective(m).poly
-    return e_sym2_quotient(pp * jac).poly - jac * e_sym2_quotient(pp).poly
-
-
-def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:
+def _strata_even(t: TripleType, n: int) -> list[LaurentPoly]:
+    # the numerators of the six strata, in filtration order
     g, d1, d2 = t.g, t.d1, t.d2
     n1 = d1 - d2 - n
     n2 = g - 1 - d1 + (3 * n) // 2
-    jac = e_jacobian(g).poly
+    jac, jac2_jac, tilde_jac = _strata_bases(g)
     sym = e_sym(n1, g).poly
 
     def pp(m: int) -> LaurentPoly:
@@ -190,23 +182,25 @@ def _strata_even(t: TripleType, n: int) -> tuple[FractionUV, ...]:
         return e_affine(m - 1).poly * pp(m)
 
     stable21 = e_triples21_critical_stable(g, d1 - n // 2, d2, n // 2).poly
-    # e(Jac) e(Sym) ends five of the strata: it is formed once, and the
-    # small factors in uv are multiplied together before they meet it
+    # e(Jac) e(Sym) and e(Jac)^2 e(Sym) are formed once, and the small
+    # factors in uv are multiplied together before they meet them
     js = jac * sym
-    x1 = (pp(g - 1 + n1) - pp(g - 1 + n2)) * stable21 * jac
+    jjs = jac * js
+    p1, p2 = pp(n1), pp(n2)
+    x1 = (pp(g - 1 + n1) - pp(g - 1 + n2)) * jac * stable21
     x2 = (pp(2 * n1) - pp(2 * n2)) * e_m2s_even(g).poly * js
-    x3 = (
-        (pp(2 * n1) - pp(n1) - pp(2 * n2) + pp(n2))
-        * pp(g - 1)
-        * _jac_square_minus_jac(g)
-        * js
-    )
-    x4 = (affine_cone(n1) - affine_cone(n2)) * pp(g) * jac * js
-    x5 = (_sym2_mixed(g, n1) - _sym2_mixed(g, n2)) * js
-    x6 = (
-        (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly) * jac * js
-    )
-    return tuple(FractionUV(x) for x in (x1, x2, x3, x4, x5, x6))
+    x3 = (pp(2 * n1) - p1 - pp(2 * n2) + p2) * pp(g - 1) * jac2_jac * js
+    x4 = (affine_cone(n1) - affine_cone(n2)) * pp(g) * jjs
+    # Sym^2(P^{m-1} x Jac) - e(Jac) Sym^2(P^{m-1}), m = N1 minus m = N2:
+    # e(Sym^2 Z) = (e(Z)^2 + e(Z)(-u^2, -v^2)) / 2, and the substitution
+    # is a ring map, so Z = P x Jac is never squared
+    sq, sq_tilde = p1 * p1 - p2 * p2, p1.square_negate() - p2.square_negate()
+    try:
+        x5 = halve_exact(sq * jac2_jac + sq_tilde * tilde_jac) * js
+    except ValueError as exc:
+        raise NonIntegral("Sym^2 stratum has odd coefficients") from exc
+    x6 = (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly) * jjs
+    return [x1, x2, x3, x4, x5, x6]
 
 
 def c_n_even(t: TripleType, n: int) -> FlipContribution:
@@ -221,15 +215,16 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
     _validate_critical(t, n)
     closed = _closed_even(t, n)
     strata = _strata_even(t, n)
-    total = FractionUV(ZERO)
-    for piece in strata:
-        total = total + piece
-    if total != closed:
+    terms = dict(strata[0]._terms)  # the six numerators, in one pass
+    for piece in strata[1:]:
+        for k, c in piece._terms.items():
+            terms[k] = terms.get(k, 0) + c
+    if FractionUV(_raw({k: c for k, c in terms.items() if c})) != closed:
         raise StrataMismatch(
             f"stratum sum disagrees with the closed form at n={n} "
             f"for (3,1,{t.d1},{t.d2}), g={t.g}"
         )
-    return _contribution(t, n, closed, strata)
+    return _contribution(t, n, closed, tuple(map(FractionUV, strata)))
 
 
 def flip_contribution(t: TripleType, n: int) -> FlipContribution:

@@ -128,11 +128,16 @@ def e_n31_flipsum(
     )
 
 
+@_ChamberMemo
 def _flip_sum(t: TripleType, wall: int) -> LaurentPoly:
+    # -C_n summed from the top wall down; the memo keeps each wall's sum
+    sums = _flip_sum.walls
     poly = ZERO
-    for n, _crit in criticals(t):
+    for n, _crit in reversed(criticals(t)):
         if n >= wall:
-            poly = poly - _wall_jump(t, n)
+            if n not in sums:
+                sums[n] = poly - _wall_jump(t, n)
+            poly = sums[n]
     return poly
 
 

@@ -203,12 +203,12 @@ def locate(
 
 
 class _ChamberMemo:
-    """A closed form build(t, wall) memoized for the last queried type.
+    """A closed form or flip sum build(t, wall), memoized per last type.
 
-    The moduli space is constant on a chamber, so a closed form depends
-    on sigma only through the chamber's upper wall.  Queries walk one
-    type at a time, so only that type's chambers are held: a query of
-    another type drops them.
+    The moduli space is constant on a chamber, so both depend on sigma
+    only through the chamber's upper wall.  Queries walk one type at a
+    time, so only that type's chambers are held: a query of another type
+    drops them.  The flip sum fills ``walls`` with each wall it passes.
     """
 
     __slots__ = ("build", "type", "walls")

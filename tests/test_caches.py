@@ -2,12 +2,13 @@
 
 The pieces every chamber and wall of a genus (or every query of a
 triple type) shares are memoized: a type's chamber bounds, the series
-of symmetric powers, the Sym^2 terms and e(Jac)^2 - e(Jac) of the flip
-strata, the t-display factors of ``poincare_n31`` and the product
-e(Jac)^2 e(Sym^k) of the rank-2 wall replay.  These tests check that
-callers still get values of their own, that a truncated series equals a
-fresh build, and that one full-grid verify builds each piece at most
-once per key.
+of symmetric powers, the per-genus bases of the flip strata (the Sym^2
+term's, and e(Jac)^2 - e(Jac)), the t-display factors of
+``poincare_n31``, the product e(Jac)^2 e(Sym^k) of the rank-2 wall
+replay and the running flip sum at each wall of a (3, 1) type.  These
+tests check that callers still get values of their own, that a
+truncated series equals a fresh build, and that one full-grid verify
+builds each piece at most once per key.
 """
 
 import json
@@ -71,11 +72,11 @@ def _count_builds() -> dict[str, list]:
 
     from triplehodge import cli, flips, moduli, series, stability
     from triplehodge.laurent import LaurentPoly
-    from triplehodge.zoo import e_jacobian, e_projective, e_sym
+    from triplehodge.zoo import e_jacobian, e_sym
 
     counts = {name: Counter() for name in
               ("chambers", "sym_series", "sym2", "t_display",
-               "jac_square_minus_jac", "jac2_sym")}
+               "jac_square_minus_jac", "jac2_sym", "flip_sum")}
     genera = range(2, 7)
     jacs = {id(e_jacobian(g).poly): g for g in genera}
 
@@ -104,17 +105,18 @@ def _count_builds() -> dict[str, list]:
         if getattr(module, "sym_series", None) is sym:
             module.sym_series = spy_sym_series
 
-    sym2_args = []
-    sym2_quotient = flips.e_sym2_quotient
-
-    def spy_sym2_quotient(e_m):
-        sym2_args.append(e_m)
-        return sym2_quotient(e_m)
-
-    flips.e_sym2_quotient = spy_sym2_quotient
-
     # a build makes new pieces and a memo hit returns the same ones; the
-    # list keeps every returned piece alive, so no id is reused
+    # lists keep every returned piece alive, so no id is reused
+    bases_seen = []
+    bases = flips._strata_bases
+
+    def spy_bases(g):
+        pieces = bases(g)
+        bases_seen.append((g, pieces))
+        return pieces
+
+    flips._strata_bases = spy_bases
+
     t_display_seen = []
     t_display = moduli._t_display_factors
 
@@ -124,6 +126,15 @@ def _count_builds() -> dict[str, list]:
         return pieces
 
     moduli._t_display_factors = spy_t_display
+
+    # the flip sum reads a wall's jump only to build its sum there
+    wall_jump = moduli._wall_jump
+
+    def spy_wall_jump(t, n):
+        counts["flip_sum"][str((t.n1, t.n2, t.d1, t.d2, t.g, n))] += 1
+        return wall_jump(t, n)
+
+    moduli._wall_jump = spy_wall_jump
 
     sub, mul = LaurentPoly.__sub__, LaurentPoly.__mul__
     jac_squares = {g: mul(jac, jac) for jac, g in
@@ -152,16 +163,15 @@ def _count_builds() -> dict[str, list]:
     assert code == 0
 
     counts["sym_series"].update(str(key) for key in build_of.values())
-    # Sym^2(P^{m-1} x Jac) is built only by the Sym^2 term of key
-    # (g, m); m = 0 is left out, since P^{-1} is empty for every g
-    mixed = {
-        e_projective(m).poly * e_jacobian(g).poly: (g, m)
-        for g in genera for m in range(1, 16)
-    }
-    for e_m in sym2_args:
-        key = mixed.get(e_m)
-        if key is not None:
-            counts["sym2"][str(key)] += 1
+    # the Sym^2 stratum's bases of genus g end with J~ - J, J~ the
+    # Jacobian's polynomial at (-u^2, -v^2), a new polynomial per build
+    seen = set()
+    for g, pieces in bases_seen:
+        jac = e_jacobian(g).poly
+        assert pieces[2] == jac.square_negate() - jac
+        if id(pieces[2]) not in seen:
+            seen.add(id(pieces[2]))
+            counts["sym2"][str(g)] += 1
     t = LaurentPoly.monomial(1, 0)
     kernels = {
         (ONE + t**3) ** (2 * g) - t ** (2 * g) * (ONE + t) ** (2 * g): g
@@ -203,7 +213,7 @@ def builds():
 @pytest.mark.parametrize(
     "piece",
     ["chambers", "sym_series", "sym2", "t_display", "jac_square_minus_jac",
-     "jac2_sym"],
+     "jac2_sym", "flip_sum"],
 )
 def test_full_grid_verify_builds_each_piece_once_per_key(builds, piece):
     assert builds[piece], f"no build of {piece} was seen"

@@ -2,13 +2,17 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from triplehodge import flips, laurent, rank2, verify, zoo
+from triplehodge import flips, laurent, moduli, rank2, verify, zoo
 from triplehodge import (
     FractionUV,
+    NonIntegral,
     NotCritical,
     OutOfRange,
     ParityError,
@@ -18,9 +22,11 @@ from triplehodge import (
     criticals,
     e_jacobian,
     e_m2_odd,
+    e_n31_closed,
     e_n31_flipsum,
     e_projective,
     e_sym,
+    e_sym2_quotient,
     flip_contribution,
 )
 from triplehodge.laurent import ONE, UV, ZERO
@@ -122,6 +128,7 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
     # the flip-sum route must build each of them once, not once per
     # chamber above it
     flips._jumps.clear()
+    moduli._flip_sum.type = None  # drops the sums read from the jumps
     calls = []
     original = flips.flip_contribution
 
@@ -198,3 +205,80 @@ def test_wall_kernel_anchor(g):
     # is e(M(2, odd)) (1 - uv) (1 - (uv)^2)
     lhs = flips._wall_kernel(g) * e_jacobian(g).poly
     assert lhs == e_m2_odd(g).poly * (ONE - UV) * (ONE - UV**2)
+
+
+def test_sym2_stratum_by_product_rule_equals_the_literal_form():
+    # the fifth stratum is Sym^2(P^{m-1} x Jac) - e(Jac) Sym^2(P^{m-1})
+    # at m = N1 minus the same at N2, times e(Jac) e(Sym^{N1}); the
+    # strata take it by the product rule, here it is squared out
+    def literal(m, jac):
+        p = e_projective(m).poly
+        return e_sym2_quotient(p * jac).poly - jac * e_sym2_quotient(p).poly
+
+    walls = 0
+    for g in (2, 3, 4):
+        jac = e_jacobian(g).poly
+        for d1 in range(1, 12):
+            for d2 in (0, 1):
+                t = TripleType(3, 1, d1, d2, g)
+                for n, _sigma in criticals(t):
+                    if n % 2:
+                        continue
+                    n1 = d1 - d2 - n
+                    n2 = g - 1 - d1 + (3 * n) // 2
+                    expected = (literal(n1, jac) - literal(n2, jac)) * (
+                        jac * e_sym(n1, g).poly
+                    )
+                    assert flips._strata_even(t, n)[4] == expected
+                    walls += 1
+    assert walls > 50
+
+
+def test_sym2_stratum_of_a_non_hodge_factor_is_nonintegral(monkeypatch):
+    # the Sym^2 stratum halves a polynomial that is even for Hodge
+    # inputs; fed a factor that is not one, the halving meets an odd
+    # coefficient and raises NonIntegral, which the CLI reports without
+    # a traceback, never a bare ValueError
+    jac, jac2_jac, tilde_jac = flips._strata_bases(2)
+    monkeypatch.setattr(
+        flips, "_strata_bases", lambda g: (jac, jac2_jac, tilde_jac + ONE)
+    )
+    with pytest.raises(NonIntegral):
+        c_n_even(TripleType(3, 1, 5, 0, 2), 4)
+
+
+# a few (3, 1) types with several chambers each
+_SUM_TYPES = [
+    TripleType(3, 1, d1, d2, g)
+    for g, d1, d2 in ((2, 7, 0), (2, 9, 1), (3, 8, 0), (3, 9, 0), (2, 10, 0))
+]
+
+
+@cache
+def _flip_sum_from_scratch(t, wall):
+    # -C_n summed over the walls n >= wall, each jump built afresh
+    total = ZERO
+    for n, _sigma in criticals(t):
+        if n >= wall:
+            total = total - flip_contribution(t, n).cn.as_polynomial()
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_flip_sum_memo_in_any_query_order(data):
+    # the running sums of a type are filled from the top wall down by
+    # whichever chamber is asked first; the chambers of two types asked
+    # in an interleaved order must each still give the whole sum
+    pair = data.draw(
+        st.lists(st.sampled_from(_SUM_TYPES), min_size=2, max_size=2,
+                 unique=True)
+    )
+    queries = [(t, k) for t in pair for k in range(1, len(criticals(t)) + 1)]
+    order = data.draw(st.lists(st.sampled_from(queries), min_size=1,
+                               max_size=2 * len(queries)))
+    for t, k in order:
+        wall = criticals(t)[k - 1][0]
+        got = e_n31_flipsum(t.g, t.d1, t.d2, chamber=k).poly
+        assert got == _flip_sum_from_scratch(t, wall)
+        assert got == e_n31_closed(t.g, t.d1, t.d2, chamber=k).poly
