@@ -32,10 +32,9 @@ fills the product's box in slots that hold max|c| * 2^K plus a sign
 bit, K the total multiplicity, and each factor 1 +- m is one shift-add
 of the packed integer by i*W + j slots.  The closed forms multiply by
 e(Jac) = (1 + u)^g (1 + v)^g, by its square and by their other
-binomial powers this way.  ``FractionUV`` lifts, which are small, and
-the cross-check routes (the strata of an even wall, the rank-2 flip
-loci, the structural odd jump) keep ``*``, so the checks stay
-independent of the kernel.
+binomial powers this way.  The cross-check routes (the strata of an
+even wall, the rank-2 flip loci, the structural odd jump) keep ``*``,
+so the checks stay independent of the kernel.
 
 Exact division (``divide_exact``) picks its route by the shape of the
 divisor; every divisor on a production route is built from binomials
@@ -52,13 +51,12 @@ remainder, and the heap route, run on the original inputs, builds the
 ``NonDivisible`` remainder.
 
 ``FractionUV`` carries intermediate rational expressions such as
-``1/((1-uv)^2 (1-(uv)^2))``.  Every denominator on a production route is
-a product of binomials 1 +- m^k, so it is kept as a multiset of them:
-products add multiplicities, and sums and equality lift both numerators
-to the common multiple, multiplying each only by the factors it lacks.
-Conversion to an honest polynomial is one exact division by the product,
-which fails loudly (``NonDivisible``) instead of rounding.  The
-N_sigma(3, 1) routes instead sum numerators over DEN and divide once.
+``1/((1-uv)^2 (1-(uv)^2))`` as a plain (num, den) pair.  On a production
+route the denominator is 1 or the N_sigma(3, 1) routes' DEN, over which
+they sum numerators and divide once; sums and equality over equal
+denominators touch only the numerators, and otherwise cross-multiply.
+Conversion to an honest polynomial is one exact division, which fails
+loudly (``NonDivisible``) instead of rounding.
 
 Measured timings of these routes are in the README and in the
 ``BENCH_*.json`` files at the root of the repository.
@@ -69,7 +67,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress, count, product, repeat
@@ -558,7 +556,7 @@ def _times_binomials(poly: LaurentPoly, binomials) -> LaurentPoly:
     """``poly`` times prod(1 +- m)^k by shift-adds on one packing.
 
     ``binomials`` maps each 1 +- m, m = u^i v^j != 1 with i, j >= 0, to
-    its multiplicity k, like a ``FractionUV`` factor multiset.
+    its multiplicity k.
     """
     terms = poly._terms
     if not terms:
@@ -766,7 +764,8 @@ def _divide_lines(terms, dterms, da, db):
     1 +- m^k, or the list below would hold more than
     ``len(terms) * len(dterms)`` slots) or the division leaves a
     remainder; the caller then runs the heap route.  Neither map is
-    mutated.
+    mutated.  The unit +-1 is the divisor's constant term: a
+    denominator normalized to a positive lead has constant term -1.
 
     The numerator's lines are laid end to end in one integer list, each
     followed by ``deg D`` slots of padding, so every binomial divides all
@@ -774,14 +773,24 @@ def _divide_lines(terms, dterms, da, db):
     whole list does and the quotient is zero on every line's padding: a
     line's quotient times D then stays inside the line and its padding.
     """
-    if len(dterms) < 2:
+    unit = dterms.get((0, 0))
+    if len(dterms) < 2 or unit not in (1, -1):
         return None
-    split = _ray_binomials(dterms)
-    if split is None:
-        return None
-    i, j, unit, factors = split
+    # D = unit * prod(1 + sign*m^k), m = u^i v^j with (i, j) primitive,
+    # when every term lies on the ray of D's far end and the coefficient
+    # list along it splits into binomials
+    a, b = max(dterms)
+    degree = gcd(a, b)
+    i, j = a // degree, b // degree
     s = i + j
-    degree = sum(k for k, _ in factors)
+    coeffs = [0] * (degree + 1)
+    for (a, b), c in dterms.items():
+        if a * j != b * i:
+            return None
+        coeffs[(a + b) // s] = unit * c
+    factors = _binomial_factors(coeffs)
+    if factors is None:
+        return None
 
     # u^a v^b lies on line a*j - b*i; as (i, j) is primitive, (a + b) // s
     # numbers the points of every line consecutively
@@ -825,34 +834,6 @@ def _divide_lines(terms, dterms, da, db):
         points = zip(count(a - da, i), count(total - a - db, j))
         out.update(compress(zip(points, line), line))
     return out
-
-
-def _ray_binomials(dterms):
-    """Split ``dterms`` as unit * prod(1 + sign*m^k) for one monomial m.
-
-    ``dterms`` has minimum exponents (0, 0).  Returns
-    ``(i, j, unit, [(k, sign), ...])`` with m = u^i v^j, (i, j)
-    primitive, and unit the constant term 1 or -1 (a FractionUV
-    denominator normalized to a positive lead has constant term -1); a
-    lone unit is the empty product, on the ray of u.  None means
-    ``dterms`` is no such product.
-    """
-    unit = dterms.get((0, 0))
-    if unit not in (1, -1):
-        return None
-    if len(dterms) == 1:
-        return 1, 0, unit, []
-    a, b = max(dterms)
-    step = gcd(a, b)
-    i, j = a // step, b // step
-    s = i + j
-    coeffs = [0] * (step + 1)
-    for (a, b), c in dterms.items():
-        if a * j != b * i:
-            return None
-        coeffs[(a + b) // s] = unit * c
-    factors = _binomial_factors(coeffs)
-    return None if factors is None else (i, j, unit, factors)
 
 
 def _binomial_factors(coeffs):
@@ -911,69 +892,44 @@ def halve_exact(p: LaurentPoly) -> LaurentPoly:
     """Divide every coefficient by 2, raising on any odd coefficient.
 
     Used by the averaged (1/2) formulas; the error type is chosen by the
-    caller, so this raises ``ValueError`` and the zoo wraps it.
+    caller, so this raises ``ValueError`` and the rank-2 stable locus and
+    the strata of an even wall wrap it.
     """
-    out = {}
-    for a, b, c in p.sorted_terms():
-        if c % 2 != 0:
-            raise ValueError(f"odd coefficient {c} at {(a, b)}")
-        out[(a, b)] = c // 2
-    return _raw(out)
+    terms = p._terms
+    if any(c & 1 for c in terms.values()):
+        # name the first odd coefficient in canonical order, so the
+        # message does not depend on the order the terms were built in
+        a, b, c = next(t for t in p.sorted_terms() if t[2] & 1)
+        raise ValueError(f"odd coefficient {c} at {(a, b)}")
+    return _raw({k: c >> 1 for k, c in terms.items()})
 
 
 class FractionUV:
-    """Quotient of a Laurent polynomial by a multiset of factors.
+    """Quotient of two Laurent polynomials, kept as the pair it was given.
 
-    The denominator is kept factored.  Its monomial part and a constant
-    term of -1 move into the numerator, since both are units of the
-    Laurent ring; the rest is split into binomials 1 +- m^k when it is
-    +-1 times a product of them on the ray of one monomial m, and is
-    otherwise one opaque factor.  ``den`` is the product of the stored
-    factors.  ``*`` adds multiplicities; ``+`` and ``==`` lift both
-    numerators to the common multiple that takes each factor's larger
-    multiplicity, multiplying each only by the factors it lacks:
+    ``den`` is ONE when omitted.  Over equal denominators ``+`` and
+    ``==`` work on the numerators alone; otherwise they cross-multiply,
+    and ``*`` multiplies both parts:
 
-    >>> a = FractionUV(ONE, (ONE - UV) ** 2 * (ONE - UV**2))
-    >>> b = FractionUV(UV, (ONE - UV) ** 2 * (ONE + UV))
-    >>> print(a + b)
-    (1 + u*v - u^2*v^2) / (1 - 2*u*v + 2*u^3*v^3 - u^4*v^4)
-    >>> (a + b).den == (ONE - UV) ** 2 * (ONE - UV**2)
-    True
+    >>> den = (ONE - UV) ** 2 * (ONE - UV**2)
+    >>> print(FractionUV(ONE, den) + FractionUV(UV, den))
+    (1 + u*v) / (1 - 2*u*v + 2*u^3*v^3 - u^4*v^4)
+    >>> half = FractionUV(ONE, ONE - UV) + FractionUV(ONE, ONE + UV)
+    >>> print(half)
+    (2) / (1 - u^2*v^2)
 
     :meth:`as_polynomial` divides the numerator by ``den`` exactly, and
     :meth:`normalize` collapses the denominator to 1 when that division
     succeeds.  No full multivariate gcd is ever computed.
     """
 
-    __slots__ = ("num", "_factors")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _as_poly(num)
-        factors = Counter()
-        if den is not None:
-            den = _as_poly(den)
-            if den.is_zero():
-                raise ZeroDivisionError("fraction with zero denominator")
-            da, db = den.min_exponents()
-            if da or db:
-                num = num * _raw({(-da, -db): 1})
-            rest = {(a - da, b - db): c for (a, b), c in den._terms.items()}
-            split = _ray_binomials(rest)
-            if split is None:
-                factors[_raw(rest)] = 1
-            else:
-                i, j, unit, binomials = split
-                if unit < 0:
-                    num = -num
-                for k, sign in binomials:
-                    factors[_raw({(0, 0): 1, (i * k, j * k): sign})] += 1
-        self.num = num
-        self._factors = factors
-
-    @property
-    def den(self) -> LaurentPoly:
-        """The product of the stored factors; ONE when there are none."""
-        return _lift(ONE, self._factors)
+        self.num = _as_poly(num)
+        self.den = ONE if den is None else _as_poly(den)
+        if self.den.is_zero():
+            raise ZeroDivisionError("fraction with zero denominator")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -982,24 +938,22 @@ class FractionUV:
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        common = self._factors | other._factors
-        num = _lift(self.num, common - self._factors) + _lift(
-            other.num, common - other._factors
+        if self.den == other.den:
+            return FractionUV(self.num + other.num, self.den)
+        return FractionUV(
+            self.num * other.den + other.num * self.den, self.den * other.den
         )
-        return _fraction(num, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _fraction(-self.num, self._factors)
+        return FractionUV(-self.num, self.den)
 
     def __mul__(self, other):
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
-            return FractionUV(ZERO)
-        return _fraction(self.num * other.num, self._factors + other._factors)
+        return FractionUV(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -1007,11 +961,10 @@ class FractionUV:
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        # lift to the common multiple; never normalizes, never rounds
-        common = self._factors | other._factors
-        return _lift(self.num, common - self._factors) == _lift(
-            other.num, common - other._factors
-        )
+        # never normalizes, never rounds
+        if self.den == other.den:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
 
     def __hash__(self):
         # normalize computes no gcd, so a fraction that does not collapse
@@ -1024,8 +977,8 @@ class FractionUV:
 
     def normalize(self) -> "FractionUV":
         """Polynomial form when ``den`` divides exactly; otherwise the
-        content-reduced quotient over one factor with a positive lead."""
-        if not self._factors:
+        content-reduced pair with a positive lead in ``den``."""
+        if self.den == ONE:
             return self
         try:
             return FractionUV(self.as_polynomial())
@@ -1035,41 +988,24 @@ class FractionUV:
         cg = gcd(num.content(), den.content())
         if den.leading_term()[1] < 0:
             cg = -cg
-        num = _raw({k: c // cg for k, c in num._terms.items()})
-        den = _raw({k: c // cg for k, c in den._terms.items()})
-        return _fraction(num, Counter({den: 1}))
+        return FractionUV(
+            _raw({k: c // cg for k, c in num._terms.items()}),
+            _raw({k: c // cg for k, c in den._terms.items()}),
+        )
 
     def as_polynomial(self) -> LaurentPoly:
         """Collapse to a LaurentPoly, raising ``NonDivisible`` on failure."""
-        if not self._factors:
+        if self.den == ONE:
             return self.num
         return divide_exact(self.num, self.den)
 
     def __str__(self):
-        if not self._factors:
+        if self.den == ONE:
             return self.num.to_text()
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
     def __repr__(self):
         return f"FractionUV({self})"
-
-
-def _fraction(num: LaurentPoly, factors: Counter) -> FractionUV:
-    # trusted constructor: factors already split, never mutated after
-    f = FractionUV.__new__(FractionUV)
-    f.num = num
-    f._factors = factors
-    return f
-
-
-def _lift(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
-    """``poly`` times the product of ``factors`` with multiplicity."""
-    if not factors:
-        return poly
-    scale = ONE
-    for factor, times in factors.items():
-        scale = scale * factor**times
-    return poly * scale
 
 
 def _coerce_fraction(value):

