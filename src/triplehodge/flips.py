@@ -10,17 +10,19 @@ a short closed form; for even n the loci stratify into six pieces indexed
 by the shape of the destabilizing filtration, and the closed form is
 cross-checked against the stratum-by-stratum sum on every call of
 ``c_n_even`` or ``flip_contribution``, with Sym^2(P x Jac) by a product
-rule.  Every ``flip_contribution`` records its checked jump as a
-polynomial, and the flip-sum route's running sums read jumps through
-``_wall_jump`` from that record, so a wall that any route has built is
-reused there and built only when no route has yet.
+rule.  The check multiplies the five strata that end in e(Jac) e(Sym^N1)
+by that factor once, and ``strata`` multiplies them out only when read.
+Every ``flip_contribution`` records its checked jump as a polynomial,
+and the flip-sum route's running sums read jumps through ``_wall_jump``
+from that record, so a wall that any route has built is reused there
+and built only when no route has yet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import NonIntegral, OutOfRange, ParityError, StrataMismatch
 from .laurent import (
@@ -28,9 +30,9 @@ from .laurent import (
     U2V,
     UV,
     UV2,
+    ZERO,
     FractionUV,
     LaurentPoly,
-    _raw,
     _times_binomials,
     divide_exact,
     halve_exact,
@@ -63,15 +65,23 @@ class FlipContribution:
     dimensions controlling the two sides; N2 is integral exactly when n
     is even, so it is stored as an exact rational.  cn is the jump
     e(S^+) - e(S^-) of the Hodge polynomial across the wall.  For even n
-    the six stratum contributions (plus side minus minus side, in
-    filtration order) are recorded as well.
+    ``strata`` holds the six stratum contributions (plus side minus minus
+    side, in filtration order), multiplied out on first read from the
+    factors the check summed; for odd n it is None.  Equality and hash
+    see n, N1, N2 and cn only.
     """
 
     n: int
     N1: int
     N2: Fraction
     cn: FractionUV
-    strata: tuple[FractionUV, ...] | None = None
+    _factors: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def strata(self) -> tuple[FractionUV, ...] | None:
+        if self._factors is None:
+            return None
+        return tuple(map(FractionUV, _multiply_out(self._factors)))
 
 
 # every denominator of the (3, 1) routes divides DEN, so each route sums
@@ -88,8 +98,8 @@ def _wall_kernel(g: int) -> LaurentPoly:
 
 
 # C_n as a polynomial per wall (t, n), recorded by flip_contribution
-# once computed and, for even n, strata-checked; the strata are not
-# kept, so the table holds one polynomial per wall built
+# once computed and, for even n, strata-checked; the strata's factors
+# are not kept, so the table holds one polynomial per wall built
 _jumps: dict[tuple[TripleType, int], LaurentPoly] = {}
 
 
@@ -109,11 +119,11 @@ def _contribution(
     t: TripleType,
     n: int,
     cn: FractionUV,
-    strata: tuple[FractionUV, ...] | None = None,
+    factors: tuple | None = None,
 ) -> FlipContribution:
     n1 = t.d1 - t.d2 - n
     n2 = Fraction(2 * t.g - 2 - 2 * t.d1 + 3 * n, 2)
-    return FlipContribution(n, n1, n2, cn.normalize(), strata)
+    return FlipContribution(n, n1, n2, cn.normalize(), factors)
 
 
 def c_n_odd(t: TripleType, n: int) -> FlipContribution:
@@ -166,13 +176,13 @@ def _strata_bases(g: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     return jac, jac * jac - jac, jac.square_negate() - jac
 
 
-def _strata_even(t: TripleType, n: int) -> list[LaurentPoly]:
-    # the numerators of the six strata, in filtration order
+def _strata_factors(t: TripleType, n: int) -> tuple:
+    # the first stratum x1, and the cofactors y2..y6 of the factor
+    # js = e(Jac) e(Sym^{N1}) that the other five strata end in
     g, d1, d2 = t.g, t.d1, t.d2
     n1 = d1 - d2 - n
     n2 = g - 1 - d1 + (3 * n) // 2
     jac, jac2_jac, tilde_jac = _strata_bases(g)
-    sym = e_sym(n1, g).poly
 
     def pp(m: int) -> LaurentPoly:
         return e_projective(m).poly
@@ -182,49 +192,52 @@ def _strata_even(t: TripleType, n: int) -> list[LaurentPoly]:
         return e_affine(m - 1).poly * pp(m)
 
     stable21 = e_triples21_critical_stable(g, d1 - n // 2, d2, n // 2).poly
-    # e(Jac) e(Sym) and e(Jac)^2 e(Sym) are formed once, and the small
-    # factors in uv are multiplied together before they meet them
-    js = jac * sym
-    jjs = jac * js
     p1, p2 = pp(n1), pp(n2)
     x1 = (pp(g - 1 + n1) - pp(g - 1 + n2)) * jac * stable21
-    x2 = (pp(2 * n1) - pp(2 * n2)) * e_m2s_even(g).poly * js
-    x3 = (pp(2 * n1) - p1 - pp(2 * n2) + p2) * pp(g - 1) * jac2_jac * js
-    x4 = (affine_cone(n1) - affine_cone(n2)) * pp(g) * jjs
+    y2 = (pp(2 * n1) - pp(2 * n2)) * e_m2s_even(g).poly
+    y3 = (pp(2 * n1) - p1 - pp(2 * n2) + p2) * pp(g - 1) * jac2_jac
+    # strata 4 and 6 end in e(Jac)^2 e(Sym): their cofactors take one J
+    y4 = (affine_cone(n1) - affine_cone(n2)) * pp(g) * jac
     # Sym^2(P^{m-1} x Jac) - e(Jac) Sym^2(P^{m-1}), m = N1 minus m = N2:
     # e(Sym^2 Z) = (e(Z)^2 + e(Z)(-u^2, -v^2)) / 2, and the substitution
     # is a ring map, so Z = P x Jac is never squared
     sq, sq_tilde = p1 * p1 - p2 * p2, p1.square_negate() - p2.square_negate()
     try:
-        x5 = halve_exact(sq * jac2_jac + sq_tilde * tilde_jac) * js
+        y5 = halve_exact(sq * jac2_jac + sq_tilde * tilde_jac)
     except ValueError as exc:
         raise NonIntegral("Sym^2 stratum has odd coefficients") from exc
-    x6 = (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly) * jjs
-    return [x1, x2, x3, x4, x5, x6]
+    y6 = (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly) * jac
+    return x1, [y2, y3, y4, y5, y6], jac * e_sym(n1, g).poly
+
+
+def _multiply_out(factors: tuple) -> list[LaurentPoly]:
+    x1, ys, js = factors
+    return [x1] + [y * js for y in ys]
+
+
+def _strata_even(t: TripleType, n: int) -> list[LaurentPoly]:
+    # the numerators of the six strata, in filtration order
+    return _multiply_out(_strata_factors(t, n))
 
 
 def c_n_even(t: TripleType, n: int) -> FlipContribution:
     """Wall-crossing data C_n at an even critical index n.
 
-    Returns the closed-form jump together with the six stratum
-    contributions; the two are compared exactly on every call and a
-    disagreement raises StrataMismatch.
+    The closed-form jump is compared exactly with the six strata's sum,
+    x1 + (y2 + ... + y6) js, on every call, and a disagreement raises
+    StrataMismatch; ``strata`` multiplies them out only when read.
     """
     if n % 2 != 0:
         raise ParityError(f"n={n} is odd; use the odd-index form")
     _validate_critical(t, n)
     closed = _closed_even(t, n)
-    strata = _strata_even(t, n)
-    terms = dict(strata[0]._terms)  # the six numerators, in one pass
-    for piece in strata[1:]:
-        for k, c in piece._terms.items():
-            terms[k] = terms.get(k, 0) + c
-    if FractionUV(_raw({k: c for k, c in terms.items() if c})) != closed:
+    x1, ys, js = factors = _strata_factors(t, n)
+    if FractionUV(x1 + sum(ys, ZERO) * js) != closed:
         raise StrataMismatch(
             f"stratum sum disagrees with the closed form at n={n} "
             f"for (3,1,{t.d1},{t.d2}), g={t.g}"
         )
-    return _contribution(t, n, closed, tuple(map(FractionUV, strata)))
+    return _contribution(t, n, closed, factors)
 
 
 def flip_contribution(t: TripleType, n: int) -> FlipContribution:

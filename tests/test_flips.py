@@ -16,17 +16,22 @@ from triplehodge import (
     NotCritical,
     OutOfRange,
     ParityError,
+    StrataMismatch,
     TripleType,
     c_n_even,
     c_n_odd,
     criticals,
+    e_affine,
+    e_grassmannian,
     e_jacobian,
     e_m2_odd,
+    e_m2s_even,
     e_n31_closed,
     e_n31_flipsum,
     e_projective,
     e_sym,
     e_sym2_quotient,
+    e_triples21_critical_stable,
     flip_contribution,
 )
 from triplehodge.laurent import ONE, UV, ZERO
@@ -282,3 +287,116 @@ def test_flip_sum_memo_in_any_query_order(data):
         got = e_n31_flipsum(t.g, t.d1, t.d2, chamber=k).poly
         assert got == _flip_sum_from_scratch(t, wall)
         assert got == e_n31_closed(t.g, t.d1, t.d2, chamber=k).poly
+
+
+def _fresh_walls():
+    # forget every checked jump and the running sums read from them
+    flips._jumps.clear()
+    moduli._flip_sum.type = None
+    moduli._closed_n31.type = None
+
+
+def test_a_wrong_stratum_raises_strata_mismatch(monkeypatch):
+    # shift Gr(2, m) by m*uv, so the sixth stratum moves by (N1 - N2) uv
+    # times e(Jac)^2 e(Sym^{N1}) and the sum leaves the closed form
+    grass = flips.e_grassmannian
+
+    def shifted(k, m):
+        return zoo.HodgeResult(grass(k, m).poly + m * UV, 0)
+
+    _fresh_walls()
+    monkeypatch.setattr(flips, "e_grassmannian", shifted)
+    try:
+        t = TripleType(3, 1, 5, 0, 2)  # n = 4: N1 = 1, N2 = 2
+        with pytest.raises(StrataMismatch):
+            c_n_even(t, 4)
+        # the flip-sum route builds its jumps with the same check
+        with pytest.raises(StrataMismatch):
+            e_n31_flipsum(3, 9, 0, chamber=1)
+    finally:
+        monkeypatch.undo()
+        _fresh_walls()
+    assert flips.e_grassmannian is grass
+
+
+def _count_multiply_outs(monkeypatch) -> list:
+    built = []
+    original = flips._multiply_out
+
+    def counted(factors):
+        built.append(factors)
+        return original(factors)
+
+    monkeypatch.setattr(flips, "_multiply_out", counted)
+    return built
+
+
+def test_production_routes_multiply_out_no_strata(monkeypatch):
+    # the flip sums and the flips suite read C_n only; the six strata
+    # stay factored, checked through one product by e(Jac) e(Sym^{N1})
+    built = _count_multiply_outs(monkeypatch)
+    _fresh_walls()
+    t = TripleType(3, 1, 9, 0, 3)
+    even = [n for n, _sigma in criticals(t) if n % 2 == 0]
+    assert even
+    for index in range(1, len(chamber_bounds(t)) + 1):
+        e_n31_flipsum(3, 9, 0, chamber=index)
+    assert all((t, n) in flips._jumps for n in even)
+    _fresh_walls()
+    assert run_suite("flips", "quick").failures == 0
+    assert built == []
+
+
+def test_strata_are_multiplied_out_once_on_first_read(monkeypatch):
+    built = _count_multiply_outs(monkeypatch)
+    t = TripleType(3, 1, 7, 0, 2)
+    flip = c_n_even(t, 6)
+    assert built == []
+    first = flip.strata
+    assert len(built) == 1
+    assert flip.strata is first and flip.strata == first
+    assert len(built) == 1
+    assert [piece.num for piece in first] == flips._strata_even(t, 6)
+    assert c_n_even(t, 6) == flip_contribution(t, 6) == flip
+    assert "_factors" not in repr(flip)
+
+
+def test_each_stratum_equals_its_literal_form():
+    # the six strata written out as plain products of public values, so
+    # no regrouping of the factors can move weight from one to another
+    def pp(m):
+        return e_projective(m).poly
+
+    def cone(m):
+        return e_affine(m - 1).poly * pp(m)
+
+    def sym2(m, jac):
+        p = pp(m)
+        return e_sym2_quotient(p * jac).poly - jac * e_sym2_quotient(p).poly
+
+    walls = 0
+    for g, d1, d2 in ((2, 5, 0), (2, 8, 0), (3, 8, 0), (3, 11, 1)):
+        t = TripleType(3, 1, d1, d2, g)
+        jac = e_jacobian(g).poly
+        for n, _sigma in criticals(t):
+            if n % 2:
+                continue
+            n1 = d1 - d2 - n
+            n2 = g - 1 - d1 + (3 * n) // 2
+            sym = e_sym(n1, g).poly
+            stable = e_triples21_critical_stable(g, d1 - n // 2, d2, n // 2)
+            literal = [
+                (pp(g - 1 + n1) - pp(g - 1 + n2)) * jac * stable.poly,
+                (pp(2 * n1) - pp(2 * n2)) * e_m2s_even(g).poly * jac * sym,
+                (pp(2 * n1) - pp(n1) - pp(2 * n2) + pp(n2)) * pp(g - 1)
+                * (jac * jac - jac) * jac * sym,
+                (cone(n1) - cone(n2)) * pp(g) * jac * jac * sym,
+                (sym2(n1, jac) - sym2(n2, jac)) * jac * sym,
+                (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly)
+                * jac * jac * sym,
+            ]
+            strata = c_n_even(t, n).strata
+            assert [piece.num for piece in strata] == literal, (g, d1, d2, n)
+            assert all(piece.den == ONE for piece in strata)
+            walls += 1
+    assert walls == 7
