@@ -65,10 +65,10 @@ class FlipContribution:
     dimensions controlling the two sides; N2 is integral exactly when n
     is even, so it is stored as an exact rational.  cn is the jump
     e(S^+) - e(S^-) of the Hodge polynomial across the wall.  For even n
-    ``strata`` holds the six stratum contributions (plus side minus minus
-    side, in filtration order), multiplied out on first read from the
-    factors the check summed; for odd n it is None.  Equality and hash
-    see n, N1, N2 and cn only.
+    ``strata`` holds the six stratum contributions as polynomials (plus
+    side minus minus side, in filtration order), multiplied out on first
+    read from the factors the check summed; for odd n it is None.
+    Equality and hash see n, N1, N2 and cn only.
     """
 
     n: int
@@ -78,10 +78,10 @@ class FlipContribution:
     _factors: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def strata(self) -> tuple[FractionUV, ...] | None:
+    def strata(self) -> tuple[LaurentPoly, ...] | None:
         if self._factors is None:
             return None
-        return tuple(map(FractionUV, _multiply_out(self._factors)))
+        return tuple(_multiply_out(self._factors))
 
 
 # every denominator of the (3, 1) routes divides DEN, so each route sums
@@ -213,11 +213,6 @@ def _strata_factors(t: TripleType, n: int) -> tuple:
 def _multiply_out(factors: tuple) -> list[LaurentPoly]:
     x1, ys, js = factors
     return [x1] + [y * js for y in ys]
-
-
-def _strata_even(t: TripleType, n: int) -> list[LaurentPoly]:
-    # the numerators of the six strata, in filtration order
-    return _multiply_out(_strata_factors(t, n))
 
 
 def c_n_even(t: TripleType, n: int) -> FlipContribution:

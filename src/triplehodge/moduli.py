@@ -27,11 +27,11 @@ from .laurent import (
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
-from .stability import TripleType, _ChamberMemo, criticals, locate
+from .stability import TripleType, criticals, locate
 from .flips import _DEN, _wall_jump, _wall_kernel
 from .zoo import (
     HodgeResult,
-    _chamber_result,
+    _ChamberMemo,
     _times_jacobian,
     e_jacobian,
     e_projective,
@@ -65,9 +65,7 @@ def e_n31_closed(
     cuts the sums, the upper wall of its chamber, so each chamber of
     the last queried type is computed once.
     """
-    return _chamber_result(
-        TripleType(3, 1, d1, d2, g), sigma, chamber, _closed_n31
-    )
+    return _closed_n31.result(TripleType(3, 1, d1, d2, g), sigma, chamber)
 
 
 @_ChamberMemo
@@ -123,9 +121,7 @@ def e_n31_flipsum(
     each wall adds -C_n; the result must agree with e_n31_closed
     exactly, which the verification suite checks chamber by chamber.
     """
-    return _chamber_result(
-        TripleType(3, 1, d1, d2, g), sigma, chamber, _flip_sum
-    )
+    return _flip_sum.result(TripleType(3, 1, d1, d2, g), sigma, chamber)
 
 
 @_ChamberMemo

@@ -24,13 +24,8 @@ from .laurent import (
     halve_exact,
 )
 from .series import extract, sym_series
-from .stability import (
-    TripleType,
-    _ChamberMemo,
-    _require_critical,
-    chi_triples,
-)
-from .zoo import HodgeResult, _chamber_result, _times_jacobian
+from .stability import TripleType, _require_critical, chi_triples
+from .zoo import HodgeResult, _ChamberMemo, _times_jacobian
 
 __all__ = [
     "e_m2_odd",
@@ -107,9 +102,7 @@ def e_triples21(
     cuts the sum, the upper wall of its chamber, so each chamber of the
     last queried type is computed once.
     """
-    return _chamber_result(
-        TripleType(2, 1, d1, d2, g), sigma, chamber, _closed_21
-    )
+    return _closed_21.result(TripleType(2, 1, d1, d2, g), sigma, chamber)
 
 
 @_ChamberMemo

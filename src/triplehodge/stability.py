@@ -202,31 +202,6 @@ def locate(
     return None
 
 
-class _ChamberMemo:
-    """A closed form or flip sum build(t, wall), memoized per last type.
-
-    The moduli space is constant on a chamber, so both depend on sigma
-    only through the chamber's upper wall.  Queries walk one type at a
-    time, so only that type's chambers are held: a query of another type
-    drops them.  The flip sum fills ``walls`` with each wall it passes.
-    """
-
-    __slots__ = ("build", "type", "walls")
-
-    def __init__(self, build) -> None:
-        self.build = build
-        self.type: TripleType | None = None
-        self.walls: dict = {}
-
-    def __call__(self, t: TripleType, wall: int):
-        if t != self.type:
-            self.type, self.walls = t, {}
-        value = self.walls.get(wall)
-        if value is None:
-            value = self.walls[wall] = self.build(t, wall)
-        return value
-
-
 def chi_triples(tq: TripleType, ts: TripleType) -> int:
     """Euler characteristic chi(T'', T') of the hom-complex of two triples.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from random import Random
 from typing import Callable
 
@@ -57,7 +57,6 @@ Case = tuple[str, Callable[[], tuple[str, str]]]
 
 @dataclass(frozen=True)
 class Grid:
-    name: str
     gs: tuple[int, ...]
     d1s: tuple[int, ...]
     d2s: tuple[int, ...]
@@ -65,8 +64,8 @@ class Grid:
 
 
 GRIDS = {
-    "quick": Grid("quick", (2,), (4, 5, 6, 7), (0,), (2,)),
-    "full": Grid("full", (2, 3), (4, 5, 6, 7, 8, 9), (0, 1), (2, 3, 4)),
+    "quick": Grid((2,), (4, 5, 6, 7), (0,), (2,)),
+    "full": Grid((2, 3), (4, 5, 6, 7, 8, 9), (0, 1), (2, 3, 4)),
 }
 
 
@@ -331,56 +330,50 @@ def _suite_rank2(grid: Grid) -> list[Case]:
             cases.append(
                 (
                     f"rank2/chambers-g{g}-d{d1}-{d2}",
-                    _rank2_chambers_case(g, d1, d2),
+                    partial(_rank2_chambers, g, d1, d2),
                 )
             )
             cases.append(
                 (
                     f"rank2/wall-replay-g{g}-d{d1}-{d2}",
-                    _rank2_wall_case(g, d1, d2),
+                    partial(_rank2_wall, g, d1, d2),
                 )
             )
     return cases
 
 
-def _rank2_chambers_case(g: int, d1: int, d2: int):
-    def run():
-        dim = 3 * g - 2 + d1 - 2 * d2
-        bounds = chamber_bounds(TripleType(2, 1, d1, d2, g))
-        for index in range(1, len(bounds) + 1):
-            h = e_triples21(g, d1, d2, chamber=index)
-            if h.empty:
-                continue
-            bad = smooth_projective_failures(h.poly, dim)
-            if bad:
-                return ("fail", f"chamber {index}: {bad[0]}")
-        return _ok(f"{len(bounds)} chambers checked")
-
-    return run
+def _rank2_chambers(g: int, d1: int, d2: int) -> tuple[str, str]:
+    dim = 3 * g - 2 + d1 - 2 * d2
+    bounds = chamber_bounds(TripleType(2, 1, d1, d2, g))
+    for index in range(1, len(bounds) + 1):
+        h = e_triples21(g, d1, d2, chamber=index)
+        if h.empty:
+            continue
+        bad = smooth_projective_failures(h.poly, dim)
+        if bad:
+            return ("fail", f"chamber {index}: {bad[0]}")
+    return _ok(f"{len(bounds)} chambers checked")
 
 
-def _rank2_wall_case(g: int, d1: int, d2: int):
-    def run():
-        t = TripleType(2, 1, d1, d2, g)
-        bounds = chamber_bounds(t)
-        crits = criticals(t)
-        for i, (d_m, _sigma) in enumerate(crits):
-            below = e_triples21(g, d1, d2, chamber=i + 1).poly
-            stable = e_triples21_critical_stable(g, d1, d2, d_m).poly
-            s_minus = _s_minus_21(g, d1, d2, d_m)
-            if below - s_minus != stable:
-                return ("fail", f"d_m={d_m}: below - S^- != stable locus")
-            s_plus = _s_plus_21(g, d1, d2, d_m)
-            above = (
-                e_triples21(g, d1, d2, chamber=i + 2).poly
-                if i + 2 <= len(bounds)
-                else ZERO
-            )
-            if below - above != s_minus - s_plus:
-                return ("fail", f"d_m={d_m}: chamber jump != S^- - S^+")
-        return _ok(f"{len(crits)} walls replayed")
-
-    return run
+def _rank2_wall(g: int, d1: int, d2: int) -> tuple[str, str]:
+    t = TripleType(2, 1, d1, d2, g)
+    bounds = chamber_bounds(t)
+    crits = criticals(t)
+    for i, (d_m, _sigma) in enumerate(crits):
+        below = e_triples21(g, d1, d2, chamber=i + 1).poly
+        stable = e_triples21_critical_stable(g, d1, d2, d_m).poly
+        s_minus = _s_minus_21(g, d1, d2, d_m)
+        if below - s_minus != stable:
+            return ("fail", f"d_m={d_m}: below - S^- != stable locus")
+        s_plus = _s_plus_21(g, d1, d2, d_m)
+        above = (
+            e_triples21(g, d1, d2, chamber=i + 2).poly
+            if i + 2 <= len(bounds)
+            else ZERO
+        )
+        if below - above != s_minus - s_plus:
+            return ("fail", f"d_m={d_m}: chamber jump != S^- - S^+")
+    return _ok(f"{len(crits)} walls replayed")
 
 
 # -- flips ------------------------------------------------------------
@@ -393,8 +386,8 @@ def _suite_flips(grid: Grid) -> list[Case]:
     ]
     for t in _triple_types(grid):
         label = f"g{t.g}-d{t.d1}-{t.d2}"
-        cases.append((f"flips/chi-pairs-{label}", _flips_chi_case(t)))
-        cases.append((f"flips/jumps-{label}", _flips_jump_case(t)))
+        cases.append((f"flips/chi-pairs-{label}", partial(_flips_chi, t)))
+        cases.append((f"flips/jumps-{label}", partial(_flips_jumps, t)))
     return cases
 
 
@@ -429,63 +422,57 @@ def _flips_errors():
     return _ok("parity and criticality errors raised")
 
 
-def _flips_chi_case(t: TripleType):
-    def run():
-        g, d1, d2 = t.g, t.d1, t.d2
-        for n, _sigma in criticals(t):
-            n1 = d1 - d2 - n
-            two_n2 = 2 * g - 2 - 2 * d1 + 3 * n
-            rank11 = TripleType(1, 1, d1 - n, d2, g)
-            bundle2 = TripleType(2, 0, n, 0, g)
-            if -chi_triples(rank11, bundle2) != 2 * n1:
-                return ("fail", f"n={n}: -chi != 2N1")
-            if -chi_triples(bundle2, rank11) != two_n2:
-                return ("fail", f"n={n}: -chi != 2N2")
-            if n % 2 == 0:
-                n2 = two_n2 // 2
-                pair21 = TripleType(2, 1, d1 - n // 2, d2, g)
-                line = TripleType(1, 0, n // 2, 0, g)
-                checks = [
-                    (-chi_triples(pair21, line), g - 1 + n1, "g-1+N1"),
-                    (-chi_triples(line, pair21), g - 1 + n2, "g-1+N2"),
-                    (-chi_triples(rank11, line), n1, "N1"),
-                    (-chi_triples(line, rank11), n2, "N2"),
-                    (-chi_triples(line, line), g - 1, "g-1"),
-                ]
-                for got, want, name in checks:
-                    if got != want:
-                        return ("fail", f"n={n}: -chi != {name}")
-        return _ok(f"{len(criticals(t))} criticals checked")
-
-    return run
+def _flips_chi(t: TripleType) -> tuple[str, str]:
+    g, d1, d2 = t.g, t.d1, t.d2
+    for n, _sigma in criticals(t):
+        n1 = d1 - d2 - n
+        two_n2 = 2 * g - 2 - 2 * d1 + 3 * n
+        rank11 = TripleType(1, 1, d1 - n, d2, g)
+        bundle2 = TripleType(2, 0, n, 0, g)
+        if -chi_triples(rank11, bundle2) != 2 * n1:
+            return ("fail", f"n={n}: -chi != 2N1")
+        if -chi_triples(bundle2, rank11) != two_n2:
+            return ("fail", f"n={n}: -chi != 2N2")
+        if n % 2 == 0:
+            n2 = two_n2 // 2
+            pair21 = TripleType(2, 1, d1 - n // 2, d2, g)
+            line = TripleType(1, 0, n // 2, 0, g)
+            checks = [
+                (-chi_triples(pair21, line), g - 1 + n1, "g-1+N1"),
+                (-chi_triples(line, pair21), g - 1 + n2, "g-1+N2"),
+                (-chi_triples(rank11, line), n1, "N1"),
+                (-chi_triples(line, rank11), n2, "N2"),
+                (-chi_triples(line, line), g - 1, "g-1"),
+            ]
+            for got, want, name in checks:
+                if got != want:
+                    return ("fail", f"n={n}: -chi != {name}")
+    return _ok(f"{len(criticals(t))} criticals checked")
 
 
-def _flips_jump_case(t: TripleType):
-    def run():
-        g, d1, d2 = t.g, t.d1, t.d2
-        jac = e_jacobian(g).poly
-        for n, _sigma in criticals(t):
-            flip = flip_contribution(t, n)
-            if 2 * flip.N2 != 2 * g - 2 - 2 * d1 + 3 * n:
-                return ("fail", f"n={n}: N2 wrong")
-            if n % 2 == 0 and flip.N2.denominator != 1:
-                return ("fail", f"n={n}: N2 not integral for even n")
-            if n % 2 == 1:
-                n1 = flip.N1
-                bracket = (
-                    e_projective(2 * n1).poly
-                    - e_projective(2 * g - 2 - 2 * d1 + 3 * n).poly
-                )
-                structural = FractionUV(
-                    jac * e_sym(n1, g).poly * bracket * e_m2_odd(g).poly
-                )
-                if flip.cn != structural:
-                    return ("fail", f"n={n}: odd jump != structural form")
-            if flip.N1 == flip.N2 and not flip.cn.is_zero():
-                return ("fail", f"n={n}: N1 == N2 but jump nonzero")
-        return _ok(f"{len(criticals(t))} jumps checked")
-
-    return run
+def _flips_jumps(t: TripleType) -> tuple[str, str]:
+    g, d1, d2 = t.g, t.d1, t.d2
+    jac = e_jacobian(g).poly
+    for n, _sigma in criticals(t):
+        flip = flip_contribution(t, n)
+        if 2 * flip.N2 != 2 * g - 2 - 2 * d1 + 3 * n:
+            return ("fail", f"n={n}: N2 wrong")
+        if n % 2 == 0 and flip.N2.denominator != 1:
+            return ("fail", f"n={n}: N2 not integral for even n")
+        if n % 2 == 1:
+            n1 = flip.N1
+            bracket = (
+                e_projective(2 * n1).poly
+                - e_projective(2 * g - 2 - 2 * d1 + 3 * n).poly
+            )
+            structural = FractionUV(
+                jac * e_sym(n1, g).poly * bracket * e_m2_odd(g).poly
+            )
+            if flip.cn != structural:
+                return ("fail", f"n={n}: odd jump != structural form")
+        if flip.N1 == flip.N2 and not flip.cn.is_zero():
+            return ("fail", f"n={n}: N1 == N2 but jump nonzero")
+    return _ok(f"{len(criticals(t))} jumps checked")
 
 
 # -- crosspath --------------------------------------------------------
@@ -500,51 +487,47 @@ def _suite_crosspath(grid: Grid) -> list[Case]:
             cases.append(
                 (
                     f"crosspath/{label}-ch{index}",
-                    _crosspath_case(t, index),
+                    partial(_crosspath_chamber, t, index),
                 )
             )
-        cases.append((f"crosspath/{label}-edges", _crosspath_edges(t)))
+        cases.append(
+            (f"crosspath/{label}-edges", partial(_crosspath_edges, t))
+        )
     return cases
 
 
-def _crosspath_case(t: TripleType, index: int):
-    def run():
-        g, d1, d2 = t.g, t.d1, t.d2
-        lo, hi = chamber_bounds(t)[index - 1]
-        closed = e_n31_closed(g, d1, d2, chamber=index)
-        summed = e_n31_flipsum(g, d1, d2, chamber=index)
-        if closed.poly != summed.poly:
-            return ("fail", "closed form != flip sum")
-        second = lo + (hi - lo) / 3
-        again = e_n31_closed(g, d1, d2, second)
-        if again.poly != closed.poly:
-            return ("fail", "not constant within the chamber")
-        if not closed.empty:
-            bad = smooth_projective_failures(closed.poly, closed.dim)
-            if bad:
-                return ("fail", bad[0])
-        if poincare_n31(g, d1, d2, chamber=index) != poincare(closed):
-            return ("fail", "t-display != diagonal")
-        return _ok("")
-
-    return run
+def _crosspath_chamber(t: TripleType, index: int) -> tuple[str, str]:
+    g, d1, d2 = t.g, t.d1, t.d2
+    lo, hi = chamber_bounds(t)[index - 1]
+    closed = e_n31_closed(g, d1, d2, chamber=index)
+    summed = e_n31_flipsum(g, d1, d2, chamber=index)
+    if closed.poly != summed.poly:
+        return ("fail", "closed form != flip sum")
+    second = lo + (hi - lo) / 3
+    again = e_n31_closed(g, d1, d2, second)
+    if again.poly != closed.poly:
+        return ("fail", "not constant within the chamber")
+    if not closed.empty:
+        bad = smooth_projective_failures(closed.poly, closed.dim)
+        if bad:
+            return ("fail", bad[0])
+    if poincare_n31(g, d1, d2, chamber=index) != poincare(closed):
+        return ("fail", "t-display != diagonal")
+    return _ok("")
 
 
-def _crosspath_edges(t: TripleType):
-    def run():
-        g, d1, d2 = t.g, t.d1, t.d2
-        crits = criticals(t)
-        top_n, top_sigma = crits[-1]
-        above = e_n31_closed(g, d1, d2, Fraction(top_sigma) + 1)
-        if not above.empty:
-            return ("fail", "nonempty above sigma_M")
-        top = e_n31_closed(g, d1, d2, chamber=len(crits))
-        single = -_wall_jump(t, top_n)
-        if top.poly != single:
-            return ("fail", "top chamber != -C_top")
-        return _ok("")
-
-    return run
+def _crosspath_edges(t: TripleType) -> tuple[str, str]:
+    g, d1, d2 = t.g, t.d1, t.d2
+    crits = criticals(t)
+    top_n, top_sigma = crits[-1]
+    above = e_n31_closed(g, d1, d2, Fraction(top_sigma) + 1)
+    if not above.empty:
+        return ("fail", "nonempty above sigma_M")
+    top = e_n31_closed(g, d1, d2, chamber=len(crits))
+    single = -_wall_jump(t, top_n)
+    if top.poly != single:
+        return ("fail", "top chamber != -C_top")
+    return _ok("")
 
 
 # -- m3 ---------------------------------------------------------------
@@ -553,35 +536,29 @@ def _crosspath_edges(t: TripleType):
 def _suite_m3(grid: Grid) -> list[Case]:
     cases: list[Case] = []
     for g in grid.m3_gs:
-        cases.append((f"m3/pipeline-g{g}", _m3_case(g)))
-        cases.append((f"m3/b0-g{g}", _m3_soft_case(g)))
+        cases.append((f"m3/pipeline-g{g}", partial(_m3_pipeline, g)))
+        cases.append((f"m3/b0-g{g}", partial(_m3_b0, g)))
     return cases
 
 
-def _m3_case(g: int):
-    def run():
-        closed = e_m3(g)
-        pipeline = e_m3_via_pipeline(g)
-        if closed.poly != pipeline.poly:
-            return ("fail", "closed form != pipeline quotient")
-        bad = smooth_projective_failures(closed.poly, closed.dim)
-        if bad:
-            return ("fail", bad[0])
-        if poincare(closed) != poincare_m3(g):
-            return ("fail", "Poincare display != diagonal")
-        return _ok(f"dim {closed.dim}, degree {closed.poly.total_degree()}")
-
-    return run
+def _m3_pipeline(g: int) -> tuple[str, str]:
+    closed = e_m3(g)
+    pipeline = e_m3_via_pipeline(g)
+    if closed.poly != pipeline.poly:
+        return ("fail", "closed form != pipeline quotient")
+    bad = smooth_projective_failures(closed.poly, closed.dim)
+    if bad:
+        return ("fail", bad[0])
+    if poincare(closed) != poincare_m3(g):
+        return ("fail", "Poincare display != diagonal")
+    return _ok(f"dim {closed.dim}, degree {closed.poly.total_degree()}")
 
 
-def _m3_soft_case(g: int):
-    def run():
-        b0 = e_m3(g).poly.coefficient(0, 0)
-        if b0 != 1:
-            return ("warn", f"b0 = {b0}, expected 1")
-        return _ok("")
-
-    return run
+def _m3_b0(g: int) -> tuple[str, str]:
+    b0 = e_m3(g).poly.coefficient(0, 0)
+    if b0 != 1:
+        return ("warn", f"b0 = {b0}, expected 1")
+    return _ok("")
 
 
 # -- runner -----------------------------------------------------------

@@ -3,7 +3,8 @@
 Every public function returns a :class:`HodgeResult` whose polynomial is the
 Hodge polynomial e(Z)(u, v) of the named variety: the coefficient of u^p v^q
 is (-1)^{p+q} h^{p,q} with the sign conventions that make all coefficients
-nonnegative for the smooth projective cases handled here.
+nonnegative for the smooth projective cases handled here.  The triple
+spaces' routes turn a query at sigma into a result through a chamber memo.
 """
 
 from __future__ import annotations
@@ -66,27 +67,40 @@ class HodgeResult:
         return self.poly.is_zero()
 
 
-def _chamber_result(
-    t: TripleType,
-    sigma,
-    chamber: int | None,
-    build: Callable[[TripleType, int], LaurentPoly],
-) -> HodgeResult:
-    """The triple space of type t at sigma (or at a chamber's midpoint).
+class _ChamberMemo:
+    """A triple space's Hodge polynomial build(t, wall), per last type.
 
-    build(t, wall) gives the Hodge polynomial of the chamber whose upper
-    wall is ``wall``; a sigma outside the allowed range gives the empty
-    space.
+    The moduli space is constant on a chamber, so a query depends on
+    sigma only through the chamber's upper wall.  Queries walk one type
+    at a time, so only that type's chambers are held: a query of another
+    type drops them.  The flip sum fills ``walls`` with each wall it
+    passes.
     """
-    ch = locate(t, sigma, chamber)
-    if ch is None:
-        return HodgeResult(ZERO, 0)
-    return HodgeResult(
-        poly=build(t, ch.wall),
-        dim=1 - chi_triples(t, t),
-        smooth_projective=True,
-        chamber=ch,
-    )
+
+    __slots__ = ("build", "type", "walls")
+
+    def __init__(self, build: Callable[[TripleType, int], LaurentPoly]):
+        self.build = build
+        self.type: TripleType | None = None
+        self.walls: dict[int, LaurentPoly] = {}
+
+    def result(self, t: TripleType, sigma, chamber: int | None) -> HodgeResult:
+        """The triple space of type t at sigma (or at a chamber's midpoint).
+
+        A sigma outside the allowed range gives the empty space; sigma is
+        placed before the memo switches type, so a query that raises
+        leaves the held chambers alone.
+        """
+        ch = locate(t, sigma, chamber)
+        if ch is None:
+            return HodgeResult(ZERO, 0)
+        if t != self.type:
+            self.type, self.walls = t, {}
+        poly = self.walls.get(ch.wall)
+        if poly is None:
+            poly = self.walls[ch.wall] = self.build(t, ch.wall)
+        dim = 1 - chi_triples(t, t)
+        return HodgeResult(poly, dim, smooth_projective=True, chamber=ch)
 
 
 @cache

@@ -1,5 +1,7 @@
 """Tests for wall-crossing contributions at (3, 1) critical values."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -34,7 +36,7 @@ from triplehodge import (
     e_triples21_critical_stable,
     flip_contribution,
 )
-from triplehodge.laurent import ONE, UV, ZERO
+from triplehodge.laurent import ONE, UV, ZERO, LaurentPoly
 from triplehodge.stability import chamber_bounds
 from triplehodge.verify import GRIDS, run_suite
 
@@ -234,7 +236,8 @@ def test_sym2_stratum_by_product_rule_equals_the_literal_form():
                     expected = (literal(n1, jac) - literal(n2, jac)) * (
                         jac * e_sym(n1, g).poly
                     )
-                    assert flips._strata_even(t, n)[4] == expected
+                    strata = flips._multiply_out(flips._strata_factors(t, n))
+                    assert strata[4] == expected
                     walls += 1
     assert walls > 50
 
@@ -356,7 +359,7 @@ def test_strata_are_multiplied_out_once_on_first_read(monkeypatch):
     assert len(built) == 1
     assert flip.strata is first and flip.strata == first
     assert len(built) == 1
-    assert [piece.num for piece in first] == flips._strata_even(t, 6)
+    assert list(first) == flips._multiply_out(flips._strata_factors(t, 6))
     assert c_n_even(t, 6) == flip_contribution(t, 6) == flip
     assert "_factors" not in repr(flip)
 
@@ -396,7 +399,33 @@ def test_each_stratum_equals_its_literal_form():
                 * jac * jac * sym,
             ]
             strata = c_n_even(t, n).strata
-            assert [piece.num for piece in strata] == literal, (g, d1, d2, n)
-            assert all(piece.den == ONE for piece in strata)
+            assert list(strata) == literal, (g, d1, d2, n)
+            assert all(isinstance(piece, LaurentPoly) for piece in strata)
             walls += 1
     assert walls == 7
+
+
+def test_strata_and_jumps_digest():
+    # every even wall's strata and C_n over g = 2..5, d1 = 4..13,
+    # d2 in {0, 1}, n ascending, fed to one sha256: pins their values
+    # byte for byte, whatever type holds them
+    def pair(x):
+        if isinstance(x, LaurentPoly):
+            x = FractionUV(x)
+        return [x.num.to_json(), x.den.to_json()]
+
+    digest = hashlib.sha256()
+    for g in range(2, 6):
+        for d1 in range(4, 14):
+            for d2 in (0, 1):
+                t = TripleType(3, 1, d1, d2, g)
+                for n, _sigma in criticals(t):
+                    if n % 2:
+                        continue
+                    flip = c_n_even(t, n)
+                    record = [g, d1, d2, n, [pair(s) for s in flip.strata],
+                              pair(flip.cn)]
+                    digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "2c16e72fc2abe6992cb60c47d33adcc025ba5dc6f959aabc21bd1962e6a6dab1"
+    )

@@ -215,6 +215,40 @@ def test_each_chamber_built_once_for_the_last_type(monkeypatch, n1):
     builds.clear()
     expected = sweep(t) + sweep(other) + sweep(t)
     assert builds == expected
+    # sigma is placed before the memo switches type: a query of another
+    # type that raises or lies outside the range keeps t's chambers
+    with pytest.raises(CriticalSigma):
+        route(g, other.d1, other.d2, criticals(other)[0][1])
+    assert route(g, other.d1, other.d2, chamber_bounds(other)[0][0]).empty
+    builds.clear()
+    sweep(t)
+    assert builds == []
+
+
+def test_twisting_by_a_line_bundle_changes_nothing():
+    # tensoring E1 and E2 by a line bundle of degree l maps
+    # N_sigma(n1, 1, d1, d2) onto N_sigma(n1, 1, d1 + n1 l, d2 + l) for
+    # every sigma: same walls, same chambers, same polynomial on each
+    checked = 0
+    for (n1, route), g, d1, d2 in product(
+        ((3, e_n31_closed), (2, e_triples21)), (2, 3), range(10), (-1, 0, 1)
+    ):
+        t = TripleType(n1, 1, d1, d2, g)
+        bounds = chamber_bounds(t)
+        polys = [
+            route(g, d1, d2, chamber=k).poly
+            for k in range(1, len(bounds) + 1)
+        ]
+        for l in (-1, 2):
+            twisted = TripleType(n1, 1, d1 + n1 * l, d2 + l, g)
+            assert [s for _, s in criticals(twisted)] == [
+                s for _, s in criticals(t)
+            ]
+            assert chamber_bounds(twisted) == bounds
+            for k, poly in enumerate(polys, start=1):
+                assert route(g, twisted.d1, twisted.d2, chamber=k).poly == poly
+            checked += len(polys)
+    assert checked == 524
 
 
 # -- independent t-variable display ----------------------------------------

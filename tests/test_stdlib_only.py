@@ -34,3 +34,21 @@ def test_pyproject_declares_no_dependencies():
     # a string match: tomllib is 3.11+, and the package supports 3.10
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in lines
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the oracles are the independent side of the tests' comparisons, so
+    # they reach into no code they are compared against
+    path = ROOT / "tests" / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    relative = [
+        f"{node.lineno}: relative import"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    package = [
+        f"{line}: {name}"
+        for line, name in _absolute_imports(path)
+        if name.partition(".")[0] == "triplehodge"
+    ]
+    assert relative + package == []
