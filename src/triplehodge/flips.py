@@ -8,21 +8,19 @@ locus S^- by S^+, and the Hodge polynomial jumps by
 For odd n both loci are projective bundles over a common base and C_n has
 a short closed form; for even n the loci stratify into six pieces indexed
 by the shape of the destabilizing filtration, and the closed form is
-cross-checked against the stratum-by-stratum sum on every call of
-``c_n_even`` or ``flip_contribution``, with Sym^2(P x Jac) by a product
-rule.  The check multiplies the five strata that end in e(Jac) e(Sym^N1)
-by that factor once, and ``strata`` multiplies them out only when read.
-Every ``flip_contribution`` records its checked jump as a polynomial,
-and the flip-sum route's running sums read jumps through ``_wall_jump``
-from that record, so a wall that any route has built is reused there
-and built only when no route has yet.
+cross-checked against the stratum-by-stratum sum whenever ``c_n_even``
+builds it, with Sym^2(P x Jac) by a product rule.  The check multiplies
+the five strata that end in e(Jac) e(Sym^N1) by that factor once and
+keeps none of them; ``strata`` rebuilds them as polynomials on request.
+``flip_contribution`` is the one memo of checked jumps, one per wall
+(t, n), so a wall that any route has built is reused by every other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, lru_cache
 
 from .errors import NonIntegral, OutOfRange, ParityError, StrataMismatch
 from .laurent import (
@@ -54,6 +52,7 @@ __all__ = [
     "c_n_even",
     "c_n_odd",
     "flip_contribution",
+    "strata",
 ]
 
 
@@ -64,24 +63,13 @@ class FlipContribution:
     N1 = d1 - d2 - n and N2 = g - 1 - d1 + 3n/2 are the projective-fiber
     dimensions controlling the two sides; N2 is integral exactly when n
     is even, so it is stored as an exact rational.  cn is the jump
-    e(S^+) - e(S^-) of the Hodge polynomial across the wall.  For even n
-    ``strata`` holds the six stratum contributions as polynomials (plus
-    side minus minus side, in filtration order), multiplied out on first
-    read from the factors the check summed; for odd n it is None.
-    Equality and hash see n, N1, N2 and cn only.
+    e(S^+) - e(S^-) of the Hodge polynomial across the wall.
     """
 
     n: int
     N1: int
     N2: Fraction
     cn: FractionUV
-    _factors: tuple | None = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def strata(self) -> tuple[LaurentPoly, ...] | None:
-        if self._factors is None:
-            return None
-        return tuple(_multiply_out(self._factors))
 
 
 # every denominator of the (3, 1) routes divides DEN, so each route sums
@@ -97,33 +85,16 @@ def _wall_kernel(g: int) -> LaurentPoly:
     return num - _times_jacobian(UV**g, g)
 
 
-# C_n as a polynomial per wall (t, n), recorded by flip_contribution
-# once computed and, for even n, strata-checked; the strata's factors
-# are not kept, so the table holds one polynomial per wall built
-_jumps: dict[tuple[TripleType, int], LaurentPoly] = {}
-
-
-def _wall_jump(t: TripleType, n: int) -> LaurentPoly:
-    if (t, n) not in _jumps:
-        flip_contribution(t, n)
-    return _jumps[t, n]
-
-
 def _validate_critical(t: TripleType, n: int) -> None:
     if (t.n1, t.n2) != (3, 1):
         raise OutOfRange(f"expected ranks (3, 1), got ({t.n1}, {t.n2})")
     _require_critical(t, n)
 
 
-def _contribution(
-    t: TripleType,
-    n: int,
-    cn: FractionUV,
-    factors: tuple | None = None,
-) -> FlipContribution:
+def _contribution(t: TripleType, n: int, cn: FractionUV) -> FlipContribution:
     n1 = t.d1 - t.d2 - n
     n2 = Fraction(2 * t.g - 2 - 2 * t.d1 + 3 * n, 2)
-    return FlipContribution(n, n1, n2, cn.normalize(), factors)
+    return FlipContribution(n, n1, n2, cn.normalize())
 
 
 def c_n_odd(t: TripleType, n: int) -> FlipContribution:
@@ -210,9 +181,21 @@ def _strata_factors(t: TripleType, n: int) -> tuple:
     return x1, [y2, y3, y4, y5, y6], jac * e_sym(n1, g).poly
 
 
-def _multiply_out(factors: tuple) -> list[LaurentPoly]:
-    x1, ys, js = factors
-    return [x1] + [y * js for y in ys]
+def _validate_even(t: TripleType, n: int) -> None:
+    if n % 2 != 0:
+        raise ParityError(f"n={n} is odd; use the odd-index form")
+    _validate_critical(t, n)
+
+
+def strata(t: TripleType, n: int) -> tuple[LaurentPoly, ...]:
+    """The six stratum contributions at an even critical index n.
+
+    Plus side minus minus side, in filtration order; they sum to C_n,
+    which ``c_n_even`` checks whenever it builds the jump.
+    """
+    _validate_even(t, n)
+    x1, ys, js = _strata_factors(t, n)
+    return (x1, *(y * js for y in ys))
 
 
 def c_n_even(t: TripleType, n: int) -> FlipContribution:
@@ -220,23 +203,23 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
 
     The closed-form jump is compared exactly with the six strata's sum,
     x1 + (y2 + ... + y6) js, on every call, and a disagreement raises
-    StrataMismatch; ``strata`` multiplies them out only when read.
+    StrataMismatch; ``strata`` returns the six strata themselves.
     """
-    if n % 2 != 0:
-        raise ParityError(f"n={n} is odd; use the odd-index form")
-    _validate_critical(t, n)
+    _validate_even(t, n)
     closed = _closed_even(t, n)
-    x1, ys, js = factors = _strata_factors(t, n)
+    x1, ys, js = _strata_factors(t, n)
     if FractionUV(x1 + sum(ys, ZERO) * js) != closed:
         raise StrataMismatch(
             f"stratum sum disagrees with the closed form at n={n} "
             f"for (3,1,{t.d1},{t.d2}), g={t.g}"
         )
-    return _contribution(t, n, closed, factors)
+    return _contribution(t, n, closed)
 
 
+@lru_cache(maxsize=None, typed=True)
 def flip_contribution(t: TripleType, n: int) -> FlipContribution:
-    """Wall-crossing data at the critical index n of either parity."""
-    flip = (c_n_odd if n % 2 else c_n_even)(t, n)
-    _jumps[t, n] = flip.cn.as_polynomial()
-    return flip
+    """Wall-crossing data at the critical index n of either parity.
+
+    Built once per wall (t, n) and shared by every later call.
+    """
+    return (c_n_odd if n % 2 else c_n_even)(t, n)

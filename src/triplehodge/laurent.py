@@ -53,10 +53,10 @@ remainder, and the heap route, run on the original inputs, builds the
 ``FractionUV`` carries intermediate rational expressions such as
 ``1/((1-uv)^2 (1-(uv)^2))`` as a plain (num, den) pair.  On a production
 route the denominator is 1 or the N_sigma(3, 1) routes' DEN, over which
-they sum numerators and divide once; sums and equality over equal
-denominators touch only the numerators, and otherwise cross-multiply.
-Conversion to an honest polynomial is one exact division, which fails
-loudly (``NonDivisible``) instead of rounding.
+they sum numerators and divide once.  Equality compares numerators
+over equal denominators and otherwise cross-multiplies; conversion to
+an honest polynomial is one exact division, which fails loudly
+(``NonDivisible``) instead of rounding.
 
 Measured timings of these routes are in the README and in the
 ``BENCH_*.json`` files at the root of the repository.
@@ -907,16 +907,14 @@ def halve_exact(p: LaurentPoly) -> LaurentPoly:
 class FractionUV:
     """Quotient of two Laurent polynomials, kept as the pair it was given.
 
-    ``den`` is ONE when omitted.  Over equal denominators ``+`` and
-    ``==`` work on the numerators alone; otherwise they cross-multiply,
-    and ``*`` multiplies both parts:
+    ``den`` is ONE when omitted.  ``==`` compares the numerators over
+    equal denominators and otherwise cross-multiplies:
 
     >>> den = (ONE - UV) ** 2 * (ONE - UV**2)
-    >>> print(FractionUV(ONE, den) + FractionUV(UV, den))
-    (1 + u*v) / (1 - 2*u*v + 2*u^3*v^3 - u^4*v^4)
-    >>> half = FractionUV(ONE, ONE - UV) + FractionUV(ONE, ONE + UV)
-    >>> print(half)
-    (2) / (1 - u^2*v^2)
+    >>> FractionUV(ONE, ONE - UV) == FractionUV(ONE + UV, ONE - UV**2)
+    True
+    >>> print(FractionUV((ONE + UV) * den, den).as_polynomial())
+    1 + u*v
 
     :meth:`as_polynomial` divides the numerator by ``den`` exactly, and
     :meth:`normalize` collapses the denominator to 1 when that division
@@ -933,29 +931,6 @@ class FractionUV:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def __add__(self, other):
-        other = _coerce_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return FractionUV(self.num + other.num, self.den)
-        return FractionUV(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FractionUV(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = _coerce_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FractionUV(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         other = _coerce_fraction(other)

@@ -9,7 +9,7 @@ space, which fibers over M(3, d1) in projective spaces.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 
 from .errors import OutOfRange
@@ -28,7 +28,7 @@ from .laurent import (
 )
 from .series import XSeries, extract, sym_series
 from .stability import TripleType, criticals, locate
-from .flips import _DEN, _wall_jump, _wall_kernel
+from .flips import _DEN, _wall_kernel, flip_contribution
 from .zoo import (
     HodgeResult,
     _ChamberMemo,
@@ -132,12 +132,12 @@ def _flip_sum(t: TripleType, wall: int) -> LaurentPoly:
     for n, _crit in reversed(criticals(t)):
         if n >= wall:
             if n not in sums:
-                sums[n] = poly - _wall_jump(t, n)
+                sums[n] = poly - flip_contribution(t, n).cn.as_polynomial()
             poly = sums[n]
     return poly
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def e_m3(g: int, d: int = 1) -> HodgeResult:
     """Hodge polynomial of M(3, d) for d not divisible by 3, dim 9g - 8.
 

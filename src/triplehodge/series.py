@@ -149,6 +149,9 @@ def sym_series(g: int, order: int) -> XSeries:
     Each caller gets its own series; the coefficients are shared and
     never mutated.
     """
+    # the table is keyed by g, where 2.0 would find the series of 2
+    if not isinstance(g, int):
+        raise TypeError(f"genus must be an integer, got {g!r}")
     w = _sym_longest.get(g)
     if w is None or w.order < order:
         w = _sym_longest[g] = (

@@ -133,6 +133,8 @@ def criticals(t: TripleType) -> list[tuple[int, int]]:
 
 def _require_critical(t: TripleType, index: int) -> None:
     """Raise NotCritical unless index is one of the walls of t."""
+    if not isinstance(index, int):
+        raise TypeError(f"wall index must be an integer, got {index!r}")
     indices = [i for i, _ in criticals(t)]
     if index not in indices:
         raise NotCritical(

@@ -39,7 +39,7 @@ from .rank2 import (
     e_triples21,
     e_triples21_critical_stable,
 )
-from .flips import _wall_jump, c_n_even, c_n_odd, flip_contribution
+from .flips import c_n_even, c_n_odd, flip_contribution
 from .moduli import (
     e_m3,
     e_m3_via_pipeline,
@@ -387,7 +387,7 @@ def _suite_flips(grid: Grid) -> list[Case]:
     for t in _triple_types(grid):
         label = f"g{t.g}-d{t.d1}-{t.d2}"
         cases.append((f"flips/chi-pairs-{label}", partial(_flips_chi, t)))
-        cases.append((f"flips/jumps-{label}", partial(_flips_jumps, t)))
+        cases.append((f"flips/jumps-{label}", partial(_flips_cn, t)))
     return cases
 
 
@@ -450,7 +450,7 @@ def _flips_chi(t: TripleType) -> tuple[str, str]:
     return _ok(f"{len(criticals(t))} criticals checked")
 
 
-def _flips_jumps(t: TripleType) -> tuple[str, str]:
+def _flips_cn(t: TripleType) -> tuple[str, str]:
     g, d1, d2 = t.g, t.d1, t.d2
     jac = e_jacobian(g).poly
     for n, _sigma in criticals(t):
@@ -524,7 +524,7 @@ def _crosspath_edges(t: TripleType) -> tuple[str, str]:
     if not above.empty:
         return ("fail", "nonempty above sigma_M")
     top = e_n31_closed(g, d1, d2, chamber=len(crits))
-    single = -_wall_jump(t, top_n)
+    single = -flip_contribution(t, top_n).cn.as_polynomial()
     if top.poly != single:
         return ("fail", "top chamber != -C_top")
     return _ok("")

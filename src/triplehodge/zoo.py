@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .errors import OutOfRange
 from .laurent import (
@@ -140,7 +140,7 @@ def _times_jacobian(poly: LaurentPoly, g: int, power: int = 1) -> LaurentPoly:
     return _times_binomials(poly, {ONE + U: power * g, ONE + V: power * g})
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def e_sym(k: int, g: int) -> HodgeResult:
     """Hodge polynomial of the k-th symmetric power of a genus-g curve.
 
@@ -156,7 +156,7 @@ def e_sym(k: int, g: int) -> HodgeResult:
     return HodgeResult(poly=poly, dim=k, smooth_projective=True)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def e_grassmannian(k: int, n: int) -> HodgeResult:
     """Hodge polynomial of the Grassmannian Gr(k, n) of k-planes in C^n.
 

@@ -5,14 +5,21 @@ triple type) shares are memoized: a type's chamber bounds, the series
 of symmetric powers, the per-genus bases of the flip strata (the Sym^2
 term's, and e(Jac)^2 - e(Jac)), the t-display factors of
 ``poincare_n31``, the product e(Jac)^2 e(Sym^k) of the rank-2 wall
-replay and the running flip sum at each wall of a (3, 1) type.  These
-tests check that callers still get values of their own, that a
-truncated series equals a fresh build, and that one full-grid verify
-builds each piece at most once per key.
+replay, each wall's checked jump (``flips.flip_contribution``) and the
+running flip sum at each wall of a (3, 1) type.  These tests check that
+callers still get values of their own, that a truncated series equals
+a fresh build, that one full-grid verify builds each piece at most once
+per key, and that a memo of two arguments answers a float the same
+whether or not the int key is cached.  An inventory pins, by name, every
+memo and every module-level container in the package, so process state
+cannot grow unseen.
 """
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -23,10 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triplehodge
-from triplehodge import OrderTooLow, TripleType, criticals
+from triplehodge import (
+    OrderTooLow, TripleType, criticals, e_grassmannian, e_m3, e_sym,
+)
 from triplehodge.laurent import ONE, U, V
 from triplehodge.series import XSeries, curve_numerator, sym_series
 from triplehodge.stability import chamber_bounds
+from triplehodge.zoo import _ChamberMemo
 
 
 def test_returned_lists_are_the_callers_own():
@@ -128,13 +138,13 @@ def _count_builds() -> dict[str, list]:
     moduli._t_display_factors = spy_t_display
 
     # the flip sum reads a wall's jump only to build its sum there
-    wall_jump = moduli._wall_jump
+    flip_contribution = moduli.flip_contribution
 
-    def spy_wall_jump(t, n):
+    def spy_flip_contribution(t, n):
         counts["flip_sum"][str((t.n1, t.n2, t.d1, t.d2, t.g, n))] += 1
-        return wall_jump(t, n)
+        return flip_contribution(t, n)
 
-    moduli._wall_jump = spy_wall_jump
+    moduli.flip_contribution = spy_flip_contribution
 
     sub, mul = LaurentPoly.__sub__, LaurentPoly.__mul__
     jac_squares = {g: mul(jac, jac) for jac, g in
@@ -219,3 +229,94 @@ def test_full_grid_verify_builds_each_piece_once_per_key(builds, piece):
     assert builds[piece], f"no build of {piece} was seen"
     repeated = {key: n for key, n in builds[piece] if n > 1}
     assert repeated == {}
+
+
+@pytest.mark.parametrize(
+    "fn, bad, good",
+    [(e_sym, (3, 2.0), (3, 2)), (e_grassmannian, (2.0, 4), (2, 4)),
+     (e_m3, (2.0, 1), (2, 1))],
+    ids=["e_sym", "e_grassmannian", "e_m3"],
+)
+def test_a_float_argument_raises_alike_cold_and_warm(fn, bad, good):
+    # an untyped memo keys (3, 2.0) as (3, 2), so once the int answer is
+    # cached the float would get it instead of the error it raises cold
+    fn.cache_clear()
+    with pytest.raises(TypeError) as cold:
+        fn(*bad)
+    fn(*good)
+    with pytest.raises(TypeError) as warm:
+        fn(*bad)
+    assert str(warm.value) == str(cold.value)
+
+
+# every piece of process-lifetime state in the package, by qualified name
+PROCESS_STATE = {
+    "caches": [
+        "triplehodge.flips._strata_bases",
+        "triplehodge.flips._wall_kernel",
+        "triplehodge.flips.flip_contribution",
+        "triplehodge.moduli._t_display_factors",
+        "triplehodge.moduli.e_m3",
+        "triplehodge.moduli.e_m3_via_pipeline",
+        "triplehodge.moduli.poincare_m3",
+        "triplehodge.rank2.e_m2_odd",
+        "triplehodge.rank2.e_m2s_even",
+        "triplehodge.stability._chambers",
+        "triplehodge.verify._jac2_sym",
+        "triplehodge.zoo.e_affine",
+        "triplehodge.zoo.e_grassmannian",
+        "triplehodge.zoo.e_jacobian",
+        "triplehodge.zoo.e_projective",
+        "triplehodge.zoo.e_sym",
+    ],
+    "chamber_memos": [
+        "triplehodge.moduli._closed_n31",
+        "triplehodge.moduli._flip_sum",
+        "triplehodge.rank2._closed_21",
+    ],
+    "containers": [
+        "triplehodge.cli._SCALARS",
+        "triplehodge.cli._TARGETS",
+        "triplehodge.series._sym_longest",
+        "triplehodge.verify.GRIDS",
+        "triplehodge.verify.SUITES",
+    ],
+}
+
+
+def _process_state() -> dict[str, list[str]]:
+    """Module-level cache wrappers, chamber memos and dicts, lists and
+    sets (``__all__`` aside) of every module of the package."""
+    found = {kind: set() for kind in PROCESS_STATE}
+    names = ["triplehodge"] + [
+        f"triplehodge.{info.name}"
+        for info in pkgutil.iter_modules(triplehodge.__path__)
+    ]
+    for name in names:
+        module = importlib.import_module(name)
+        # a container is named where it is assigned, not where imported
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        assigned = {
+            node.id
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for target in (
+                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            )
+            for node in ast.walk(target) if isinstance(node, ast.Name)
+        }
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                found["caches"].add(f"{value.__module__}.{value.__qualname__}")
+            elif isinstance(value, _ChamberMemo):
+                build = value.build
+                found["chamber_memos"].add(f"{build.__module__}.{build.__qualname__}")
+            elif isinstance(value, (dict, list, set)) and attr in assigned \
+                    and attr != "__all__":
+                found["containers"].add(f"{name}.{attr}")
+    return {kind: sorted(values) for kind, values in found.items()}
+
+
+def test_process_state_inventory():
+    # a new memo or side table fails here until it is listed above
+    assert _process_state() == PROCESS_STATE

@@ -36,6 +36,7 @@ from triplehodge import (
     e_triples21_critical_stable,
     flip_contribution,
 )
+from triplehodge.flips import strata
 from triplehodge.laurent import ONE, UV, ZERO, LaurentPoly
 from triplehodge.stability import chamber_bounds
 from triplehodge.verify import GRIDS, run_suite
@@ -53,6 +54,25 @@ def test_parity_and_criticality_errors():
         flip_contribution(t, 3)
     with pytest.raises(OutOfRange):
         flip_contribution(TripleType(2, 1, 5, 0, 2), 4)
+    with pytest.raises(ParityError):
+        strata(t, 5)
+    with pytest.raises(NotCritical):
+        strata(t, 6)
+
+
+def test_non_integer_wall_index_is_a_type_error():
+    # 4.0 and Fraction(4) compare equal to the wall 4, but no formula is
+    # written for them: the index check names the index, instead of an
+    # unrelated TypeError from deep inside the build
+    t = TripleType(3, 1, 5, 0, 2)
+    for call, args in (
+        (c_n_even, (t, 4.0)),
+        (flip_contribution, (t, Fraction(4))),
+        (strata, (t, 4.0)),
+        (e_triples21_critical_stable, (2, 5, 0, 3.0)),
+    ):
+        with pytest.raises(TypeError, match=r"wall index must be an integer"):
+            call(*args)
 
 
 def test_contribution_fields():
@@ -61,13 +81,15 @@ def test_contribution_fields():
     assert even.n == 4
     assert even.N1 == 1
     assert even.N2 == Fraction(2)
-    assert even.strata is not None and len(even.strata) == 6
+    assert len(strata(t, 4)) == 6
     odd = flip_contribution(t, 5)
     assert odd.n == 5
     assert odd.N1 == 0
     assert odd.N2 == Fraction(7, 2)
-    assert odd.strata is None
     assert c_n_odd(t, 5) == odd
+    # the memo hands back the record it built, equal to a fresh build
+    assert flip_contribution(t, 4) is even
+    assert c_n_even(t, 4) == even
 
 
 def test_even_jump_equals_stratum_sum():
@@ -78,11 +100,8 @@ def test_even_jump_equals_stratum_sum():
         for n, _sigma in criticals(t):
             if n % 2:
                 continue
-            flip = c_n_even(t, n)
-            total = FractionUV(ZERO)
-            for piece in flip.strata:
-                total = total + piece
-            assert total == flip.cn
+            total = sum(strata(t, n), ZERO)
+            assert total == c_n_even(t, n).cn.as_polynomial()
 
 
 def test_odd_jump_structural_form():
@@ -134,16 +153,16 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
     # sweeping every chamber of a type telescopes over the same walls;
     # the flip-sum route must build each of them once, not once per
     # chamber above it
-    flips._jumps.clear()
-    moduli._flip_sum.type = None  # drops the sums read from the jumps
+    _fresh_walls()
     calls = []
-    original = flips.flip_contribution
+    builders = {name: getattr(flips, name) for name in ("c_n_even", "c_n_odd")}
+    for name, original in builders.items():
 
-    def counted(t, n):
-        calls.append((t, n))
-        return original(t, n)
+        def counted(t, n, original=original):
+            calls.append((t, n))
+            return original(t, n)
 
-    monkeypatch.setattr(flips, "flip_contribution", counted)
+        monkeypatch.setattr(flips, name, counted)
     walls = set()
     for g in (2, 3, 4):
         t = TripleType(3, 1, 2 * g + 3, 0, g)
@@ -158,14 +177,14 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
             for d2 in quick.d2s:
                 t = TripleType(3, 1, d1, d2, g)
                 for n, _sigma in criticals(t):
-                    expected = original(t, n).cn.as_polynomial()
-                    assert flips._wall_jump(t, n) == expected
+                    build = builders["c_n_odd" if n % 2 else "c_n_even"]
+                    assert flip_contribution(t, n) == build(t, n)
 
 
 def test_walls_never_divide_by_one_term(monkeypatch):
     # a jump that collapses to a polynomial keeps no denominator, so no
     # wall divides by a monomial on the heap route
-    flips._jumps.clear()
+    flip_contribution.cache_clear()
     divisors = []
     original = laurent.divide_exact
 
@@ -181,8 +200,7 @@ def test_walls_never_divide_by_one_term(monkeypatch):
             for d2 in quick.d2s:
                 t = TripleType(3, 1, d1, d2, g)
                 for n, _sigma in criticals(t):
-                    flip_contribution(t, n)
-                    flips._wall_jump(t, n)
+                    flip_contribution(t, n).cn.as_polynomial()
     assert divisors and 1 not in divisors
 
 
@@ -190,7 +208,7 @@ def test_verify_suites_build_each_wall_once(monkeypatch):
     # the crosspath suite's flip sums and -C_top checks reuse the jumps
     # the flips suite has built and checked, so across both suites each
     # wall's C_n is computed once
-    flips._jumps.clear()
+    flip_contribution.cache_clear()
     calls = Counter()
     for name in ("c_n_even", "c_n_odd"):
         original = getattr(flips, name)
@@ -236,8 +254,7 @@ def test_sym2_stratum_by_product_rule_equals_the_literal_form():
                     expected = (literal(n1, jac) - literal(n2, jac)) * (
                         jac * e_sym(n1, g).poly
                     )
-                    strata = flips._multiply_out(flips._strata_factors(t, n))
-                    assert strata[4] == expected
+                    assert strata(t, n)[4] == expected
                     walls += 1
     assert walls > 50
 
@@ -294,7 +311,7 @@ def test_flip_sum_memo_in_any_query_order(data):
 
 def _fresh_walls():
     # forget every checked jump and the running sums read from them
-    flips._jumps.clear()
+    flip_contribution.cache_clear()
     moduli._flip_sum.type = None
     moduli._closed_n31.type = None
 
@@ -322,46 +339,20 @@ def test_a_wrong_stratum_raises_strata_mismatch(monkeypatch):
     assert flips.e_grassmannian is grass
 
 
-def _count_multiply_outs(monkeypatch) -> list:
-    built = []
-    original = flips._multiply_out
-
-    def counted(factors):
-        built.append(factors)
-        return original(factors)
-
-    monkeypatch.setattr(flips, "_multiply_out", counted)
-    return built
-
-
 def test_production_routes_multiply_out_no_strata(monkeypatch):
     # the flip sums and the flips suite read C_n only; the six strata
     # stay factored, checked through one product by e(Jac) e(Sym^{N1})
-    built = _count_multiply_outs(monkeypatch)
+    built = []
+    monkeypatch.setattr(flips, "strata", lambda t, n: built.append((t, n)))
     _fresh_walls()
     t = TripleType(3, 1, 9, 0, 3)
-    even = [n for n, _sigma in criticals(t) if n % 2 == 0]
-    assert even
+    assert any(n % 2 == 0 for n, _sigma in criticals(t))
     for index in range(1, len(chamber_bounds(t)) + 1):
         e_n31_flipsum(3, 9, 0, chamber=index)
-    assert all((t, n) in flips._jumps for n in even)
+    assert flip_contribution.cache_info().misses == len(criticals(t))
     _fresh_walls()
     assert run_suite("flips", "quick").failures == 0
     assert built == []
-
-
-def test_strata_are_multiplied_out_once_on_first_read(monkeypatch):
-    built = _count_multiply_outs(monkeypatch)
-    t = TripleType(3, 1, 7, 0, 2)
-    flip = c_n_even(t, 6)
-    assert built == []
-    first = flip.strata
-    assert len(built) == 1
-    assert flip.strata is first and flip.strata == first
-    assert len(built) == 1
-    assert list(first) == flips._multiply_out(flips._strata_factors(t, 6))
-    assert c_n_even(t, 6) == flip_contribution(t, 6) == flip
-    assert "_factors" not in repr(flip)
 
 
 def test_each_stratum_equals_its_literal_form():
@@ -398,9 +389,9 @@ def test_each_stratum_equals_its_literal_form():
                 (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly)
                 * jac * jac * sym,
             ]
-            strata = c_n_even(t, n).strata
-            assert list(strata) == literal, (g, d1, d2, n)
-            assert all(isinstance(piece, LaurentPoly) for piece in strata)
+            pieces = strata(t, n)
+            assert list(pieces) == literal, (g, d1, d2, n)
+            assert all(isinstance(piece, LaurentPoly) for piece in pieces)
             walls += 1
     assert walls == 7
 
@@ -423,7 +414,7 @@ def test_strata_and_jumps_digest():
                     if n % 2:
                         continue
                     flip = c_n_even(t, n)
-                    record = [g, d1, d2, n, [pair(s) for s in flip.strata],
+                    record = [g, d1, d2, n, [pair(s) for s in strata(t, n)],
                               pair(flip.cn)]
                     digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == (

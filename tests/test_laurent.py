@@ -870,23 +870,6 @@ def test_fraction_zero_denominator_rejected():
         FractionUV(ONE, ZERO)
 
 
-def test_fraction_arithmetic():
-    half_ish = FractionUV(ONE, ONE - UV)
-    other = FractionUV(ONE, ONE + UV)
-    total = half_ish + other
-    assert total == FractionUV(2 * ONE, ONE - UV**2)
-    assert (half_ish * other).den == (ONE - UV) * (ONE + UV)
-
-
-def test_fraction_sum_over_one_denominator_keeps_it():
-    den = (ONE - UV) ** 2 * (ONE - UV**2)
-    a = LaurentPoly.parse("1 + 2*u - v")
-    b = LaurentPoly.parse("3 - u*v^2")
-    total = FractionUV(a, den) + FractionUV(b, den)
-    assert total.den == den and total.num == a + b
-    assert (FractionUV(a) + b).den == ONE
-
-
 def test_fraction_normalize():
     f = FractionUV(
         LaurentPoly.monomial(1, 1, 2) - LaurentPoly.monomial(2, 2, 2),
@@ -959,13 +942,10 @@ def test_fraction_matches_dict_cross_multiplication(x, y, extra):
     f1 = FractionUV(LaurentPoly(n1), LaurentPoly(d1))
     f2 = FractionUV(LaurentPoly(n2), LaurentPoly(d2))
     assert _equals(f1, n1, d1)
-    pmul, padd = oracles.pmul, oracles.padd
-    assert _equals(f1 + f2, padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
-    assert _equals(f1 * f2, pmul(n1, n2), pmul(d1, d2))
+    pmul = oracles.pmul
     assert (f1 == f2) == (pmul(n1, d2) == pmul(n2, d1))
     widened = FractionUV(LaurentPoly(pmul(n1, extra)), LaurentPoly(pmul(d1, extra)))
     assert f1 == widened and widened == f1
-    assert (f1 + f2 == f2) == (not n1)
     if q1 is None:
         with pytest.raises(NonDivisible):
             f1.as_polynomial()
