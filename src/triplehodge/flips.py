@@ -1,17 +1,15 @@
 """Wall-crossing contributions for triples of type (3, 1).
 
 Crossing the critical value sigma_n = 2n - d1 - d2 replaces the flip
-locus S^- by S^+, and the Hodge polynomial jumps by
-
-    C_n = e(S^+) - e(S^-).
-
-For odd n both loci are projective bundles over a common base and C_n has
-a short closed form; for even n the loci stratify into six pieces indexed
-by the shape of the destabilizing filtration, and the closed form is
-cross-checked against the stratum-by-stratum sum whenever ``c_n_even``
-builds it, with Sym^2(P x Jac) by a product rule.  The check multiplies
-the five strata that end in e(Jac) e(Sym^N1) by that factor once and
-keeps none of them; ``strata`` rebuilds them as polynomials on request.
+locus S^- by S^+, and the Hodge polynomial jumps by C_n = e(S^+) - e(S^-).
+One closed form serves both parities of n: e(Jac)^2 [K e(Sym^N1)
+((uv)^(2 N2) - (uv)^(2 N1)) + (uv)^(g-1) e(Jac) bracket] / DEN, with K
+the wall kernel over DEN = (1 - uv)^2 (1 - (uv)^2).  The bracket is
+built only at even n, where the loci stratify into six pieces indexed by
+the shape of the destabilizing filtration; ``c_n_even`` checks the
+closed form against their sum on every build, with Sym^2(P x Jac) by a
+product rule, multiplying the five strata that end in e(Jac) e(Sym^N1)
+by that factor once.  ``strata`` rebuilds the six on request.
 ``flip_contribution`` is the one memo of checked jumps, one per wall
 (t, n), so a wall that any route has built is reused by every other.
 """
@@ -85,58 +83,58 @@ def _wall_kernel(g: int) -> LaurentPoly:
     return num - _times_jacobian(UV**g, g)
 
 
-def _validate_critical(t: TripleType, n: int) -> None:
+def _fibers(t: TripleType, n: int, parity: int) -> tuple[int, int]:
+    # the one check of a wall index, for the required parity of n:
+    # parity, then ranks (3, 1), then a critical integer index; returns
+    # N1 and 2 N2, which is even exactly when n is
+    if bool(n % 2) != parity:
+        other = ("odd", "even")[parity]
+        raise ParityError(f"n={n} is {other}; use the {other}-index form")
     if (t.n1, t.n2) != (3, 1):
         raise OutOfRange(f"expected ranks (3, 1), got ({t.n1}, {t.n2})")
     _require_critical(t, n)
+    return t.d1 - t.d2 - n, 2 * t.g - 2 - 2 * t.d1 + 3 * n
 
 
-def _contribution(t: TripleType, n: int, cn: FractionUV) -> FlipContribution:
-    n1 = t.d1 - t.d2 - n
-    n2 = Fraction(2 * t.g - 2 - 2 * t.d1 + 3 * n, 2)
-    return FlipContribution(n, n1, n2, cn.normalize())
+def _contribution(
+    n: int, n1: int, two_n2: int, cn: FractionUV
+) -> FlipContribution:
+    return FlipContribution(n, n1, Fraction(two_n2, 2), cn.normalize())
+
+
+def _closed_cn(t: TripleType, n: int, n1: int, two_n2: int) -> FractionUV:
+    # the closed C_n, summed over _DEN: the odd-n term, plus at even n
+    # the bracket of the extra strata
+    g = t.g
+    num = e_sym(n1, g).poly * (UV**two_n2 - UV ** (2 * n1)) * _wall_kernel(g)
+    if n % 2 == 0:
+        n2 = two_n2 // 2
+        w = sym_series(g, n1 + 1)
+        q1, q2, q12 = [UV**-1], [UV**2], [UV**-1, UV**2]
+        e1 = extract(w, q1, n1) + UV**-2 * extract(w, q1, n1 - 1)
+        e2 = extract(w, q2, n1) + UV**3 * extract(w, q2, n1 - 1)
+        e3 = extract(w, q12, n1) - UV * extract(w, q12, n1 - 2)
+        # the prefactors' denominators (1 - uv)^2 (1 + uv) and (1 - uv)^2,
+        # brought to _DEN by 1 - uv and 1 - (uv)^2
+        bracket = (ONE - UV**2) * UV ** (n1 + n2) * e3 - (ONE - UV) * (
+            UV ** (2 * n1 + 1) * e1 + UV**two_n2 * e2
+        )
+        num = num + UV ** (g - 1) * e_jacobian(g).poly * bracket
+    # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the jump divides
+    # on its own and e(Jac)^2 is multiplied in last
+    return FractionUV(_times_jacobian(divide_exact(num, _DEN), g, 2))
 
 
 def c_n_odd(t: TripleType, n: int) -> FlipContribution:
     """Wall-crossing data C_n at an odd critical index n.
 
-    Equal to e(Jac)^2 e(Sym^{N1} X) ((uv)^{2 N2} - (uv)^{2 N1}) times the
-    wall kernel; only 2*N2 enters, so the half-integrality of N2 for odd
-    n never surfaces.
+    Equal to e(Jac)^2 e(Sym^{N1} X) ((uv)^{2 N2} - (uv)^{2 N1}) K / DEN,
+    where the wall kernel K is a numerator over
+    DEN = (1 - uv)^2 (1 - (uv)^2); only 2*N2 enters, so the
+    half-integrality of N2 for odd n never surfaces.
     """
-    if n % 2 == 0:
-        raise ParityError(f"n={n} is even; use the even-index form")
-    _validate_critical(t, n)
-    g = t.g
-    n1 = t.d1 - t.d2 - n
-    two_n2 = 2 * g - 2 - 2 * t.d1 + 3 * n
-    sym = e_sym(n1, g).poly
-    # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the jump divides
-    # on its own and e(Jac)^2 is multiplied in last
-    jump = sym * (UV**two_n2 - UV ** (2 * n1)) * _wall_kernel(g)
-    cn = _times_jacobian(divide_exact(jump, _DEN), g, 2)
-    return _contribution(t, n, FractionUV(cn))
-
-
-def _closed_even(t: TripleType, n: int) -> FractionUV:
-    g = t.g
-    n1 = t.d1 - t.d2 - n
-    n2 = g - 1 - t.d1 + (3 * n) // 2
-    jac = e_jacobian(g).poly
-    w = sym_series(g, n1 + 1)
-    q1, q2, q12 = [UV**-1], [UV**2], [UV**-1, UV**2]
-    e1 = extract(w, q1, n1) + UV**-2 * extract(w, q1, n1 - 1)
-    e2 = extract(w, q2, n1) + UV**3 * extract(w, q2, n1 - 1)
-    e3 = extract(w, q12, n1) - UV * extract(w, q12, n1 - 2)
-    # the prefactors' denominators (1 - uv)^2 (1 + uv) and (1 - uv)^2,
-    # brought to _DEN by 1 - uv and 1 - (uv)^2
-    bracket = (ONE - UV**2) * UV ** (n1 + n2) * e3 - (ONE - UV) * (
-        UV ** (2 * n1 + 1) * e1 + UV ** (2 * n2) * e2
-    )
-    inner = UV ** (g - 1) * jac * bracket + _wall_kernel(g) * (
-        (UV ** (2 * n2) - UV ** (2 * n1)) * w.coeff(n1)
-    )
-    return FractionUV(_times_jacobian(divide_exact(inner, _DEN), g, 2))
+    n1, two_n2 = _fibers(t, n, 1)
+    return _contribution(n, n1, two_n2, _closed_cn(t, n, n1, two_n2))
 
 
 @cache
@@ -147,12 +145,11 @@ def _strata_bases(g: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     return jac, jac * jac - jac, jac.square_negate() - jac
 
 
-def _strata_factors(t: TripleType, n: int) -> tuple:
+def _strata_factors(t: TripleType, n: int, n1: int, two_n2: int) -> tuple:
     # the first stratum x1, and the cofactors y2..y6 of the factor
     # js = e(Jac) e(Sym^{N1}) that the other five strata end in
     g, d1, d2 = t.g, t.d1, t.d2
-    n1 = d1 - d2 - n
-    n2 = g - 1 - d1 + (3 * n) // 2
+    n2 = two_n2 // 2
     jac, jac2_jac, tilde_jac = _strata_bases(g)
 
     def pp(m: int) -> LaurentPoly:
@@ -181,20 +178,13 @@ def _strata_factors(t: TripleType, n: int) -> tuple:
     return x1, [y2, y3, y4, y5, y6], jac * e_sym(n1, g).poly
 
 
-def _validate_even(t: TripleType, n: int) -> None:
-    if n % 2 != 0:
-        raise ParityError(f"n={n} is odd; use the odd-index form")
-    _validate_critical(t, n)
-
-
 def strata(t: TripleType, n: int) -> tuple[LaurentPoly, ...]:
     """The six stratum contributions at an even critical index n.
 
     Plus side minus minus side, in filtration order; they sum to C_n,
     which ``c_n_even`` checks whenever it builds the jump.
     """
-    _validate_even(t, n)
-    x1, ys, js = _strata_factors(t, n)
+    x1, ys, js = _strata_factors(t, n, *_fibers(t, n, 0))
     return (x1, *(y * js for y in ys))
 
 
@@ -205,15 +195,15 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
     x1 + (y2 + ... + y6) js, on every call, and a disagreement raises
     StrataMismatch; ``strata`` returns the six strata themselves.
     """
-    _validate_even(t, n)
-    closed = _closed_even(t, n)
-    x1, ys, js = _strata_factors(t, n)
+    n1, two_n2 = _fibers(t, n, 0)
+    closed = _closed_cn(t, n, n1, two_n2)
+    x1, ys, js = _strata_factors(t, n, n1, two_n2)
     if FractionUV(x1 + sum(ys, ZERO) * js) != closed:
         raise StrataMismatch(
             f"stratum sum disagrees with the closed form at n={n} "
             f"for (3,1,{t.d1},{t.d2}), g={t.g}"
         )
-    return _contribution(t, n, closed)
+    return _contribution(n, n1, two_n2, closed)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -113,6 +113,9 @@ class LaurentPoly:
             for (a, b), c in terms.items():
                 if not isinstance(c, int):
                     raise TypeError(f"coefficient {c!r} is not an integer")
+                for e in (a, b):
+                    if not isinstance(e, int):
+                        raise TypeError(f"exponent {e!r} is not an integer")
                 if c:
                     clean[(int(a), int(b))] = int(c)
         self._terms = clean
@@ -400,13 +403,13 @@ class LaurentPoly:
 
     @classmethod
     def from_triples(cls, triples: Iterable) -> "LaurentPoly":
+        """Inverse of :meth:`to_triples`; int coefficients are read too."""
         terms: dict[tuple[int, int], int] = {}
         for entry in triples:
             a, b, c = entry
-            key = (int(a), int(b))
-            if key in terms:
-                raise ValueError(f"duplicate monomial {key} in triples")
-            terms[key] = int(c)
+            if (a, b) in terms:
+                raise ValueError(f"duplicate monomial {(a, b)} in triples")
+            terms[a, b] = int(c) if isinstance(c, str) else c
         return cls(terms)
 
     @classmethod
@@ -638,15 +641,16 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     residue forms' differences of monomial poles, 1 - uv and the
     pipeline's 1 - (uv)^(3g-2) are such divisors.
 
-    Line route.  When the shifted divisor is D(m) for one monomial
-    m = u^i v^j (a constant term 1 or -1, and every term on the ray
-    k*(i, j)), multiplying by D maps each line ``base + t*(i, j)`` to
-    itself, so the quotient is found line by line, on the lines laid end
-    to end in one list of integers.  D's coefficient list, times its
-    constant term, must split into binomials 1 - x^k and 1 + x^k, peeled
-    at its lowest nonzero k; each comes out of every line by prefix sums
-    over stride-k slices.  The route is taken only when the lines, each
-    with deg D slots of padding, fit in ``len(num) * len(den)`` slots.
+    Line route.  When a divisor of three or more terms, shifted, is D(m)
+    for one monomial m = u^i v^j (a constant term 1 or -1, and every term
+    on the ray k*(i, j)), multiplying by D maps each line
+    ``base + t*(i, j)`` to itself, so the quotient is found line by line,
+    on the lines laid end to end in one list of integers.  D's
+    coefficient list, times its constant term, must split into binomials
+    1 - x^k and 1 + x^k, peeled at its lowest nonzero k; each comes out
+    of every line by prefix sums over stride-k slices.  The route is
+    taken only when the lines, each with deg D slots of padding, fit in
+    ``len(num) * len(den)`` slots.
     DEN = (1 - uv)^2 (1 - (uv)^2), over which every N_sigma(3, 1) route
     divides once, the denominator of ``e_m3``, its t-display, and the
     pipeline's (1 + u)^g and (1 + v)^g take it.
@@ -669,16 +673,16 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if num.is_zero():
         return ZERO
 
-    if len(den._terms) == 2:
-        walked = _divide_walk(num._terms, den._terms)
-        if walked is not None:
-            return _raw(walked)
-
     da, db = den.min_exponents()
     dterms = {(a - da, b - db): c for (a, b), c in den._terms.items()}
-    lined = _divide_lines(num._terms, dterms, da, db)
-    if lined is not None:
-        return _raw(lined)
+    if len(dterms) == 2:
+        # a two-term D(m) splits into binomials only when both of its
+        # terms are units, so the line route could add nothing to the walk
+        quotient = _divide_walk(num._terms, den._terms)
+    else:
+        quotient = _divide_lines(num._terms, dterms, da, db)
+    if quotient is not None:
+        return _raw(quotient)
 
     na, nb = num.min_exponents()
     shift = (na - da, nb - db)

@@ -36,6 +36,7 @@ from triplehodge import (
 from triplehodge.laurent import ONE, U, V
 from triplehodge.series import XSeries, curve_numerator, sym_series
 from triplehodge.stability import chamber_bounds
+from triplehodge.verify import GRIDS
 from triplehodge.zoo import _ChamberMemo
 
 
@@ -80,13 +81,13 @@ def _count_builds() -> dict[str, list]:
     import contextlib
     import io
 
-    from triplehodge import cli, flips, moduli, series, stability
+    from triplehodge import cli, flips, moduli, series, stability, verify
     from triplehodge.laurent import LaurentPoly
     from triplehodge.zoo import e_jacobian, e_sym
 
     counts = {name: Counter() for name in
               ("chambers", "sym_series", "sym2", "t_display",
-               "jac_square_minus_jac", "jac2_sym", "flip_sum")}
+               "jac_square_minus_jac", "jac2_sym", "flip_sum", "walls")}
     genera = range(2, 7)
     jacs = {id(e_jacobian(g).poly): g for g in genera}
 
@@ -145,6 +146,19 @@ def _count_builds() -> dict[str, list]:
         return flip_contribution(t, n)
 
     moduli.flip_contribution = spy_flip_contribution
+
+    # a wall's jump is built by c_n_odd or c_n_even; a call that raises
+    # builds nothing
+    for name in ("c_n_odd", "c_n_even"):
+        build = getattr(flips, name)
+
+        def spy_build(t, n, build=build):
+            flip = build(t, n)
+            counts["walls"][str((t.n1, t.n2, t.d1, t.d2, t.g, n))] += 1
+            return flip
+
+        for module in (flips, verify):
+            setattr(module, name, spy_build)
 
     sub, mul = LaurentPoly.__sub__, LaurentPoly.__mul__
     jac_squares = {g: mul(jac, jac) for jac, g in
@@ -223,12 +237,25 @@ def builds():
 @pytest.mark.parametrize(
     "piece",
     ["chambers", "sym_series", "sym2", "t_display", "jac_square_minus_jac",
-     "jac2_sym", "flip_sum"],
+     "jac2_sym", "flip_sum", "walls"],
 )
 def test_full_grid_verify_builds_each_piece_once_per_key(builds, piece):
     assert builds[piece], f"no build of {piece} was seen"
     repeated = {key: n for key, n in builds[piece] if n > 1}
     assert repeated == {}
+
+
+def test_full_grid_verify_builds_every_wall_of_its_grid(builds):
+    # c_n_odd and c_n_even together build each (3, 1) wall of the full
+    # grid, 48 of them, and no other; the once is checked above
+    full = GRIDS["full"]
+    walls = {
+        str((3, 1, d1, d2, g, n))
+        for g in full.gs for d1 in full.d1s for d2 in full.d2s
+        for n, _sigma in criticals(TripleType(3, 1, d1, d2, g))
+    }
+    assert len(walls) == 48
+    assert {key for key, _n in builds["walls"]} == walls
 
 
 @pytest.mark.parametrize(

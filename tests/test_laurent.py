@@ -1,5 +1,6 @@
 """Unit tests for the exact Laurent-polynomial layer."""
 
+import re
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -70,6 +71,27 @@ def test_zero_coefficients_dropped():
 def test_non_integer_coefficient_rejected():
     with pytest.raises(TypeError):
         LaurentPoly({(0, 0): 1.5})
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: LaurentPoly({(1.5, 0): 1}), "1.5"),
+    (lambda: LaurentPoly({(0, 2.0): 1}), "2.0"),
+    (lambda: LaurentPoly.monomial(Fraction(3, 2), 0), "Fraction(3, 2)"),
+    (lambda: LaurentPoly({("2", 0): 1}), "'2'"),
+    (lambda: LaurentPoly.from_triples([[1.9, 0, "3"]]), "1.9"),
+    (lambda: LaurentPoly.from_triples([[1, "0", 3]]), "'0'"),
+])
+def test_non_integer_exponent_rejected(build, bad):
+    # int() would truncate 1.5 to 1 and read "2" as 2: a wrong polynomial
+    # instead of an error
+    with pytest.raises(TypeError, match=rf"^exponent {re.escape(bad)} is "):
+        build()
+
+
+def test_from_triples_reads_int_and_decimal_coefficients_only():
+    assert LaurentPoly.from_triples([[1, 0, "3"], [0, 1, -2]]) == 3 * U - 2 * V
+    with pytest.raises(TypeError, match=r"^coefficient 1\.5 is not"):
+        LaurentPoly.from_triples([[1, 0, 1.5]])
 
 
 def test_constructors():
@@ -648,8 +670,9 @@ def test_line_route_matches_heap_route(q, den, bump):
         exact = len(lined)
         with pytest.raises(NonDivisible) as by_lines:
             divide_exact(num + bump, den)
-    # no line route divides a numerator that is off by one term
-    assert lined[exact:] == [False]
+    # no line route divides a numerator that is off by one term, and a
+    # two-term divisor is left to the walk and the heap route
+    assert lined[exact:] == ([] if len(den) == 2 else [False])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laurent, "_divide_lines", lambda *args: None)
         assert divide_exact(num, den) == q
@@ -697,6 +720,40 @@ def test_walk_leaves_non_multiples_to_the_old_routes(p, den, bump):
             divide_exact(num, den)
     assert str(walked.value) == str(unwalked.value)
     assert walked.value.remainder == unwalked.value.remainder
+
+
+@st.composite
+def any_two_terms(draw):
+    """c0*u^a v^b + c1*u^c v^d, units or not, comparable monomials or
+    not."""
+    keys = st.tuples(exponents, exponents)
+    (k0, k1) = draw(st.lists(keys, min_size=2, max_size=2, unique=True))
+    nonzero = st.integers(-3, 3).filter(bool)
+    return LaurentPoly({k0: draw(nonzero), k1: draw(nonzero)})
+
+
+@given(polys, any_two_terms(), st.one_of(st.just(ZERO), bumps))
+@settings(max_examples=100, deadline=None)
+def test_two_term_divisors_skip_the_line_route(p, den, bump):
+    # a two-term divisor splits into binomials 1 +- m^k only when both of
+    # its terms are units, and the walk takes that case; the line route
+    # has nothing to add, so divide_exact never tries it
+    seen = []
+    lines = laurent._divide_lines
+
+    def spy(terms, dterms, da, db):
+        seen.append(dterms)
+        return lines(terms, dterms, da, db)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_divide_lines", spy)
+        try:
+            quotient = divide_exact(p * den + bump, den)
+        except NonDivisible:
+            quotient = None
+    assert seen == []
+    if bump.is_zero():
+        assert quotient == p
 
 
 def test_walk_skips_the_gap_between_far_terms():
