@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
 
+from ._memo import memo
 from .errors import NonIntegral, OutOfRange, ParityError, StrataMismatch
 from .laurent import (
     ONE,
@@ -75,7 +75,7 @@ class FlipContribution:
 _DEN = (ONE - UV) ** 2 * (ONE - UV**2)
 
 
-@cache
+@memo
 def _wall_kernel(g: int) -> LaurentPoly:
     # numerator over _DEN of the factor common to every wall-crossing
     # term: _wall_kernel(g) e(Jac) = e(M(2,odd)) (1 - uv) (1 - (uv)^2)
@@ -137,7 +137,7 @@ def c_n_odd(t: TripleType, n: int) -> FlipContribution:
     return _contribution(n, n1, two_n2, _closed_cn(t, n, n1, two_n2))
 
 
-@cache
+@memo
 def _strata_bases(g: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     # J = e(Jac), J^2 - J and J~ - J with J~ = J(-u^2, -v^2): built once
     # per genus for the strata, shared and never mutated
@@ -206,7 +206,7 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
     return _contribution(n, n1, two_n2, closed)
 
 
-@lru_cache(maxsize=None, typed=True)
+@memo
 def flip_contribution(t: TripleType, n: int) -> FlipContribution:
     """Wall-crossing data at the critical index n of either parity.
 

@@ -261,7 +261,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
-            raise ValueError("exponent must be an integer")
+            raise TypeError(f"exponent {k!r} is not an integer")
         terms = self._terms
         if k < 0 and len(terms) != 1:
             # only unit monomials are invertible in the Laurent ring

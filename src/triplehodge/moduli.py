@@ -9,9 +9,9 @@ space, which fibers over M(3, d1) in projective spaces.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
 from math import comb
 
+from ._memo import memo
 from .errors import OutOfRange
 from .laurent import (
     ONE,
@@ -27,7 +27,7 @@ from .laurent import (
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
-from .stability import TripleType, criticals, locate
+from .stability import TripleType, _require_genus, criticals, locate
 from .flips import _DEN, _wall_kernel, flip_contribution
 from .zoo import (
     HodgeResult,
@@ -127,7 +127,7 @@ def e_n31_flipsum(
 @_ChamberMemo
 def _flip_sum(t: TripleType, wall: int) -> LaurentPoly:
     # -C_n summed from the top wall down; the memo keeps each wall's sum
-    sums = _flip_sum.walls
+    sums = _flip_sum
     poly = ZERO
     for n, _crit in reversed(criticals(t)):
         if n >= wall:
@@ -137,15 +137,14 @@ def _flip_sum(t: TripleType, wall: int) -> LaurentPoly:
     return poly
 
 
-@lru_cache(maxsize=None, typed=True)
+@memo
 def e_m3(g: int, d: int = 1) -> HodgeResult:
     """Hodge polynomial of M(3, d) for d not divisible by 3, dim 9g - 8.
 
     The polynomial is independent of such d (all the spaces are
     isomorphic up to duality and twisting), so d only gets validated.
     """
-    if g < 2:
-        raise OutOfRange(f"genus must be at least 2, got {g}")
+    _require_genus(g)
     if d % 3 == 0:
         raise OutOfRange(
             f"d={d} is divisible by 3; M(3, d) is singular there"
@@ -166,7 +165,7 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
 
 
-@cache
+@memo
 def e_m3_via_pipeline(g: int) -> HodgeResult:
     """M(3, d1) recovered from the triple space at small sigma.
 
@@ -175,8 +174,7 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
     P^{3g-3}, so dividing e(N_sigma) by e(Jac) e(P^{3g-3}) returns
     e(M(3, d1)).  NonDivisible here would signal a formula error.
     """
-    if g < 2:
-        raise OutOfRange(f"genus must be at least 2, got {g}")
+    _require_genus(g)
     d1 = 6 * g - 5
     low = e_n31_closed(g, d1, 0, chamber=1)
     # one division per binomial instead of one by the multiplied-out
@@ -204,15 +202,14 @@ def _t(k: int) -> LaurentPoly:
     return LaurentPoly.monomial(k, 0)
 
 
-@cache
+@memo
 def poincare_m3(g: int) -> LaurentPoly:
     """Poincare polynomial of M(3, d) from its own closed display in t.
 
     Independent of e_m3: evaluated directly in the t variable, it must
     agree with poincare(e_m3(g)).
     """
-    if g < 2:
-        raise OutOfRange(f"genus must be at least 2, got {g}")
+    _require_genus(g)
     one_t = ONE + _t(1)
     piece1 = (
         one_t ** (2 * g)
@@ -288,7 +285,7 @@ def poincare_n31(
 _DEN_T = (ONE - _t(2)) ** 2 * (ONE - _t(4))
 
 
-@cache
+@memo
 def _t_display_factors(g: int) -> tuple[LaurentPoly, ...]:
     """The factors of poincare_n31 that depend on g alone, in t: the
     numerators over DEN(t) of the wall kernel and of the prefactor of

@@ -8,9 +8,8 @@ the stable locus at critical values.
 
 from __future__ import annotations
 
-from functools import cache
-
-from .errors import NonIntegral, OutOfRange
+from ._memo import memo
+from .errors import NonIntegral
 from .laurent import (
     ONE,
     U2V,
@@ -24,7 +23,9 @@ from .laurent import (
     halve_exact,
 )
 from .series import extract, sym_series
-from .stability import TripleType, _require_critical, chi_triples
+from .stability import (
+    TripleType, _require_critical, _require_genus, chi_triples
+)
 from .zoo import HodgeResult, _ChamberMemo, _times_jacobian
 
 __all__ = [
@@ -35,14 +36,13 @@ __all__ = [
 ]
 
 
-@cache
+@memo
 def e_m2_odd(g: int) -> HodgeResult:
     """Hodge polynomial of M(2, d) for odd d, dimension 4g - 3.
 
     The space is smooth projective and independent of the odd degree d.
     """
-    if g < 2:
-        raise OutOfRange(f"genus must be at least 2, got {g}")
+    _require_genus(g)
     # e(Jac) = (1 + u)^g (1 + v)^g divides the numerator and is prime to
     # the cyclotomic denominator, so it is multiplied in after the division
     num = (ONE + U2V) ** g * (ONE + UV2) ** g - _times_jacobian(UV**g, g)
@@ -51,7 +51,7 @@ def e_m2_odd(g: int) -> HodgeResult:
     return HodgeResult(poly=poly, dim=4 * g - 3, smooth_projective=True)
 
 
-@cache
+@memo
 def e_m2s_even(g: int) -> HodgeResult:
     """Hodge polynomial of the stable locus M^s(2, d) for even d.
 
@@ -59,8 +59,7 @@ def e_m2s_even(g: int) -> HodgeResult:
     adds the strictly semistable boundary), so the smooth-projective
     flag stays off even though the polynomial is exact.
     """
-    if g < 2:
-        raise OutOfRange(f"genus must be at least 2, got {g}")
+    _require_genus(g)
     a = _times_binomials(
         ONE, {ONE + U: g, ONE + V: g, ONE + U2V: g, ONE + UV2: g}
     )

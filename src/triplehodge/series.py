@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from math import comb
 
+from ._memo import Table
 from .errors import DegeneratePoles, OrderTooLow
 from .laurent import (
     ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly, divide_exact
 )
+from .stability import _require_genus
 
 __all__ = [
     "XSeries",
@@ -135,7 +137,7 @@ def curve_numerator(g: int, order: int) -> XSeries:
 
 
 # the longest sym_series built so far, per genus
-_sym_longest: dict[int, XSeries] = {}
+_sym_longest = Table(f"{__name__}._sym_longest")
 
 
 def sym_series(g: int, order: int) -> XSeries:
@@ -147,18 +149,20 @@ def sym_series(g: int, order: int) -> XSeries:
     far for g is kept and a shorter order is its truncation: one series
     per genus is held, and it is built again only for a longer order.
     Each caller gets its own series; the coefficients are shared and
-    never mutated.
+    never mutated; ``clear_all`` empties the table of longest series.
     """
     # the table is keyed by g, where 2.0 would find the series of 2
-    if not isinstance(g, int):
-        raise TypeError(f"genus must be an integer, got {g!r}")
+    _require_genus(g, 0)
     w = _sym_longest.get(g)
     if w is None or w.order < order:
+        _sym_longest.misses += 1
         w = _sym_longest[g] = (
             curve_numerator(g, order)
             * XSeries.geometric(ONE, order)
             * XSeries.geometric(U * V, order)
         )
+    else:
+        _sym_longest.hits += 1
     return XSeries(order, w._coeffs)
 
 

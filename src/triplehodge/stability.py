@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
+from ._memo import memo
 from .errors import CriticalSigma, NotCritical, OutOfRange
 
 __all__ = [
@@ -143,6 +143,15 @@ def _require_critical(t: TripleType, index: int) -> None:
         )
 
 
+def _require_genus(g, least: int = 2) -> None:
+    """Raise TypeError unless g is an int, OutOfRange if g < least."""
+    if not isinstance(g, int):
+        raise TypeError(f"genus must be an integer, got {g!r}")
+    if g < least:
+        bound = f"at least {least}" if least else "nonnegative"
+        raise OutOfRange(f"genus must be {bound}, got {g}")
+
+
 def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
     """Open chambers (lo, hi) between consecutive critical values.
 
@@ -152,7 +161,7 @@ def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
     return list(_chambers(t))
 
 
-@cache
+@memo
 def _chambers(t: TripleType) -> tuple[tuple[Fraction, Fraction], ...]:
     # chamber_bounds(t), built once per type; the tuple is shared
     rng = sigma_range(t)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from random import Random
 from typing import Callable
 
+from ._memo import memo
 from .errors import NotCritical, ParityError
 from .laurent import ONE, UV, ZERO, FractionUV, LaurentPoly, divide_exact
 from .series import (
@@ -279,7 +280,7 @@ def _suite_zoo(grid: Grid) -> list[Case]:
 # -- rank2 ------------------------------------------------------------
 
 
-@cache
+@memo
 def _jac2_sym(g: int, k: int) -> LaurentPoly:
     # e(Jac)^2 e(Sym^k), the base shared by S^- and S^+; built once per
     # (g, k), shared and never mutated

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache
 
-from .errors import OutOfRange
+from ._memo import Table, memo
 from .laurent import (
     ONE,
     UV,
@@ -26,7 +25,7 @@ from .laurent import (
     halve_exact,
 )
 from .series import sym_series
-from .stability import Chamber, TripleType, chi_triples, locate
+from .stability import Chamber, TripleType, _require_genus, chi_triples, locate
 
 __all__ = [
     "HodgeResult",
@@ -67,22 +66,20 @@ class HodgeResult:
         return self.poly.is_zero()
 
 
-class _ChamberMemo:
+class _ChamberMemo(Table):
     """A triple space's Hodge polynomial build(t, wall), per last type.
 
     The moduli space is constant on a chamber, so a query depends on
     sigma only through the chamber's upper wall.  Queries walk one type
-    at a time, so only that type's chambers are held: a query of another
-    type drops them.  The flip sum fills ``walls`` with each wall it
-    passes.
+    at a time, so the memo maps only the last queried type's walls to
+    their polynomials.  The flip sum adds each wall it passes.  It is
+    the ``_memo.Table`` named after build, which ``clear_all`` empties.
     """
 
-    __slots__ = ("build", "type", "walls")
-
     def __init__(self, build: Callable[[TripleType, int], LaurentPoly]):
+        super().__init__(f"{build.__module__}.{build.__qualname__}")
         self.build = build
         self.type: TripleType | None = None
-        self.walls: dict[int, LaurentPoly] = {}
 
     def result(self, t: TripleType, sigma, chamber: int | None) -> HodgeResult:
         """The triple space of type t at sigma (or at a chamber's midpoint).
@@ -95,15 +92,19 @@ class _ChamberMemo:
         if ch is None:
             return HodgeResult(ZERO, 0)
         if t != self.type:
-            self.type, self.walls = t, {}
-        poly = self.walls.get(ch.wall)
+            self.type = t
+            self.clear()
+        poly = self.get(ch.wall)
         if poly is None:
-            poly = self.walls[ch.wall] = self.build(t, ch.wall)
+            self.misses += 1
+            poly = self[ch.wall] = self.build(t, ch.wall)
+        else:
+            self.hits += 1
         dim = 1 - chi_triples(t, t)
         return HodgeResult(poly, dim, smooth_projective=True, chamber=ch)
 
 
-@cache
+@memo
 def e_affine(n: int) -> HodgeResult:
     """Hodge polynomial (uv)^n of affine n-space."""
     if n < 0:
@@ -112,7 +113,7 @@ def e_affine(n: int) -> HodgeResult:
     return HodgeResult(poly=UV**n, dim=n, smooth_projective=False)
 
 
-@cache
+@memo
 def e_projective(n: int) -> HodgeResult:
     """Hodge polynomial of the projective space P^(n-1).
 
@@ -126,11 +127,10 @@ def e_projective(n: int) -> HodgeResult:
     return HodgeResult(poly=poly, dim=n - 1, smooth_projective=True)
 
 
-@cache
+@memo
 def e_jacobian(g: int) -> HodgeResult:
     """Hodge polynomial (1+u)^g (1+v)^g of the Jacobian of a genus-g curve."""
-    if g < 0:
-        raise OutOfRange(f"genus must be nonnegative, got {g}")
+    _require_genus(g, 0)
     poly = _times_jacobian(ONE, g)
     return HodgeResult(poly=poly, dim=g, smooth_projective=True)
 
@@ -140,7 +140,7 @@ def _times_jacobian(poly: LaurentPoly, g: int, power: int = 1) -> LaurentPoly:
     return _times_binomials(poly, {ONE + U: power * g, ONE + V: power * g})
 
 
-@lru_cache(maxsize=None, typed=True)
+@memo
 def e_sym(k: int, g: int) -> HodgeResult:
     """Hodge polynomial of the k-th symmetric power of a genus-g curve.
 
@@ -148,15 +148,14 @@ def e_sym(k: int, g: int) -> HodgeResult:
     (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)); Sym^0 is a point.  Negative k
     gives the empty variety.
     """
-    if g < 0:
-        raise OutOfRange(f"genus must be nonnegative, got {g}")
+    _require_genus(g, 0)
     if k < 0:
         return HodgeResult(ZERO, 0)
     poly = sym_series(g, k + 1).coeff(k)
     return HodgeResult(poly=poly, dim=k, smooth_projective=True)
 
 
-@lru_cache(maxsize=None, typed=True)
+@memo
 def e_grassmannian(k: int, n: int) -> HodgeResult:
     """Hodge polynomial of the Grassmannian Gr(k, n) of k-planes in C^n.
 

@@ -12,9 +12,12 @@ polynomial of a flip jump C_n).  The keys:
   ``e_triples21_critical_stable`` on every wall of the (2, 1) type, and
   ``flip_contribution(t, n).cn`` on every (3, 1) wall.
 
-``tests/test_value_corpus.py`` recomputes every entry.  Importing this
-module computes nothing.  To re-pin after an intended change of value,
-on a commit whose values are trusted, run::
+``entries`` pairs each key with a function that computes its value, so
+a key can be recomputed on its own.  ``tests/test_value_corpus.py``
+recomputes every entry, and every fifth again with cold memos in
+reverse order.  Importing this module computes nothing.  To re-pin
+after an intended change of value, on a commit whose values are
+trusted, run::
 
     PYTHONPATH=src python tests/make_value_corpus.py
 """
@@ -22,6 +25,7 @@ on a commit whose values are trusted, run::
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 CORPUS = Path(__file__).with_name("value_corpus.json")
@@ -38,7 +42,8 @@ def _digest(value) -> str:
 
 
 def entries():
-    """Yield (key, value) for every value of the corpus, in a fixed order."""
+    """Yield (key, compute) for every value of the corpus, in a fixed
+    order; compute() returns the value."""
     from triplehodge import (
         TripleType,
         chamber_bounds,
@@ -57,7 +62,7 @@ def entries():
     for name, fn in (("e_m2_odd", e_m2_odd), ("e_m2s_even", e_m2s_even),
                      ("e_m3", e_m3), ("poincare_m3", poincare_m3)):
         for g in GENERA:
-            yield f"{name} g={g}", fn(g)
+            yield f"{name} g={g}", partial(fn, g)
     for g in TYPE_GENERA:
         for d1 in (2 * g + 3, 2 * g + 4):
             for d2 in (0, 1):
@@ -65,28 +70,29 @@ def entries():
                 t31 = TripleType(3, 1, d1, d2, g)
                 for k in range(1, len(chamber_bounds(t31)) + 1):
                     yield (f"e_n31_closed {where} chamber={k}",
-                           e_n31_closed(g, d1, d2, chamber=k))
+                           partial(e_n31_closed, g, d1, d2, chamber=k))
                     yield (f"poincare_n31 {where} chamber={k}",
-                           poincare_n31(g, d1, d2, chamber=k))
+                           partial(poincare_n31, g, d1, d2, chamber=k))
                 for n, _sigma in criticals(t31):
                     yield (f"flip_contribution.cn {where} n={n}",
-                           flip_contribution(t31, n).cn)
+                           lambda t=t31, n=n: flip_contribution(t, n).cn)
                 t21 = TripleType(2, 1, d1, d2, g)
                 for k in range(1, len(chamber_bounds(t21)) + 1):
                     yield (f"e_triples21 {where} chamber={k}",
-                           e_triples21(g, d1, d2, chamber=k))
+                           partial(e_triples21, g, d1, d2, chamber=k))
                 for d_m, _sigma in criticals(t21):
                     yield (f"e_triples21_critical_stable {where} d_m={d_m}",
-                           e_triples21_critical_stable(g, d1, d2, d_m))
+                           partial(e_triples21_critical_stable,
+                                   g, d1, d2, d_m))
 
 
 def corpus() -> dict[str, str]:
     """Every key of the corpus mapped to the sha256 of its value."""
     pins: dict[str, str] = {}
-    for key, value in entries():
+    for key, compute in entries():
         if key in pins:
             raise ValueError(f"duplicate corpus key {key!r}")
-        pins[key] = _digest(value)
+        pins[key] = _digest(compute())
     return pins
 
 

@@ -1,22 +1,29 @@
-"""Tests for the per-genus and per-type values that are built once.
+"""Tests for the one memo policy and the values that are built once.
 
-The pieces every chamber and wall of a genus (or every query of a
-triple type) shares are memoized: a type's chamber bounds, the series
-of symmetric powers, the per-genus bases of the flip strata (the Sym^2
-term's, and e(Jac)^2 - e(Jac)), the t-display factors of
-``poincare_n31``, the product e(Jac)^2 e(Sym^k) of the rank-2 wall
-replay, each wall's checked jump (``flips.flip_contribution``) and the
-running flip sum at each wall of a (3, 1) type.  These tests check that
-callers still get values of their own, that a truncated series equals
-a fresh build, that one full-grid verify builds each piece at most once
-per key, and that a memo of two arguments answers a float the same
-whether or not the int key is cached.  An inventory pins, by name, every
-memo and every module-level container in the package, so process state
-cannot grow unseen.
+Every value the package keeps for the life of a process sits in a memo
+of ``triplehodge._memo``: a ``@memo`` function, a ``_ChamberMemo`` or
+the ``series._sym_longest`` table.  The pieces every chamber and wall
+of a genus (or every query of a triple type) shares are memoized: a
+type's chamber bounds, the series of symmetric powers, the per-genus
+bases of the flip strata (the Sym^2 term's, and e(Jac)^2 - e(Jac)), the
+t-display factors of ``poincare_n31``, the product e(Jac)^2 e(Sym^k) of
+the rank-2 wall replay, each wall's checked jump
+(``flips.flip_contribution``) and the running flip sum at each wall of
+a (3, 1) type.  These tests check that callers still get values of
+their own, that a truncated series equals a fresh build, that one
+full-grid verify builds each piece at most once per key, that every
+public memo of a genus or dimension answers a float the same whether or
+not the int key is cached, and that ``clear_all()`` makes a full-grid
+verify run cold again in the same process with the same output and the
+same misses.  The inventory checks that every cache-like object in a
+module namespace is registered, so no memo escapes ``clear_all()``, and
+pins every module-level container by name.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -31,13 +38,15 @@ from hypothesis import strategies as st
 
 import triplehodge
 from triplehodge import (
-    OrderTooLow, TripleType, criticals, e_grassmannian, e_m3, e_sym,
+    OrderTooLow, TripleType, criticals, e_affine, e_grassmannian, e_jacobian,
+    e_m2_odd, e_m2s_even, e_m3, e_m3_via_pipeline, e_projective, e_sym,
+    poincare_m3,
 )
+from triplehodge import _memo, cli
 from triplehodge.laurent import ONE, U, V
 from triplehodge.series import XSeries, curve_numerator, sym_series
 from triplehodge.stability import chamber_bounds
 from triplehodge.verify import GRIDS
-from triplehodge.zoo import _ChamberMemo
 
 
 def test_returned_lists_are_the_callers_own():
@@ -78,10 +87,7 @@ def _count_builds() -> dict[str, list]:
     Each spy recognises one piece's build by a call that only that
     build makes, and the piece's key is read off the call's arguments.
     """
-    import contextlib
-    import io
-
-    from triplehodge import cli, flips, moduli, series, stability, verify
+    from triplehodge import flips, moduli, series, stability, verify
     from triplehodge.laurent import LaurentPoly
     from triplehodge.zoo import e_jacobian, e_sym
 
@@ -260,9 +266,15 @@ def test_full_grid_verify_builds_every_wall_of_its_grid(builds):
 
 @pytest.mark.parametrize(
     "fn, bad, good",
-    [(e_sym, (3, 2.0), (3, 2)), (e_grassmannian, (2.0, 4), (2, 4)),
-     (e_m3, (2.0, 1), (2, 1))],
-    ids=["e_sym", "e_grassmannian", "e_m3"],
+    [(e_affine, (2.0,), (2,)), (e_projective, (3.0,), (3,)),
+     (e_jacobian, (2.0,), (2,)), (e_sym, (3, 2.0), (3, 2)),
+     (e_sym, (2.0, 3), (2, 3)), (e_grassmannian, (2.0, 4), (2, 4)),
+     (e_grassmannian, (2, 4.0), (2, 4)), (e_m2_odd, (2.0,), (2,)),
+     (e_m2s_even, (2.0,), (2,)), (e_m3, (2.0, 1), (2, 1)),
+     (e_m3_via_pipeline, (2.0,), (2,)), (poincare_m3, (2.0,), (2,))],
+    ids=["e_affine", "e_projective", "e_jacobian", "e_sym-g", "e_sym-k",
+         "e_grassmannian-k", "e_grassmannian-n", "e_m2_odd", "e_m2s_even",
+         "e_m3", "e_m3_via_pipeline", "poincare_m3"],
 )
 def test_a_float_argument_raises_alike_cold_and_warm(fn, bad, good):
     # an untyped memo keys (3, 2.0) as (3, 2), so once the int answer is
@@ -276,45 +288,43 @@ def test_a_float_argument_raises_alike_cold_and_warm(fn, bad, good):
     assert str(warm.value) == str(cold.value)
 
 
-# every piece of process-lifetime state in the package, by qualified name
-PROCESS_STATE = {
-    "caches": [
-        "triplehodge.flips._strata_bases",
-        "triplehodge.flips._wall_kernel",
-        "triplehodge.flips.flip_contribution",
-        "triplehodge.moduli._t_display_factors",
-        "triplehodge.moduli.e_m3",
-        "triplehodge.moduli.e_m3_via_pipeline",
-        "triplehodge.moduli.poincare_m3",
-        "triplehodge.rank2.e_m2_odd",
-        "triplehodge.rank2.e_m2s_even",
-        "triplehodge.stability._chambers",
-        "triplehodge.verify._jac2_sym",
-        "triplehodge.zoo.e_affine",
-        "triplehodge.zoo.e_grassmannian",
-        "triplehodge.zoo.e_jacobian",
-        "triplehodge.zoo.e_projective",
-        "triplehodge.zoo.e_sym",
-    ],
-    "chamber_memos": [
-        "triplehodge.moduli._closed_n31",
-        "triplehodge.moduli._flip_sum",
-        "triplehodge.rank2._closed_21",
-    ],
-    "containers": [
-        "triplehodge.cli._SCALARS",
-        "triplehodge.cli._TARGETS",
-        "triplehodge.series._sym_longest",
-        "triplehodge.verify.GRIDS",
-        "triplehodge.verify.SUITES",
-    ],
-}
+def _verify_full() -> tuple[str, dict[str, int]]:
+    """stdout of one in-process full-grid verify, and each memo's misses."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "all", "--grid", "full"]) == 0
+    return out.getvalue(), {
+        name: misses for name, (_hits, misses, _keys) in _memo.info().items()
+    }
 
 
-def _process_state() -> dict[str, list[str]]:
-    """Module-level cache wrappers, chamber memos and dicts, lists and
-    sets (``__all__`` aside) of every module of the package."""
-    found = {kind: set() for kind in PROCESS_STATE}
+def test_clear_all_replays_a_full_grid_verify_cold():
+    _memo.clear_all()
+    first, first_misses = _verify_full()
+    _memo.clear_all()
+    assert {keys for _hits, _misses, keys in _memo.info().values()} == {0}
+    second, second_misses = _verify_full()
+    assert second == first
+    assert second_misses == first_misses
+    assert all(first_misses.values())
+
+
+# module-level containers that are no memo: constant tables and the
+# memo registry itself
+CONTAINERS = [
+    "triplehodge._memo._registry",
+    "triplehodge.cli._SCALARS",
+    "triplehodge.cli._TARGETS",
+    "triplehodge.verify.GRIDS",
+    "triplehodge.verify.SUITES",
+]
+
+
+def _process_state() -> tuple[dict[int, str], list[str]]:
+    """The cache-like objects (anything but a class with ``cache_info``)
+    by id, and the dicts, lists and sets assigned at module level
+    (``__all__`` aside), of every module of the package."""
+    memos, containers = {}, set()
     names = ["triplehodge"] + [
         f"triplehodge.{info.name}"
         for info in pkgutil.iter_modules(triplehodge.__path__)
@@ -333,17 +343,21 @@ def _process_state() -> dict[str, list[str]]:
             for node in ast.walk(target) if isinstance(node, ast.Name)
         }
         for attr, value in vars(module).items():
-            if hasattr(value, "cache_info"):
-                found["caches"].add(f"{value.__module__}.{value.__qualname__}")
-            elif isinstance(value, _ChamberMemo):
-                build = value.build
-                found["chamber_memos"].add(f"{build.__module__}.{build.__qualname__}")
+            if hasattr(value, "cache_info") and not isinstance(value, type):
+                memos[id(value)] = f"{name}.{attr}"
             elif isinstance(value, (dict, list, set)) and attr in assigned \
                     and attr != "__all__":
-                found["containers"].add(f"{name}.{attr}")
-    return {kind: sorted(values) for kind, values in found.items()}
+                containers.add(f"{name}.{attr}")
+    return memos, sorted(containers)
 
 
 def test_process_state_inventory():
-    # a new memo or side table fails here until it is listed above
-    assert _process_state() == PROCESS_STATE
+    # a memo outside the registry would escape clear_all(); a new side
+    # table fails here until it is listed above
+    memos, containers = _process_state()
+    registered = {id(m) for m in _memo._registry.values()}
+    assert sorted(memos[i] for i in memos.keys() - registered) == []
+    assert registered <= memos.keys()
+    # 16 @memo functions, 3 chamber memos and the sym_series table
+    assert len(registered) == 20
+    assert containers == CONTAINERS

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from triplehodge import flips, laurent, moduli, rank2, verify, zoo
+from triplehodge import flips, laurent, rank2, verify, zoo
 from triplehodge import (
     FractionUV,
     NonIntegral,
@@ -36,6 +36,7 @@ from triplehodge import (
     e_triples21_critical_stable,
     flip_contribution,
 )
+from triplehodge._memo import clear_all
 from triplehodge.flips import strata
 from triplehodge.laurent import ONE, UV, ZERO, LaurentPoly
 from triplehodge.stability import chamber_bounds
@@ -201,7 +202,7 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
     # sweeping every chamber of a type telescopes over the same walls;
     # the flip-sum route must build each of them once, not once per
     # chamber above it
-    _fresh_walls()
+    clear_all()
     calls = []
     builders = {name: getattr(flips, name) for name in ("c_n_even", "c_n_odd")}
     for name, original in builders.items():
@@ -232,7 +233,7 @@ def test_chamber_sweep_builds_each_wall_once(monkeypatch):
 def test_walls_never_divide_by_one_term(monkeypatch):
     # a jump that collapses to a polynomial keeps no denominator, so no
     # wall divides by a monomial on the heap route
-    flip_contribution.cache_clear()
+    clear_all()
     divisors = []
     original = laurent.divide_exact
 
@@ -256,7 +257,7 @@ def test_verify_suites_build_each_wall_once(monkeypatch):
     # the crosspath suite's flip sums and -C_top checks reuse the jumps
     # the flips suite has built and checked, so across both suites each
     # wall's C_n is computed once
-    flip_contribution.cache_clear()
+    clear_all()
     calls = Counter()
     for name in ("c_n_even", "c_n_odd"):
         original = getattr(flips, name)
@@ -357,13 +358,6 @@ def test_flip_sum_memo_in_any_query_order(data):
         assert got == e_n31_closed(t.g, t.d1, t.d2, chamber=k).poly
 
 
-def _fresh_walls():
-    # forget every checked jump and the running sums read from them
-    flip_contribution.cache_clear()
-    moduli._flip_sum.type = None
-    moduli._closed_n31.type = None
-
-
 def test_a_wrong_stratum_raises_strata_mismatch(monkeypatch):
     # shift Gr(2, m) by m*uv, so the sixth stratum moves by (N1 - N2) uv
     # times e(Jac)^2 e(Sym^{N1}) and the sum leaves the closed form
@@ -372,7 +366,7 @@ def test_a_wrong_stratum_raises_strata_mismatch(monkeypatch):
     def shifted(k, m):
         return zoo.HodgeResult(grass(k, m).poly + m * UV, 0)
 
-    _fresh_walls()
+    clear_all()
     monkeypatch.setattr(flips, "e_grassmannian", shifted)
     try:
         t = TripleType(3, 1, 5, 0, 2)  # n = 4: N1 = 1, N2 = 2
@@ -383,7 +377,7 @@ def test_a_wrong_stratum_raises_strata_mismatch(monkeypatch):
             e_n31_flipsum(3, 9, 0, chamber=1)
     finally:
         monkeypatch.undo()
-        _fresh_walls()
+        clear_all()
     assert flips.e_grassmannian is grass
 
 
@@ -392,13 +386,13 @@ def test_production_routes_multiply_out_no_strata(monkeypatch):
     # stay factored, checked through one product by e(Jac) e(Sym^{N1})
     built = []
     monkeypatch.setattr(flips, "strata", lambda t, n: built.append((t, n)))
-    _fresh_walls()
+    clear_all()
     t = TripleType(3, 1, 9, 0, 3)
     assert any(n % 2 == 0 for n, _sigma in criticals(t))
     for index in range(1, len(chamber_bounds(t)) + 1):
         e_n31_flipsum(3, 9, 0, chamber=index)
     assert flip_contribution.cache_info().misses == len(criticals(t))
-    _fresh_walls()
+    clear_all()
     assert run_suite("flips", "quick").failures == 0
     assert built == []
 

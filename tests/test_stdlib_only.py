@@ -1,4 +1,6 @@
-"""The package runs on the standard library alone ("no runtime dependencies")."""
+"""The package runs on the standard library alone ("no runtime dependencies"),
+the oracles import nothing from it, and only its ``_memo`` module makes
+caches."""
 
 import ast
 import sys
@@ -52,3 +54,22 @@ def test_oracles_import_nothing_from_the_package():
         if name.partition(".")[0] == "triplehodge"
     ]
     assert relative + package == []
+
+
+def test_only_the_memo_module_makes_caches():
+    # every memo is made in _memo and registered there, so clear_all()
+    # reaches it; a cache made elsewhere would escape the reset
+    names = {"cache", "lru_cache"}
+    made = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_memo.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                made += [f"{path.name}:{node.lineno}: {alias.name}"
+                         for alias in node.names if alias.name in names]
+            elif isinstance(node, ast.Attribute) and node.attr in names \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "functools":
+                made.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert made == []
