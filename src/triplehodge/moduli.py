@@ -27,7 +27,7 @@ from .laurent import (
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
-from .stability import TripleType, _require_genus, criticals, locate
+from .stability import TripleType, _require_int, criticals, locate
 from .flips import _DEN, _wall_kernel, flip_contribution
 from .zoo import (
     HodgeResult,
@@ -144,7 +144,8 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
     The polynomial is independent of such d (all the spaces are
     isomorphic up to duality and twisting), so d only gets validated.
     """
-    _require_genus(g)
+    _require_int(g, "genus", 2)
+    _require_int(d, "d")
     if d % 3 == 0:
         raise OutOfRange(
             f"d={d} is divisible by 3; M(3, d) is singular there"
@@ -165,7 +166,6 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
 
 
-@memo
 def e_m3_via_pipeline(g: int) -> HodgeResult:
     """M(3, d1) recovered from the triple space at small sigma.
 
@@ -174,7 +174,7 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
     P^{3g-3}, so dividing e(N_sigma) by e(Jac) e(P^{3g-3}) returns
     e(M(3, d1)).  NonDivisible here would signal a formula error.
     """
-    _require_genus(g)
+    _require_int(g, "genus", 2)
     d1 = 6 * g - 5
     low = e_n31_closed(g, d1, 0, chamber=1)
     # one division per binomial instead of one by the multiplied-out
@@ -202,14 +202,13 @@ def _t(k: int) -> LaurentPoly:
     return LaurentPoly.monomial(k, 0)
 
 
-@memo
 def poincare_m3(g: int) -> LaurentPoly:
     """Poincare polynomial of M(3, d) from its own closed display in t.
 
     Independent of e_m3: evaluated directly in the t variable, it must
     agree with poincare(e_m3(g)).
     """
-    _require_genus(g)
+    _require_int(g, "genus", 2)
     one_t = ONE + _t(1)
     piece1 = (
         one_t ** (2 * g)

@@ -24,7 +24,7 @@ from .laurent import (
 )
 from .series import extract, sym_series
 from .stability import (
-    TripleType, _require_critical, _require_genus, chi_triples
+    TripleType, _require_critical, _require_int, chi_triples
 )
 from .zoo import HodgeResult, _ChamberMemo, _times_jacobian
 
@@ -42,7 +42,7 @@ def e_m2_odd(g: int) -> HodgeResult:
 
     The space is smooth projective and independent of the odd degree d.
     """
-    _require_genus(g)
+    _require_int(g, "genus", 2)
     # e(Jac) = (1 + u)^g (1 + v)^g divides the numerator and is prime to
     # the cyclotomic denominator, so it is multiplied in after the division
     num = (ONE + U2V) ** g * (ONE + UV2) ** g - _times_jacobian(UV**g, g)
@@ -59,7 +59,7 @@ def e_m2s_even(g: int) -> HodgeResult:
     adds the strictly semistable boundary), so the smooth-projective
     flag stays off even though the polynomial is exact.
     """
-    _require_genus(g)
+    _require_int(g, "genus", 2)
     a = _times_binomials(
         ONE, {ONE + U: g, ONE + V: g, ONE + U2V: g, ONE + UV2: g}
     )

@@ -29,7 +29,7 @@ from .errors import DegeneratePoles, OrderTooLow
 from .laurent import (
     ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly, divide_exact
 )
-from .stability import _require_genus
+from .stability import _require_int
 
 __all__ = [
     "XSeries",
@@ -152,7 +152,7 @@ def sym_series(g: int, order: int) -> XSeries:
     never mutated; ``clear_all`` empties the table of longest series.
     """
     # the table is keyed by g, where 2.0 would find the series of 2
-    _require_genus(g, 0)
+    _require_int(g, "genus", 0)
     w = _sym_longest.get(g)
     if w is None or w.order < order:
         _sym_longest.misses += 1

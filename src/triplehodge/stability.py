@@ -5,11 +5,12 @@ E1, E2 of ranks n1, n2 and degrees d1, d2 together with a map E2 -> E1.
 Stability depends on a real parameter sigma; the moduli space changes only
 when sigma crosses one of finitely many critical values, and is constant
 on the open chambers in between.  criticals is the one list of a
-type's walls, and locate is the one place a moduli query's sigma (or
-chamber index) is resolved, checked and placed in its chamber.  A
-type's chamber structure (its sigma range and the Fraction bounds of
-every chamber) is built once per process and shared by every query of
-that type; chamber_bounds hands each caller its own list.
+type's walls, locate is the one place a moduli query's sigma (or
+chamber index) is resolved, checked and placed in its chamber, and
+_require_int is the one check of an integer argument.  A type's
+chamber structure (its sigma range and the Fraction bounds of every
+chamber) is built once per process and shared by every query of that
+type; chamber_bounds hands each caller its own list.
 """
 
 from __future__ import annotations
@@ -43,12 +44,9 @@ class TripleType:
     g: int
 
     def __post_init__(self) -> None:
-        for name in ("n1", "n2", "d1", "d2", "g"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.g < 2:
-            raise OutOfRange(f"genus must be at least 2, got {self.g}")
+        for name in ("n1", "n2", "d1", "d2"):
+            _require_int(getattr(self, name), name)
+        _require_int(self.g, "genus", 2)
         if self.n1 < 0 or self.n2 < 0:
             raise OutOfRange("ranks must be nonnegative")
         if self.n1 == 0 and self.n2 == 0:
@@ -133,8 +131,7 @@ def criticals(t: TripleType) -> list[tuple[int, int]]:
 
 def _require_critical(t: TripleType, index: int) -> None:
     """Raise NotCritical unless index is one of the walls of t."""
-    if not isinstance(index, int):
-        raise TypeError(f"wall index must be an integer, got {index!r}")
+    _require_int(index, "wall index")
     indices = [i for i, _ in criticals(t)]
     if index not in indices:
         raise NotCritical(
@@ -143,13 +140,13 @@ def _require_critical(t: TripleType, index: int) -> None:
         )
 
 
-def _require_genus(g, least: int = 2) -> None:
-    """Raise TypeError unless g is an int, OutOfRange if g < least."""
-    if not isinstance(g, int):
-        raise TypeError(f"genus must be an integer, got {g!r}")
-    if g < least:
+def _require_int(value, name: str, least: int | None = None) -> None:
+    """Raise TypeError unless value is an int, OutOfRange if value < least."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
         bound = f"at least {least}" if least else "nonnegative"
-        raise OutOfRange(f"genus must be {bound}, got {g}")
+        raise OutOfRange(f"{name} must be {bound}, got {value}")
 
 
 def chamber_bounds(t: TripleType) -> list[tuple[Fraction, Fraction]]:
@@ -186,6 +183,7 @@ def locate(
     if chamber is not None:
         if sigma is not None:
             raise OutOfRange("pass sigma or chamber, not both")
+        _require_int(chamber, "chamber index")
         if not bounds:
             raise OutOfRange(
                 f"type ({t.n1},{t.n2},{t.d1},{t.d2}) has no chambers"
@@ -198,7 +196,10 @@ def locate(
         sigma = (lo + hi) / 2
     elif sigma is None:
         raise OutOfRange("either sigma or chamber is required")
-    sigma = Fraction(sigma)
+    try:
+        sigma = Fraction(sigma)
+    except (ValueError, OverflowError):  # a NaN or an infinity
+        raise OutOfRange(f"sigma must be a finite rational, got {sigma}")
     walls = criticals(t)
     values = [s for _, s in walls]
     if sigma in values:

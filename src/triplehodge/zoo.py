@@ -25,7 +25,7 @@ from .laurent import (
     halve_exact,
 )
 from .series import sym_series
-from .stability import Chamber, TripleType, _require_genus, chi_triples, locate
+from .stability import Chamber, TripleType, _require_int, chi_triples, locate
 
 __all__ = [
     "HodgeResult",
@@ -104,9 +104,9 @@ class _ChamberMemo(Table):
         return HodgeResult(poly, dim, smooth_projective=True, chamber=ch)
 
 
-@memo
 def e_affine(n: int) -> HodgeResult:
     """Hodge polynomial (uv)^n of affine n-space."""
+    _require_int(n, "n")
     if n < 0:
         return HodgeResult(ZERO, 0)
     # affine space is not projective, so duality-based flags stay off
@@ -121,6 +121,7 @@ def e_projective(n: int) -> HodgeResult:
     e_projective(3) is e(P^2) = 1 + uv + (uv)^2.  Nonpositive n gives
     the empty variety.
     """
+    _require_int(n, "n")
     if n <= 0:
         return HodgeResult(ZERO, 0)
     poly = divide_exact(ONE - UV**n, ONE - UV)
@@ -130,7 +131,7 @@ def e_projective(n: int) -> HodgeResult:
 @memo
 def e_jacobian(g: int) -> HodgeResult:
     """Hodge polynomial (1+u)^g (1+v)^g of the Jacobian of a genus-g curve."""
-    _require_genus(g, 0)
+    _require_int(g, "genus", 0)
     poly = _times_jacobian(ONE, g)
     return HodgeResult(poly=poly, dim=g, smooth_projective=True)
 
@@ -148,7 +149,8 @@ def e_sym(k: int, g: int) -> HodgeResult:
     (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)); Sym^0 is a point.  Negative k
     gives the empty variety.
     """
-    _require_genus(g, 0)
+    _require_int(g, "genus", 0)
+    _require_int(k, "k")
     if k < 0:
         return HodgeResult(ZERO, 0)
     poly = sym_series(g, k + 1).coeff(k)
@@ -163,6 +165,8 @@ def e_grassmannian(k: int, n: int) -> HodgeResult:
     empty variety rather than an error, matching the convention used by
     the flip-locus formulas where Gr(2, N) with N < 2 contributes zero.
     """
+    _require_int(k, "k")
+    _require_int(n, "n")
     if k < 0 or n < 0 or k > n:
         return HodgeResult(ZERO, 0)
     num = ONE

@@ -38,9 +38,8 @@ from hypothesis import strategies as st
 
 import triplehodge
 from triplehodge import (
-    OrderTooLow, TripleType, criticals, e_affine, e_grassmannian, e_jacobian,
-    e_m2_odd, e_m2s_even, e_m3, e_m3_via_pipeline, e_projective, e_sym,
-    poincare_m3,
+    OrderTooLow, TripleType, criticals, e_grassmannian, e_jacobian,
+    e_m2_odd, e_m2s_even, e_m3, e_projective, e_sym,
 )
 from triplehodge import _memo, cli
 from triplehodge.laurent import ONE, U, V
@@ -266,15 +265,17 @@ def test_full_grid_verify_builds_every_wall_of_its_grid(builds):
 
 @pytest.mark.parametrize(
     "fn, bad, good",
-    [(e_affine, (2.0,), (2,)), (e_projective, (3.0,), (3,)),
+    [(e_projective, (3.0,), (3,)), (e_projective, (-2.0,), (-2,)),
      (e_jacobian, (2.0,), (2,)), (e_sym, (3, 2.0), (3, 2)),
-     (e_sym, (2.0, 3), (2, 3)), (e_grassmannian, (2.0, 4), (2, 4)),
-     (e_grassmannian, (2, 4.0), (2, 4)), (e_m2_odd, (2.0,), (2,)),
+     (e_sym, (2.0, 3), (2, 3)), (e_sym, (-1.0, 2), (-1, 2)),
+     (e_grassmannian, (2.0, 4), (2, 4)), (e_grassmannian, (2, 4.0), (2, 4)),
+     (e_grassmannian, (3.0, 2), (3, 2)), (e_m2_odd, (2.0,), (2,)),
      (e_m2s_even, (2.0,), (2,)), (e_m3, (2.0, 1), (2, 1)),
-     (e_m3_via_pipeline, (2.0,), (2,)), (poincare_m3, (2.0,), (2,))],
-    ids=["e_affine", "e_projective", "e_jacobian", "e_sym-g", "e_sym-k",
-         "e_grassmannian-k", "e_grassmannian-n", "e_m2_odd", "e_m2s_even",
-         "e_m3", "e_m3_via_pipeline", "poincare_m3"],
+     (e_m3, (2, 2.5), (2, 2))],
+    ids=["e_projective", "e_projective-neg", "e_jacobian", "e_sym-g",
+         "e_sym-k", "e_sym-neg-k", "e_grassmannian-k", "e_grassmannian-n",
+         "e_grassmannian-k-above-n", "e_m2_odd", "e_m2s_even", "e_m3",
+         "e_m3-d"],
 )
 def test_a_float_argument_raises_alike_cold_and_warm(fn, bad, good):
     # an untyped memo keys (3, 2.0) as (3, 2), so once the int answer is
@@ -358,6 +359,6 @@ def test_process_state_inventory():
     registered = {id(m) for m in _memo._registry.values()}
     assert sorted(memos[i] for i in memos.keys() - registered) == []
     assert registered <= memos.keys()
-    # 16 @memo functions, 3 chamber memos and the sym_series table
-    assert len(registered) == 20
+    # 13 @memo functions, 3 chamber memos and the sym_series table
+    assert len(registered) == 17
     assert containers == CONTAINERS

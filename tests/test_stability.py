@@ -30,8 +30,10 @@ def test_type_validation():
         TripleType(-1, 1, 5, 0, 2)
     with pytest.raises(OutOfRange):
         TripleType(0, 0, 5, 0, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^d1 must be an integer, got "):
         TripleType(3, 1, Fraction(5), 0, 2)
+    with pytest.raises(TypeError, match=r"^genus must be an integer, got 2\.0$"):
+        TripleType(3, 1, 5, 0, 2.0)
     # rank zero on one side is a legitimate chi operand
     assert TripleType(2, 0, 4, 0, 2).n2 == 0
 
@@ -177,6 +179,15 @@ def test_locate():
     with pytest.raises(CriticalSigma) as info:
         locate(TripleType(2, 1, 5, 0, 2), 4)
     assert str(info.value) == "sigma=4 is critical for (2,1,5,0)"
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_sigma_is_out_of_range(sigma):
+    # Fraction raises ValueError for a NaN and OverflowError for an
+    # infinity; locate refuses both as a sigma outside every chamber
+    t = TripleType(3, 1, 5, 0, 2)
+    with pytest.raises(OutOfRange, match="^sigma must be a finite rational"):
+        locate(t, sigma)
 
 
 @settings(max_examples=200, deadline=None)

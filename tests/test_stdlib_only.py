@@ -1,6 +1,6 @@
 """The package runs on the standard library alone ("no runtime dependencies"),
-the oracles import nothing from it, and only its ``_memo`` module makes
-caches."""
+the oracles import nothing from it, only its ``_memo`` module makes
+caches, and only ``stability._require_int`` checks an integer argument."""
 
 import ast
 import sys
@@ -73,3 +73,27 @@ def test_only_the_memo_module_makes_caches():
                     and node.value.id == "functools":
                 made.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert made == []
+
+
+def test_only_require_int_checks_an_integer_argument():
+    # every integer argument of the public API goes through one check,
+    # so a non-integer raises a TypeError that names it everywhere;
+    # laurent keeps its own checks of terms and exponents
+    checks = []
+    for name in ("stability", "zoo", "rank2", "flips", "moduli", "series"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_require_int"
+            for node in ast.walk(fn)
+        }
+        checks += [
+            f"{name}.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Name) and node.args[1].id == "int"
+        ]
+    assert checks == []

@@ -196,6 +196,26 @@ def test_failure_messages_ignore_term_insertion_order():
     assert smooth_projective_failures(backward, 1) == messages
 
 
+# -- integer arguments ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [(e_affine, (2.0,), "n"), (e_affine, (-1.0,), "n"),
+     (e_projective, (-2.0,), "n"), (e_sym, (-1.0, 2), "k"),
+     (e_sym, (2.0, 3), "k"), (e_grassmannian, (3.0, 2), "k"),
+     (e_grassmannian, (2.0, 4), "k"), (e_grassmannian, (2, 4.0), "n")],
+    ids=["affine-2.0", "affine-neg", "projective-neg", "sym-neg-k",
+         "sym-k", "grassmannian-k-above-n", "grassmannian-k",
+         "grassmannian-n"],
+)
+def test_a_non_integer_argument_is_refused_by_name(fn, args, name):
+    # a negative float dimension is no empty variety, and a float one is
+    # refused before range() or an exponent meets it
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        fn(*args)
+
+
 # -- result wrapper -------------------------------------------------------------
 
 
