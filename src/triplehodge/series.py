@@ -126,12 +126,7 @@ def curve_numerator(g: int, order: int) -> XSeries:
     for k in range(order):
         terms = {}
         for i in range(max(0, k - g), min(g, k) + 1):
-            j = k - i
-            if j > g:
-                continue
-            c = comb(g, i) * comb(g, j)
-            if c:
-                terms[(i, j)] = c
+            terms[(i, k - i)] = comb(g, i) * comb(g, k - i)
         coeffs.append(LaurentPoly(terms))
     return XSeries(order, coeffs)
 

@@ -141,8 +141,9 @@ def _require_critical(t: TripleType, index: int) -> None:
 
 
 def _require_int(value, name: str, least: int | None = None) -> None:
-    """Raise TypeError unless value is an int, OutOfRange if value < least."""
-    if not isinstance(value, int):
+    """Raise TypeError unless value is an int and no bool, OutOfRange if
+    value < least."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         bound = f"at least {least}" if least else "nonnegative"

@@ -9,6 +9,7 @@ through the command-line `verify` subcommand.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -53,7 +54,8 @@ from .moduli import (
 
 __all__ = ["Grid", "VerifyReport", "GRIDS", "SUITES", "run_suite"]
 
-Case = tuple[str, Callable[[], tuple[str, str]]]
+# a check returns its pass detail and raises to fail
+Case = tuple[str, Callable[[], str]]
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,12 @@ class VerifyReport:
         return sum(1 for _, status, _ in self.cases if status == "warn")
 
 
-def _ok(detail: str = "") -> tuple[str, str]:
-    return ("pass", detail)
+class _CheckFailed(Exception):
+    """A check's verdict other than pass: its detail, "fail" or "warn"."""
 
-
-def _check(condition: bool, detail: str) -> tuple[str, str]:
-    return ("pass", "") if condition else ("fail", detail)
+    def __init__(self, detail: str, status: str = "fail"):
+        super().__init__(detail)
+        self.status = status
 
 
 def _triple_types(grid: Grid) -> list[TripleType]:
@@ -121,12 +123,12 @@ def _suite_algebra(grid: Grid) -> list[Case]:
         for _ in range(25):
             p, q, r = (_random_poly(rng) for _ in range(3))
             if (p + q) * r != p * r + q * r:
-                return ("fail", f"distributivity: {p}, {q}, {r}")
+                raise _CheckFailed(f"distributivity: {p}, {q}, {r}")
             if p * q != q * p:
-                return ("fail", f"commutativity: {p}, {q}")
+                raise _CheckFailed(f"commutativity: {p}, {q}")
             if (p * q) * r != p * (q * r):
-                return ("fail", f"associativity: {p}, {q}, {r}")
-        return _ok("75 identities on randomized Laurent inputs")
+                raise _CheckFailed(f"associativity: {p}, {q}, {r}")
+        return "75 identities on randomized Laurent inputs"
 
     def division_roundtrip():
         rng = Random(11)
@@ -137,19 +139,19 @@ def _suite_algebra(grid: Grid) -> list[Case]:
             if q.is_zero():
                 continue
             if divide_exact(p * q, q) != p:
-                return ("fail", f"(p*q)/q != p for p={p}, q={q}")
+                raise _CheckFailed(f"(p*q)/q != p for p={p}, q={q}")
             count += 1
-        return _ok(f"{count} exact divisions round-tripped")
+        return f"{count} exact divisions round-tripped"
 
     def serialization_roundtrip():
         rng = Random(23)
         for _ in range(40):
             p = _random_poly(rng)
             if LaurentPoly.parse(p.to_text()) != p:
-                return ("fail", f"text round-trip: {p.to_text()}")
+                raise _CheckFailed(f"text round-trip: {p.to_text()}")
             if LaurentPoly.from_triples(p.to_triples()) != p:
-                return ("fail", f"triple round-trip: {p}")
-        return _ok("text and JSON-triple round-trips")
+                raise _CheckFailed(f"triple round-trip: {p}")
+        return "text and JSON-triple round-trips"
 
     def fraction_normalize():
         rng = Random(41)
@@ -160,8 +162,8 @@ def _suite_algebra(grid: Grid) -> list[Case]:
                 den = ONE - UV
             f = FractionUV(num, den)
             if f.normalize() != f:
-                return ("fail", f"normalize changed value of {f}")
-        return _ok("30 normalizations value-preserving")
+                raise _CheckFailed(f"normalize changed value of {f}")
+        return "30 normalizations value-preserving"
 
     def geometric_unit():
         rng = Random(59)
@@ -173,8 +175,8 @@ def _suite_algebra(grid: Grid) -> list[Case]:
             for k in range(8):
                 want = ONE if k == 0 else ZERO
                 if prod.coeff(k) != want:
-                    return ("fail", f"geometric({m}) inverse fails at x^{k}")
-        return _ok("geometric series times (1 - m x) is 1")
+                    raise _CheckFailed(f"geometric({m}) inverse fails at x^{k}")
+        return "geometric series times (1 - m x) is 1"
 
     def residue_oracle():
         rng = Random(73)
@@ -185,11 +187,11 @@ def _suite_algebra(grid: Grid) -> list[Case]:
             picks = rng.sample(exponents, 4)
             a, b, c, d = (UV**e for e in picks)
             if residue_f1(g, a, b, c) != f1_via_series(g, a, b, c):
-                return ("fail", f"F1 mismatch at g={g}, poles (uv)^{picks[:3]}")
+                raise _CheckFailed(f"F1 mismatch at g={g}, poles (uv)^{picks[:3]}")
             if residue_f2(g, a, b, c, d) != f2_via_series(g, a, b, c, d):
-                return ("fail", f"F2 mismatch at g={g}, poles (uv)^{picks}")
+                raise _CheckFailed(f"F2 mismatch at g={g}, poles (uv)^{picks}")
             done += 1
-        return _ok("50 randomized instances, negative poles included")
+        return "50 randomized instances, negative poles included"
 
     return [
         ("algebra/ring-axioms", ring_axioms),
@@ -207,13 +209,11 @@ def _suite_algebra(grid: Grid) -> list[Case]:
 def _suite_zoo(grid: Grid) -> list[Case]:
     def projective():
         if e_projective(3).poly.to_text() != "1 + u*v + u^2*v^2":
-            return ("fail", "e(P^2) text form")
-        want = {0: 1, 2: 1, 4: 1, 6: 1}
-        got = {
-            k: c
-            for k, c in poincare(e_projective(4)).as_univariate().items()
-        }
-        return _check(got == want, f"P^3 Betti numbers {got}")
+            raise _CheckFailed("e(P^2) text form")
+        got = poincare(e_projective(4)).as_univariate()
+        if got != {0: 1, 2: 1, 4: 1, 6: 1}:
+            raise _CheckFailed(f"P^3 Betti numbers {got}")
+        return ""
 
     def symmetric_powers():
         for g in grid.gs:
@@ -221,15 +221,15 @@ def _suite_zoo(grid: Grid) -> list[Case]:
                 h = e_sym(k, g)
                 bad = smooth_projective_failures(h.poly, h.dim)
                 if bad:
-                    return ("fail", f"Sym^{k}, g={g}: {bad[0]}")
+                    raise _CheckFailed(f"Sym^{k}, g={g}: {bad[0]}")
                 if h.poly.coefficient(0, 0) != 1:
-                    return ("fail", f"Sym^{k}, g={g}: constant term != 1")
+                    raise _CheckFailed(f"Sym^{k}, g={g}: constant term != 1")
         pinned = LaurentPoly.parse(
             "1 + 2*u + 2*v + u^2 + 5*u*v + v^2 + 2*u^2*v + 2*u*v^2 + u^2*v^2"
         )
-        return _check(
-            e_sym(2, 2).poly == pinned, "Sym^2 X at g=2 differs from pin"
-        )
+        if e_sym(2, 2).poly != pinned:
+            raise _CheckFailed("Sym^2 X at g=2 differs from pin")
+        return ""
 
     def jacobian():
         h = e_jacobian(2)
@@ -237,36 +237,34 @@ def _suite_zoo(grid: Grid) -> list[Case]:
             "1 + 2*u + 2*v + u^2 + 4*u*v + v^2 + 2*u^2*v + 2*u*v^2 + u^2*v^2"
         )
         if h.poly != pinned:
-            return ("fail", "e(Jac) at g=2 differs from pin")
-        return _check(
-            h.poly.evaluate(1, 1) == 16, "e(Jac)(1,1) != 16 at g=2"
-        )
+            raise _CheckFailed("e(Jac) at g=2 differs from pin")
+        if h.poly.evaluate(1, 1) != 16:
+            raise _CheckFailed("e(Jac)(1,1) != 16 at g=2")
+        return ""
 
     def grassmannian():
         pinned = LaurentPoly.parse(
             "1 + u*v + 2*u^2*v^2 + u^3*v^3 + u^4*v^4"
         )
         if e_grassmannian(2, 4).poly != pinned:
-            return ("fail", "Gr(2,4) differs from pin")
+            raise _CheckFailed("Gr(2,4) differs from pin")
         for n in range(0, 7):
             for k in range(0, n + 1):
                 h = e_grassmannian(k, n)
                 if h.poly != e_grassmannian(n - k, n).poly:
-                    return ("fail", f"Gr({k},{n}) != Gr({n-k},{n})")
+                    raise _CheckFailed(f"Gr({k},{n}) != Gr({n-k},{n})")
                 bad = smooth_projective_failures(h.poly, h.dim)
                 if bad:
-                    return ("fail", f"Gr({k},{n}): {bad[0]}")
+                    raise _CheckFailed(f"Gr({k},{n}): {bad[0]}")
         for n in range(1, 6):
             if e_grassmannian(1, n).poly != e_projective(n).poly:
-                return ("fail", f"Gr(1,{n}) != P^{n-1}")
-        return _ok("pins, duality, and projective-space agreement")
+                raise _CheckFailed(f"Gr(1,{n}) != P^{n-1}")
+        return "pins, duality, and projective-space agreement"
 
     def sym2_quotient():
-        got = e_sym2_quotient(e_projective(2))
-        return _check(
-            got.poly == e_projective(3).poly,
-            "(P^1 x P^1)/Z2 differs from P^2",
-        )
+        if e_sym2_quotient(e_projective(2)).poly != e_projective(3).poly:
+            raise _CheckFailed("(P^1 x P^1)/Z2 differs from P^2")
+        return ""
 
     return [
         ("zoo/projective", projective),
@@ -306,19 +304,19 @@ def _suite_rank2(grid: Grid) -> list[Case]:
             h = e_m2_odd(g)
             bad = smooth_projective_failures(h.poly, h.dim)
             if bad:
-                return ("fail", f"g={g}: {bad[0]}")
+                raise _CheckFailed(f"g={g}: {bad[0]}")
             if h.poly.coefficient(0, 0) != 1:
-                return ("fail", f"g={g}: constant term != 1")
-        return _ok(f"duality and degree at g in {m2_gs}")
+                raise _CheckFailed(f"g={g}: constant term != 1")
+        return f"duality and degree at g in {m2_gs}"
 
     def m2even():
         for g in m2_gs:
             h = e_m2s_even(g)
             if h.poly.total_degree() != 2 * (4 * g - 3):
-                return ("fail", f"g={g}: degree != {2 * (4 * g - 3)}")
+                raise _CheckFailed(f"g={g}: degree != {2 * (4 * g - 3)}")
             if h.smooth_projective:
-                return ("fail", f"g={g}: stable locus flagged projective")
-        return _ok("halving exact, degree right, flag off")
+                raise _CheckFailed(f"g={g}: stable locus flagged projective")
+        return "halving exact, degree right, flag off"
 
     cases.append(("rank2/m2odd-invariants", m2odd))
     cases.append(("rank2/m2even-exact", m2even))
@@ -343,7 +341,7 @@ def _suite_rank2(grid: Grid) -> list[Case]:
     return cases
 
 
-def _rank2_chambers(g: int, d1: int, d2: int) -> tuple[str, str]:
+def _rank2_chambers(g: int, d1: int, d2: int) -> str:
     dim = 3 * g - 2 + d1 - 2 * d2
     bounds = chamber_bounds(TripleType(2, 1, d1, d2, g))
     for index in range(1, len(bounds) + 1):
@@ -352,11 +350,11 @@ def _rank2_chambers(g: int, d1: int, d2: int) -> tuple[str, str]:
             continue
         bad = smooth_projective_failures(h.poly, dim)
         if bad:
-            return ("fail", f"chamber {index}: {bad[0]}")
-    return _ok(f"{len(bounds)} chambers checked")
+            raise _CheckFailed(f"chamber {index}: {bad[0]}")
+    return f"{len(bounds)} chambers checked"
 
 
-def _rank2_wall(g: int, d1: int, d2: int) -> tuple[str, str]:
+def _rank2_wall(g: int, d1: int, d2: int) -> str:
     t = TripleType(2, 1, d1, d2, g)
     bounds = chamber_bounds(t)
     crits = criticals(t)
@@ -365,7 +363,7 @@ def _rank2_wall(g: int, d1: int, d2: int) -> tuple[str, str]:
         stable = e_triples21_critical_stable(g, d1, d2, d_m).poly
         s_minus = _s_minus_21(g, d1, d2, d_m)
         if below - s_minus != stable:
-            return ("fail", f"d_m={d_m}: below - S^- != stable locus")
+            raise _CheckFailed(f"d_m={d_m}: below - S^- != stable locus")
         s_plus = _s_plus_21(g, d1, d2, d_m)
         above = (
             e_triples21(g, d1, d2, chamber=i + 2).poly
@@ -373,8 +371,8 @@ def _rank2_wall(g: int, d1: int, d2: int) -> tuple[str, str]:
             else ZERO
         )
         if below - above != s_minus - s_plus:
-            return ("fail", f"d_m={d_m}: chamber jump != S^- - S^+")
-    return _ok(f"{len(crits)} walls replayed")
+            raise _CheckFailed(f"d_m={d_m}: chamber jump != S^- - S^+")
+    return f"{len(crits)} walls replayed"
 
 
 # -- flips ------------------------------------------------------------
@@ -392,38 +390,33 @@ def _suite_flips(grid: Grid) -> list[Case]:
     return cases
 
 
-def _flips_pinned():
+def _flips_pinned() -> str:
     t = TripleType(3, 1, 5, 0, 2)
     if criticals(t) != [(4, 3), (5, 5)]:
-        return ("fail", "criticals of (3,1,5,0) at g=2")
+        raise _CheckFailed("criticals of (3,1,5,0) at g=2")
     t = TripleType(3, 1, 6, 0, 2)
     if criticals(t) != [(5, 4), (6, 6)]:
-        return ("fail", "criticals of (3,1,6,0) at g=2")
-    t = TripleType(3, 1, 3, 1, 2)
-    return _check(criticals(t) == [], "criticals of (3,1,3,1) not empty")
+        raise _CheckFailed("criticals of (3,1,6,0) at g=2")
+    if criticals(TripleType(3, 1, 3, 1, 2)):
+        raise _CheckFailed("criticals of (3,1,3,1) not empty")
+    return ""
 
 
-def _flips_errors():
+def _flips_errors() -> str:
     t = TripleType(3, 1, 5, 0, 2)
-    try:
-        c_n_odd(t, 4)
-        return ("fail", "ParityError not raised for even n")
-    except ParityError:
-        pass
-    try:
-        c_n_even(t, 5)
-        return ("fail", "ParityError not raised for odd n")
-    except ParityError:
-        pass
-    try:
-        c_n_odd(t, 7)
-        return ("fail", "NotCritical not raised for n=7")
-    except NotCritical:
-        pass
-    return _ok("parity and criticality errors raised")
+    for route, n, error, detail in (
+        (c_n_odd, 4, ParityError, "ParityError not raised for even n"),
+        (c_n_even, 5, ParityError, "ParityError not raised for odd n"),
+        (c_n_odd, 7, NotCritical, "NotCritical not raised for n=7"),
+    ):
+        # the expected error ends the block; none fails the check
+        with suppress(error):
+            route(t, n)
+            raise _CheckFailed(detail)
+    return "parity and criticality errors raised"
 
 
-def _flips_chi(t: TripleType) -> tuple[str, str]:
+def _flips_chi(t: TripleType) -> str:
     g, d1, d2 = t.g, t.d1, t.d2
     for n, _sigma in criticals(t):
         n1 = d1 - d2 - n
@@ -431,9 +424,9 @@ def _flips_chi(t: TripleType) -> tuple[str, str]:
         rank11 = TripleType(1, 1, d1 - n, d2, g)
         bundle2 = TripleType(2, 0, n, 0, g)
         if -chi_triples(rank11, bundle2) != 2 * n1:
-            return ("fail", f"n={n}: -chi != 2N1")
+            raise _CheckFailed(f"n={n}: -chi != 2N1")
         if -chi_triples(bundle2, rank11) != two_n2:
-            return ("fail", f"n={n}: -chi != 2N2")
+            raise _CheckFailed(f"n={n}: -chi != 2N2")
         if n % 2 == 0:
             n2 = two_n2 // 2
             pair21 = TripleType(2, 1, d1 - n // 2, d2, g)
@@ -447,19 +440,19 @@ def _flips_chi(t: TripleType) -> tuple[str, str]:
             ]
             for got, want, name in checks:
                 if got != want:
-                    return ("fail", f"n={n}: -chi != {name}")
-    return _ok(f"{len(criticals(t))} criticals checked")
+                    raise _CheckFailed(f"n={n}: -chi != {name}")
+    return f"{len(criticals(t))} criticals checked"
 
 
-def _flips_cn(t: TripleType) -> tuple[str, str]:
+def _flips_cn(t: TripleType) -> str:
     g, d1, d2 = t.g, t.d1, t.d2
     jac = e_jacobian(g).poly
     for n, _sigma in criticals(t):
         flip = flip_contribution(t, n)
         if 2 * flip.N2 != 2 * g - 2 - 2 * d1 + 3 * n:
-            return ("fail", f"n={n}: N2 wrong")
+            raise _CheckFailed(f"n={n}: N2 wrong")
         if n % 2 == 0 and flip.N2.denominator != 1:
-            return ("fail", f"n={n}: N2 not integral for even n")
+            raise _CheckFailed(f"n={n}: N2 not integral for even n")
         if n % 2 == 1:
             n1 = flip.N1
             bracket = (
@@ -470,10 +463,10 @@ def _flips_cn(t: TripleType) -> tuple[str, str]:
                 jac * e_sym(n1, g).poly * bracket * e_m2_odd(g).poly
             )
             if flip.cn != structural:
-                return ("fail", f"n={n}: odd jump != structural form")
+                raise _CheckFailed(f"n={n}: odd jump != structural form")
         if flip.N1 == flip.N2 and not flip.cn.is_zero():
-            return ("fail", f"n={n}: N1 == N2 but jump nonzero")
-    return _ok(f"{len(criticals(t))} jumps checked")
+            raise _CheckFailed(f"n={n}: N1 == N2 but jump nonzero")
+    return f"{len(criticals(t))} jumps checked"
 
 
 # -- crosspath --------------------------------------------------------
@@ -497,38 +490,38 @@ def _suite_crosspath(grid: Grid) -> list[Case]:
     return cases
 
 
-def _crosspath_chamber(t: TripleType, index: int) -> tuple[str, str]:
+def _crosspath_chamber(t: TripleType, index: int) -> str:
     g, d1, d2 = t.g, t.d1, t.d2
     lo, hi = chamber_bounds(t)[index - 1]
     closed = e_n31_closed(g, d1, d2, chamber=index)
     summed = e_n31_flipsum(g, d1, d2, chamber=index)
     if closed.poly != summed.poly:
-        return ("fail", "closed form != flip sum")
+        raise _CheckFailed("closed form != flip sum")
     second = lo + (hi - lo) / 3
     again = e_n31_closed(g, d1, d2, second)
     if again.poly != closed.poly:
-        return ("fail", "not constant within the chamber")
+        raise _CheckFailed("not constant within the chamber")
     if not closed.empty:
         bad = smooth_projective_failures(closed.poly, closed.dim)
         if bad:
-            return ("fail", bad[0])
+            raise _CheckFailed(bad[0])
     if poincare_n31(g, d1, d2, chamber=index) != poincare(closed):
-        return ("fail", "t-display != diagonal")
-    return _ok("")
+        raise _CheckFailed("t-display != diagonal")
+    return ""
 
 
-def _crosspath_edges(t: TripleType) -> tuple[str, str]:
+def _crosspath_edges(t: TripleType) -> str:
     g, d1, d2 = t.g, t.d1, t.d2
     crits = criticals(t)
     top_n, top_sigma = crits[-1]
     above = e_n31_closed(g, d1, d2, Fraction(top_sigma) + 1)
     if not above.empty:
-        return ("fail", "nonempty above sigma_M")
+        raise _CheckFailed("nonempty above sigma_M")
     top = e_n31_closed(g, d1, d2, chamber=len(crits))
     single = -flip_contribution(t, top_n).cn.as_polynomial()
     if top.poly != single:
-        return ("fail", "top chamber != -C_top")
-    return _ok("")
+        raise _CheckFailed("top chamber != -C_top")
+    return ""
 
 
 # -- m3 ---------------------------------------------------------------
@@ -542,24 +535,24 @@ def _suite_m3(grid: Grid) -> list[Case]:
     return cases
 
 
-def _m3_pipeline(g: int) -> tuple[str, str]:
+def _m3_pipeline(g: int) -> str:
     closed = e_m3(g)
     pipeline = e_m3_via_pipeline(g)
     if closed.poly != pipeline.poly:
-        return ("fail", "closed form != pipeline quotient")
+        raise _CheckFailed("closed form != pipeline quotient")
     bad = smooth_projective_failures(closed.poly, closed.dim)
     if bad:
-        return ("fail", bad[0])
+        raise _CheckFailed(bad[0])
     if poincare(closed) != poincare_m3(g):
-        return ("fail", "Poincare display != diagonal")
-    return _ok(f"dim {closed.dim}, degree {closed.poly.total_degree()}")
+        raise _CheckFailed("Poincare display != diagonal")
+    return f"dim {closed.dim}, degree {closed.poly.total_degree()}"
 
 
-def _m3_b0(g: int) -> tuple[str, str]:
+def _m3_b0(g: int) -> str:
     b0 = e_m3(g).poly.coefficient(0, 0)
     if b0 != 1:
-        return ("warn", f"b0 = {b0}, expected 1")
-    return _ok("")
+        raise _CheckFailed(f"b0 = {b0}, expected 1", status="warn")
+    return ""
 
 
 # -- runner -----------------------------------------------------------
@@ -575,12 +568,14 @@ SUITES = {
 
 
 def _run_one(case: Case) -> tuple[str, str, str]:
+    """(name, status, detail) of one case: the one place a status is set."""
     name, fn = case
     try:
-        status, detail = fn()
+        return (name, "pass", fn())
+    except _CheckFailed as exc:
+        return (name, exc.status, str(exc))
     except Exception as exc:  # a raised invariant is a hard failure
-        status, detail = "fail", f"{type(exc).__name__}: {exc}"
-    return (name, status, detail)
+        return (name, "fail", f"{type(exc).__name__}: {exc}")
 
 
 def run_suite(suite: str, grid_name: str = "quick") -> VerifyReport:

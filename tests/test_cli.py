@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -9,8 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from triplehodge import LaurentPoly, e_m2_odd, e_n31_closed
+from triplehodge import (
+    LaurentPoly,
+    NonDivisible,
+    e_m2_odd,
+    e_m3,
+    e_n31_closed,
+    e_n31_flipsum,
+    verify,
+)
 from triplehodge.cli import _TARGETS, main
+from triplehodge.laurent import UV
 
 
 def run(capsys, *argv):
@@ -210,6 +220,17 @@ def test_negative_genus_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_a_package_error_exits_1_with_its_type(capsys, monkeypatch):
+    def fail(n):
+        raise NonDivisible("remainder 1 + u")
+
+    monkeypatch.setitem(_TARGETS, "proj", _TARGETS["proj"]._replace(fn=fail))
+    code, out, err = run(capsys, *"compute proj --n 3".split())
+    assert code == 1
+    assert out == ""
+    assert err == "error: NonDivisible: remainder 1 + u\n"
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert main(["compute", "nope"]) == 2
     capsys.readouterr()
@@ -352,6 +373,63 @@ def test_verify_all_quick_is_deterministic(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert out_a.count("suite:") == 6
+
+
+# a failing check prints its FAIL or WARN line byte for byte, the summary
+# counts it and the exit code follows: 1 for any FAIL, 0 for WARN alone
+
+
+def test_verify_a_route_disagreement_fails_each_chamber(capsys, monkeypatch):
+    def off_by_uv(*args, **kwargs):
+        h = e_n31_flipsum(*args, **kwargs)
+        return dataclasses.replace(h, poly=h.poly + UV)
+
+    monkeypatch.setattr(verify, "e_n31_flipsum", off_by_uv)
+    code, out, err = run(capsys, "verify", "crosspath", "--grid", "quick")
+    assert code == 1
+    lines = ["suite: crosspath (grid: quick)"]
+    for d1, chambers in ((4, 2), (5, 2), (6, 2), (7, 3)):
+        for index in range(1, chambers + 1):
+            lines.append(
+                f"FAIL crosspath/g2-d{d1}-0-ch{index}  "
+                "[closed form != flip sum]"
+            )
+        lines.append(f"PASS crosspath/g2-d{d1}-0-edges")
+    lines.append("summary: 13 cases, 4 pass, 9 fail, 0 warn")
+    assert out == "\n".join(lines) + "\n"
+    assert err.startswith("wall:") and err.count("\n") == 1
+
+
+def test_verify_a_raised_error_fails_its_case_by_type(capsys, monkeypatch):
+    def boom(num, den):
+        raise NonDivisible("boom")
+
+    monkeypatch.setattr(verify, "divide_exact", boom)
+    code, out, _ = run(capsys, "verify", "algebra", "--grid", "quick")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL algebra/division-roundtrip  [NonDivisible: boom]" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert lines[-1] == "summary: 6 cases, 5 pass, 1 fail, 0 warn"
+
+
+def test_verify_a_warning_alone_exits_0(capsys, monkeypatch):
+    def b0_only(grid):
+        return [c for c in verify._suite_m3(grid) if c[0].startswith("m3/b0")]
+
+    def b0_is_2(g):
+        h = e_m3(g)
+        return dataclasses.replace(h, poly=h.poly + 1)
+
+    monkeypatch.setitem(verify.SUITES, "m3", b0_only)
+    monkeypatch.setattr(verify, "e_m3", b0_is_2)
+    code, out, _ = run(capsys, "verify", "m3", "--grid", "quick")
+    assert code == 0
+    assert out == (
+        "suite: m3 (grid: quick)\n"
+        "WARN m3/b0-g2  [b0 = 2, expected 1]\n"
+        "summary: 1 cases, 0 pass, 0 fail, 1 warn\n"
+    )
 
 
 # -- the exit-code contract over generated argv ------------------------------------

@@ -523,6 +523,9 @@ def test_divide_exact_integer_coefficient_failure():
         (ONE - U, ONE - UV),
         (ONE - U, ONE - V),
         (ONE - U**2, ONE + UV),
+        # three lines of uv laid end to end divide by (1 - uv)(1 - (uv)^2),
+        # but the quotient spills into a line's padding
+        (2 * V**4 - ONE - U**4, (ONE - UV) * (ONE - UV**2)),
     ],
 )
 def test_divide_exact_lines_divide_one_by_one(num, den):

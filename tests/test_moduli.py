@@ -168,13 +168,16 @@ def test_critical_sigma_and_argument_errors():
      (poincare_m3, (2.0,), {}, "genus"),
      (e_n31_closed, (2, 7, 0), {"chamber": 1.5}, "chamber index"),
      (e_triples21, (2, 5, 0), {"chamber": 2.0}, "chamber index"),
-     (poincare_n31, (2, 7, 0), {"chamber": 1.5}, "chamber index")],
+     (poincare_n31, (2, 7, 0), {"chamber": 1.5}, "chamber index"),
+     (e_m3, (2, True), {}, "d"),
+     (e_n31_closed, (2, 7, 0), {"chamber": True}, "chamber index")],
     ids=["e_m3-d", "e_m3_via_pipeline", "poincare_m3", "e_n31_closed",
-         "e_triples21", "poincare_n31"],
+         "e_triples21", "poincare_n31", "e_m3-d-bool", "e_n31_closed-bool"],
 )
 def test_a_non_integer_argument_is_refused_by_name(fn, args, kwargs, name):
     # a float degree would pass d % 3 and a float chamber would reach
-    # tuple indexing; each is refused by the one integer check
+    # tuple indexing, and a bool would pass as 1; each is refused by the
+    # one integer check
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
         fn(*args, **kwargs)
 

@@ -34,6 +34,9 @@ def test_type_validation():
         TripleType(3, 1, Fraction(5), 0, 2)
     with pytest.raises(TypeError, match=r"^genus must be an integer, got 2\.0$"):
         TripleType(3, 1, 5, 0, 2.0)
+    # a bool is an int subclass, but no degree
+    with pytest.raises(TypeError, match="^d1 must be an integer, got True$"):
+        TripleType(3, 1, True, 0, 2)
     # rank zero on one side is a legitimate chi operand
     assert TripleType(2, 0, 4, 0, 2).n2 == 0
 
@@ -165,6 +168,9 @@ def test_locate():
         locate(t, chamber=0)
     with pytest.raises(OutOfRange):
         locate(t, chamber=3)
+    # a bool is an int subclass, but no chamber index
+    with pytest.raises(TypeError, match="^chamber index must be an integer"):
+        locate(t, chamber=True)
     with pytest.raises(OutOfRange):
         locate(TripleType(3, 1, 3, 1, 2), chamber=1)
     with pytest.raises(OutOfRange):

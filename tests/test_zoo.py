@@ -204,14 +204,15 @@ def test_failure_messages_ignore_term_insertion_order():
     [(e_affine, (2.0,), "n"), (e_affine, (-1.0,), "n"),
      (e_projective, (-2.0,), "n"), (e_sym, (-1.0, 2), "k"),
      (e_sym, (2.0, 3), "k"), (e_grassmannian, (3.0, 2), "k"),
-     (e_grassmannian, (2.0, 4), "k"), (e_grassmannian, (2, 4.0), "n")],
+     (e_grassmannian, (2.0, 4), "k"), (e_grassmannian, (2, 4.0), "n"),
+     (e_projective, (True,), "n"), (e_sym, (True, 2), "k")],
     ids=["affine-2.0", "affine-neg", "projective-neg", "sym-neg-k",
          "sym-k", "grassmannian-k-above-n", "grassmannian-k",
-         "grassmannian-n"],
+         "grassmannian-n", "projective-bool", "sym-bool"],
 )
 def test_a_non_integer_argument_is_refused_by_name(fn, args, name):
     # a negative float dimension is no empty variety, and a float one is
-    # refused before range() or an exponent meets it
+    # refused before range() or an exponent meets it; a bool is no integer
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
         fn(*args)
 
