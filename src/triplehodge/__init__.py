@@ -11,10 +11,10 @@ e(u, v) of:
   Grassmannians, Jacobians, symmetric powers, symmetric-square
   quotients).
 
-Every rank-(3, 1) value can be computed along two independent routes
-(a closed-form generating function and a wall-crossing sum over flip
-loci) and the command line ``triplehodge verify`` re-derives and
-cross-checks them.
+Every rank-(3, 1) and rank-(2, 1) triple value can be computed along two
+independent routes (a closed-form generating function and a
+wall-crossing sum over flip loci) and the command line
+``triplehodge verify`` re-derives and cross-checks them.
 """
 
 from .errors import (
@@ -63,6 +63,7 @@ from .moduli import (
     e_m3_via_pipeline,
     e_n31_closed,
     e_n31_flipsum,
+    e_triples21_flipsum,
     poincare,
     poincare_m3,
     poincare_n31,
@@ -113,6 +114,7 @@ __all__ = [
     "flip_contribution",
     "e_n31_closed",
     "e_n31_flipsum",
+    "e_triples21_flipsum",
     "e_m3",
     "e_m3_via_pipeline",
     "poincare",

@@ -1,17 +1,19 @@
-"""Wall-crossing contributions for triples of type (3, 1).
+"""Wall-crossing contributions for triples of type (3, 1) and (2, 1).
 
-Crossing the critical value sigma_n = 2n - d1 - d2 replaces the flip
-locus S^- by S^+, and the Hodge polynomial jumps by C_n = e(S^+) - e(S^-).
-One closed form serves both parities of n: e(Jac)^2 [K e(Sym^N1)
-((uv)^(2 N2) - (uv)^(2 N1)) + (uv)^(g-1) e(Jac) bracket] / DEN, with K
-the wall kernel over DEN = (1 - uv)^2 (1 - (uv)^2).  The bracket is
-built only at even n, where the loci stratify into six pieces indexed by
-the shape of the destabilizing filtration; ``c_n_even`` checks the
-closed form against their sum on every build, with Sym^2(P x Jac) by a
-product rule, multiplying the five strata that end in e(Jac) e(Sym^N1)
-by that factor once.  ``strata`` rebuilds the six on request.
-``flip_contribution`` is the one memo of checked jumps, one per wall
-(t, n), so a wall that any route has built is reused by every other.
+Crossing a critical value replaces the flip locus S^- by S^+, and the
+Hodge polynomial jumps by C_n = e(S^+) - e(S^-).  At a (2, 1) wall both
+loci are projective bundles over Jac^2 x Sym^N1, built by ``_loci_21``.
+At the (3, 1) wall sigma_n = 2n - d1 - d2 one closed form serves both
+parities of n: e(Jac)^2 [K e(Sym^N1) ((uv)^(2 N2) - (uv)^(2 N1)) +
+(uv)^(g-1) e(Jac) bracket] / DEN, with K the wall kernel over
+DEN = (1 - uv)^2 (1 - (uv)^2).  The bracket is built only at even n,
+where the loci stratify into six pieces indexed by the shape of the
+destabilizing filtration; ``c_n_even`` checks the closed form against
+their sum on every build, with Sym^2(P x Jac) by a product rule,
+multiplying the five strata that end in e(Jac) e(Sym^N1) by that factor
+once.  ``strata`` rebuilds the six on request.  ``flip_contribution`` is
+the one memo of checked jumps of both types, one per wall (t, n), so a
+wall that any route has built is reused by every other.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ __all__ = [
 class FlipContribution:
     """Wall-crossing data at the critical value indexed by n.
 
-    N1 = d1 - d2 - n and N2 = g - 1 - d1 + 3n/2 are the projective-fiber
-    dimensions controlling the two sides; N2 is integral exactly when n
-    is even, so it is stored as an exact rational.  cn is the jump
-    e(S^+) - e(S^-) of the Hodge polynomial across the wall.
+    N1 and N2 are the projective-fiber dimensions controlling the two
+    sides.  For type (3, 1), N1 = d1 - d2 - n and N2 = g - 1 - d1 + 3n/2,
+    integral exactly when n is even, so N2 is stored as an exact
+    rational.  For type (2, 1), with n = d_m, N1 = d1 - d2 - d_m and
+    N2 = 2 d_m - d1 + g - 1.  cn is the jump e(S^+) - e(S^-) of the
+    Hodge polynomial across the wall.
     """
 
     n: int
@@ -207,9 +211,34 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
 
 
 @memo
-def flip_contribution(t: TripleType, n: int) -> FlipContribution:
-    """Wall-crossing data at the critical index n of either parity.
+def _jac2_sym(g: int, k: int) -> LaurentPoly:
+    # e(Jac)^2 e(Sym^k), the base shared by S^- and S^+; built once per
+    # (g, k), shared and never mutated
+    jac = e_jacobian(g).poly
+    return jac * jac * e_sym(k, g).poly
 
-    Built once per wall (t, n) and shared by every later call.
+
+def _loci_21(t: TripleType, d_m: int) -> tuple[LaurentPoly, LaurentPoly]:
+    # e(S^-) and e(S^+) at the (2, 1) wall d_m; plain *, so the wall
+    # replay stays independent of the _times_binomials kernel
+    _require_critical(t, d_m)
+    n1 = t.d1 - t.d2 - d_m
+    base = _jac2_sym(t.g, n1)
+    s_minus = base * e_projective(2 * d_m - t.d1 + t.g - 1).poly
+    return s_minus, base * e_projective(n1).poly
+
+
+@memo
+def flip_contribution(t: TripleType, n: int) -> FlipContribution:
+    """Wall-crossing data at the critical index n of a (3, 1) or (2, 1) type.
+
+    For (3, 1), n of either parity; for (2, 1), n is the degree d_m of
+    the destabilizing line subbundle and C_n = e(Jac)^2 e(Sym^N1)
+    (e(P^(N1-1)) - e(P^(N2-1))).  Built once per wall (t, n) and shared
+    by every later call.
     """
-    return (c_n_odd if n % 2 else c_n_even)(t, n)
+    if (t.n1, t.n2) != (2, 1):
+        return (c_n_odd if n % 2 else c_n_even)(t, n)
+    s_minus, s_plus = _loci_21(t, n)
+    n1, n2 = t.d1 - t.d2 - n, 2 * n - t.d1 + t.g - 1
+    return _contribution(n, n1, 2 * n2, FractionUV(s_plus - s_minus))

@@ -1,10 +1,13 @@
-"""Hodge polynomials of N_sigma(3, 1, d1, d2) and of M(3, d), d not 0 mod 3.
+"""Hodge polynomials of N_sigma(3, 1, d1, d2) and of M(3, d), d not 0 mod 3,
+and the flip-sum route to N_sigma(2, 1, d1, d2).
 
-Two independent routes are implemented for the triple spaces: the closed
-residue formula and the telescoping sum of wall-crossing jumps; tests pin
-their exact agreement on every chamber.  M(3, d) likewise comes both from
-its own closed form and from the sigma -> sigma_m limit of the triple
-space, which fibers over M(3, d1) in projective spaces.
+Two independent routes are implemented for the (3, 1) triple spaces: the
+closed residue formula and the telescoping sum of wall-crossing jumps;
+tests pin their exact agreement on every chamber.  The same sum of jumps
+is the second route to the (2, 1) triple spaces, whose closed formula
+lives in ``rank2``.  M(3, d) likewise comes both from its own closed form
+and from the sigma -> sigma_m limit of the triple space, which fibers
+over M(3, d1) in projective spaces.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "e_m3_via_pipeline",
     "e_n31_closed",
     "e_n31_flipsum",
+    "e_triples21_flipsum",
     "poincare",
     "poincare_m3",
     "poincare_n31",
@@ -122,6 +126,22 @@ def e_n31_flipsum(
     exactly, which the verification suite checks chamber by chamber.
     """
     return _flip_sum.result(TripleType(3, 1, d1, d2, g), sigma, chamber)
+
+
+def e_triples21_flipsum(
+    g: int,
+    d1: int,
+    d2: int,
+    sigma=None,
+    *,
+    chamber: int | None = None,
+) -> HodgeResult:
+    """Hodge polynomial of N_sigma(2, 1, d1, d2) by summing wall crossings.
+
+    The same walk down from the empty top chamber as e_n31_flipsum, over
+    the (2, 1) jumps; it must agree with rank2.e_triples21 exactly.
+    """
+    return _flip_sum.result(TripleType(2, 1, d1, d2, g), sigma, chamber)
 
 
 @_ChamberMemo

@@ -16,7 +16,6 @@ from functools import partial
 from random import Random
 from typing import Callable
 
-from ._memo import memo
 from .errors import NotCritical, ParityError
 from .laurent import ONE, UV, ZERO, FractionUV, LaurentPoly, divide_exact
 from .series import (
@@ -41,7 +40,7 @@ from .rank2 import (
     e_triples21,
     e_triples21_critical_stable,
 )
-from .flips import c_n_even, c_n_odd, flip_contribution
+from .flips import _loci_21, c_n_even, c_n_odd, flip_contribution
 from .moduli import (
     e_m3,
     e_m3_via_pipeline,
@@ -278,23 +277,6 @@ def _suite_zoo(grid: Grid) -> list[Case]:
 # -- rank2 ------------------------------------------------------------
 
 
-@memo
-def _jac2_sym(g: int, k: int) -> LaurentPoly:
-    # e(Jac)^2 e(Sym^k), the base shared by S^- and S^+; built once per
-    # (g, k), shared and never mutated
-    jac = e_jacobian(g).poly
-    return jac * jac * e_sym(k, g).poly
-
-
-def _s_minus_21(g: int, d1: int, d2: int, d_m: int) -> LaurentPoly:
-    fiber = e_projective(2 * d_m - d1 + g - 1).poly
-    return _jac2_sym(g, d1 - d2 - d_m) * fiber
-
-
-def _s_plus_21(g: int, d1: int, d2: int, d_m: int) -> LaurentPoly:
-    return _jac2_sym(g, d1 - d2 - d_m) * e_projective(d1 - d2 - d_m).poly
-
-
 def _suite_rank2(grid: Grid) -> list[Case]:
     cases: list[Case] = []
     m2_gs = tuple(sorted(set(grid.gs) | set(grid.m3_gs)))
@@ -361,10 +343,9 @@ def _rank2_wall(g: int, d1: int, d2: int) -> str:
     for i, (d_m, _sigma) in enumerate(crits):
         below = e_triples21(g, d1, d2, chamber=i + 1).poly
         stable = e_triples21_critical_stable(g, d1, d2, d_m).poly
-        s_minus = _s_minus_21(g, d1, d2, d_m)
+        s_minus, s_plus = _loci_21(t, d_m)
         if below - s_minus != stable:
             raise _CheckFailed(f"d_m={d_m}: below - S^- != stable locus")
-        s_plus = _s_plus_21(g, d1, d2, d_m)
         above = (
             e_triples21(g, d1, d2, chamber=i + 2).poly
             if i + 2 <= len(bounds)

@@ -1,4 +1,4 @@
-"""Tests for wall-crossing contributions at (3, 1) critical values."""
+"""Tests for wall-crossing contributions at (3, 1) and (2, 1) critical values."""
 
 import hashlib
 import json
@@ -53,24 +53,29 @@ def test_parity_and_criticality_errors():
         c_n_odd(t, 7)
     with pytest.raises(NotCritical):
         flip_contribution(t, 3)
+    with pytest.raises(NotCritical):
+        flip_contribution(TripleType(2, 1, 5, 0, 2), 6)
     with pytest.raises(OutOfRange):
-        flip_contribution(TripleType(2, 1, 5, 0, 2), 4)
+        flip_contribution(TripleType(1, 1, 5, 0, 2), 4)
     with pytest.raises(ParityError):
         strata(t, 5)
     with pytest.raises(NotCritical):
         strata(t, 6)
 
 
-_NOT_31 = "expected ranks (3, 1), got (2, 1)"
+_NOT_31 = "expected ranks (3, 1), got ({}, 1)"
 _NOT_WALL = "index {} is not critical for (3,1,5,0); criticals are [4, 5]"
+_NOT_WALL_21 = "index {} is not critical for (2,1,5,0); criticals are [3, 4, 5]"
 _NOT_INT = "wall index must be an integer, got {}"
 _EVEN = "n={} is even; use the even-index form"
 _ODD = "n={} is odd; use the odd-index form"
 
 
-# (3, 1, 5, 0) at g = 2 has the walls 4 and 5; each check runs in the
-# order parity, ranks (3, 1), critical integer index, so a wrong parity
-# is named first even on a (2, 1) type or a non-integer index
+# (3, 1, 5, 0) at g = 2 has the walls 4 and 5; each check of c_n_odd,
+# c_n_even and strata runs in the order parity, ranks (3, 1), critical
+# integer index, so a wrong parity is named first even on a (2, 1) type
+# or a non-integer index.  flip_contribution also takes (2, 1, 5, 0),
+# walls 3, 4 and 5, and checks only its critical integer index
 @pytest.mark.parametrize("name, ranks, n, error, text", [
     ("c_n_odd", 31, 4, ParityError, _EVEN.format(4)),
     ("c_n_odd", 31, 6, ParityError, _EVEN.format(6)),
@@ -79,26 +84,27 @@ _ODD = "n={} is odd; use the odd-index form"
     ("c_n_odd", 31, Fraction(4), ParityError, _EVEN.format(4)),
     ("c_n_odd", 31, 4.5, TypeError, _NOT_INT.format(4.5)),
     ("c_n_odd", 21, 4, ParityError, _EVEN.format(4)),
-    ("c_n_odd", 21, 5, OutOfRange, _NOT_31),
+    ("c_n_odd", 21, 5, OutOfRange, _NOT_31.format(2)),
     ("c_n_even", 31, 5, ParityError, _ODD.format(5)),
     ("c_n_even", 31, 6, NotCritical, _NOT_WALL.format(6)),
     ("c_n_even", 31, 4.0, TypeError, _NOT_INT.format(4.0)),
     ("c_n_even", 31, 4.5, ParityError, _ODD.format(4.5)),
     ("c_n_even", 31, Fraction(9, 2), ParityError, _ODD.format("9/2")),
-    ("c_n_even", 21, 4, OutOfRange, _NOT_31),
+    ("c_n_even", 21, 4, OutOfRange, _NOT_31.format(2)),
     ("c_n_even", 21, 5, ParityError, _ODD.format(5)),
     ("strata", 31, 3, ParityError, _ODD.format(3)),
     ("strata", 31, 6, NotCritical, _NOT_WALL.format(6)),
     ("strata", 31, Fraction(4), TypeError, _NOT_INT.format("Fraction(4, 1)")),
     ("strata", 31, 5.0, ParityError, _ODD.format(5.0)),
-    ("strata", 21, 4, OutOfRange, _NOT_31),
+    ("strata", 21, 4, OutOfRange, _NOT_31.format(2)),
     ("strata", 21, 3, ParityError, _ODD.format(3)),
     ("flip_contribution", 31, 3, NotCritical, _NOT_WALL.format(3)),
     ("flip_contribution", 31, 6, NotCritical, _NOT_WALL.format(6)),
     ("flip_contribution", 31, 5.0, TypeError, _NOT_INT.format(5.0)),
     ("flip_contribution", 31, 4.5, TypeError, _NOT_INT.format(4.5)),
-    ("flip_contribution", 21, 4, OutOfRange, _NOT_31),
-    ("flip_contribution", 21, 5, OutOfRange, _NOT_31),
+    ("flip_contribution", 21, 6, NotCritical, _NOT_WALL_21.format(6)),
+    ("flip_contribution", 21, 4.0, TypeError, _NOT_INT.format(4.0)),
+    ("flip_contribution", 11, 4, OutOfRange, _NOT_31.format(1)),
 ])
 def test_wall_index_errors_keep_their_types_and_texts(name, ranks, n, error,
                                                       text):

@@ -23,6 +23,7 @@ from triplehodge import (
     e_n31_flipsum,
     e_triples21,
     e_triples21_critical_stable,
+    e_triples21_flipsum,
     flip_contribution,
     poincare,
     poincare_m3,
@@ -67,6 +68,25 @@ def test_closed_equals_flipsum_every_chamber(g, d1, d2):
         assert closed.poly == summed.poly
 
 
+# the g = 4..6 part of the 990-chamber grid takes about 1 s, so it runs
+# in the slow step
+@pytest.mark.parametrize("g", [
+    2, 3, *(pytest.param(g, marks=pytest.mark.slow) for g in (4, 5, 6)),
+])
+def test_triples21_flipsum_equals_closed_form_every_chamber(g):
+    # walking down from the empty top chamber by the (2, 1) jumps of
+    # flips gives the closed formula of rank2 on every chamber
+    chambers = 0
+    for d1, d2 in product(range(1, 2 * g + 8), (-1, 0, 1)):
+        t = TripleType(2, 1, d1, d2, g)
+        for index in range(1, len(chamber_bounds(t)) + 1):
+            closed = e_triples21(g, d1, d2, chamber=index)
+            summed = e_triples21_flipsum(g, d1, d2, chamber=index)
+            assert closed.poly == summed.poly, (t, index)
+            chambers += 1
+    assert chambers == {2: 108, 3: 147, 4: 192, 5: 243, 6: 300}[g]
+
+
 def test_constant_within_chamber():
     g, d1, d2 = 2, 5, 0
     lo, hi = chamber_bounds(TripleType(3, 1, d1, d2, g))[0]
@@ -94,6 +114,7 @@ def test_dimensions_match_closed_forms_on_the_full_grid():
         (3, oracles.dim_31, e_n31_closed),
         (3, oracles.dim_31, e_n31_flipsum),
         (2, oracles.dim_21, e_triples21),
+        (2, oracles.dim_21, e_triples21_flipsum),
     )
     for g, d1, d2 in product(full.gs, full.d1s, full.d2s):
         for n1, dim, route in routes:
@@ -168,11 +189,13 @@ def test_critical_sigma_and_argument_errors():
      (poincare_m3, (2.0,), {}, "genus"),
      (e_n31_closed, (2, 7, 0), {"chamber": 1.5}, "chamber index"),
      (e_triples21, (2, 5, 0), {"chamber": 2.0}, "chamber index"),
+     (e_triples21_flipsum, (2, 5, 0), {"chamber": 2.0}, "chamber index"),
      (poincare_n31, (2, 7, 0), {"chamber": 1.5}, "chamber index"),
      (e_m3, (2, True), {}, "d"),
      (e_n31_closed, (2, 7, 0), {"chamber": True}, "chamber index")],
     ids=["e_m3-d", "e_m3_via_pipeline", "poincare_m3", "e_n31_closed",
-         "e_triples21", "poincare_n31", "e_m3-d-bool", "e_n31_closed-bool"],
+         "e_triples21", "e_triples21_flipsum", "poincare_n31", "e_m3-d-bool",
+         "e_n31_closed-bool"],
 )
 def test_a_non_integer_argument_is_refused_by_name(fn, args, kwargs, name):
     # a float degree would pass d % 3 and a float chamber would reach
@@ -186,7 +209,10 @@ def test_chamber_descriptor_attached():
     h = e_n31_closed(2, 5, 0, Fraction(7, 3))
     assert (h.chamber.lo, h.chamber.hi) == (Fraction(5, 3), Fraction(3))
     g, d1, d2 = 2, 5, 0
-    routes = ((3, e_n31_closed), (3, e_n31_flipsum), (2, e_triples21))
+    routes = (
+        (3, e_n31_closed), (3, e_n31_flipsum), (2, e_triples21),
+        (2, e_triples21_flipsum),
+    )
     for n1, route in routes:
         t = TripleType(n1, 1, d1, d2, g)
         bounds = chamber_bounds(t)
@@ -202,15 +228,20 @@ def test_chamber_descriptor_attached():
             assert h.empty
 
 
-@pytest.mark.parametrize("n1", [3, 2])
-def test_each_chamber_built_once_for_the_last_type(monkeypatch, n1):
-    # a closed form depends on sigma only through the chamber's wall:
-    # a second sigma in a chamber reuses the first one's polynomial,
+@pytest.mark.parametrize(
+    "n1, memo, route, built",
+    [(3, moduli._closed_n31, e_n31_closed, None),
+     (2, rank2._closed_21, e_triples21, None),
+     # the flip sum's one build walks down to the lowest wall and keeps
+     # the sum at every wall it passes
+     (2, moduli._flip_sum, e_triples21_flipsum, 1)],
+    ids=["3", "2", "21-flipsum"],
+)
+def test_each_chamber_built_once_for_the_last_type(monkeypatch, n1, memo,
+                                                   route, built):
+    # a route depends on sigma only through the chamber's wall: a
+    # second sigma in a chamber reuses the first one's polynomial,
     # while only the last queried type's chambers are held
-    if n1 == 3:
-        memo, route = moduli._closed_n31, e_n31_closed
-    else:
-        memo, route = rank2._closed_21, e_triples21
     builds = []
     build = memo.build
 
@@ -229,7 +260,7 @@ def test_each_chamber_built_once_for_the_last_type(monkeypatch, n1):
             assert again.poly == mid.poly
             assert again.chamber == locate(t, lo + (hi - lo) / 3)
             assert mid.chamber == locate(t, chamber=index)
-        return [(t, wall) for wall, _sigma in criticals(t)]
+        return [(t, wall) for wall, _sigma in criticals(t)][:built]
 
     sweep(other)
     builds.clear()
@@ -251,7 +282,8 @@ def test_twisting_by_a_line_bundle_changes_nothing():
     # every sigma: same walls, same chambers, same polynomial on each
     checked = 0
     for (n1, route), g, d1, d2 in product(
-        ((3, e_n31_closed), (2, e_triples21)), (2, 3), range(10), (-1, 0, 1)
+        ((3, e_n31_closed), (2, e_triples21), (2, e_triples21_flipsum)),
+        (2, 3), range(10), (-1, 0, 1),
     ):
         t = TripleType(n1, 1, d1, d2, g)
         bounds = chamber_bounds(t)
@@ -268,7 +300,7 @@ def test_twisting_by_a_line_bundle_changes_nothing():
             for k, poly in enumerate(polys, start=1):
                 assert route(g, twisted.d1, twisted.d2, chamber=k).poly == poly
             checked += len(polys)
-    assert checked == 524
+    assert checked == 828
 
 
 # -- independent t-variable display ----------------------------------------

@@ -20,8 +20,10 @@ from triplehodge import (
     e_sym,
     e_triples21,
     e_triples21_critical_stable,
+    e_triples21_flipsum,
+    flip_contribution,
 )
-from triplehodge.laurent import ZERO
+from triplehodge.laurent import ZERO, FractionUV
 from triplehodge.zoo import smooth_projective_failures
 
 
@@ -123,7 +125,7 @@ def test_triples21_wall_replay():
     # crossing the wall at d_m removes the S^- stratum and glues in S^+:
     # just below, the space is the stable locus plus a projective bundle
     # over Jac^2 x Sym^{d1-d2-d_m}, and the chamber-to-chamber jump is
-    # the difference of the two strata
+    # the difference of the two strata, which flip_contribution holds
     for d1 in range(3, 7):
         g, d2 = 2, 0
         jac2 = e_jacobian(g).poly ** 2
@@ -144,11 +146,15 @@ def test_triples21_wall_replay():
                 else ZERO
             )
             assert below - above == s_minus - s_plus
+            flip = flip_contribution(t, d_m)
+            assert (flip.N1, flip.N2) == (k, 2 * d_m - d1 + g - 1)
+            assert flip.cn == FractionUV(s_plus - s_minus)
 
 
 def test_triples21_top_chamber_matches_oracle_bundle():
     # just below sigma_M the space is a P^(h-1)-bundle over Jac x Jac,
-    # h = d1 - 2*d2 + g - 1; the prediction is built from the oracles only
+    # h = d1 - 2*d2 + g - 1; the prediction is built from the oracles
+    # only, and both routes must meet it
     curve = oracles.pmul({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1})
     types = 0
     for g in range(2, 6):
@@ -158,10 +164,12 @@ def test_triples21_top_chamber_matches_oracle_bundle():
                 # sigma_M is critical and the next critical value is
                 # sigma_M - 3, so sigma_M - 1/2 lies in the top chamber
                 _, sigma_top = oracles.sigma_interval(2, d1, d2)
-                got = e_triples21(g, d1, d2, sigma_top - Fraction(1, 2))
                 h = d1 - 2 * d2 + g - 1
                 fiber = {(k, k): 1 for k in range(h)}
-                assert got.poly.terms == oracles.pmul(jac2, fiber)
+                want = oracles.pmul(jac2, fiber)
+                for route in (e_triples21, e_triples21_flipsum):
+                    got = route(g, d1, d2, sigma_top - Fraction(1, 2))
+                    assert got.poly.terms == want, (route.__name__, g, d1, d2)
                 types += 1
     assert types == 276
 
