@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from collections.abc import Callable
@@ -391,12 +392,21 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        for flag in _LIST_FLAGS:
-            setattr(args, flag, _int_list(getattr(args, flag)))
-        return _cmd_table(args)
+            code = _cmd_compute(args)
+        elif args.command == "verify":
+            code = _cmd_verify(args)
+        else:
+            for flag in _LIST_FLAGS:
+                setattr(args, flag, _int_list(getattr(args, flag)))
+            code = _cmd_table(args)
+        # a reader that has gone is met here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed it (``| head -1``): what is still
+        # buffered goes to devnull, so the exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CriticalSigma as exc:
         criticals = ",".join(str(c) for c in exc.criticals)
         print(

@@ -3,17 +3,19 @@
 Crossing a critical value replaces the flip locus S^- by S^+, and the
 Hodge polynomial jumps by C_n = e(S^+) - e(S^-).  At a (2, 1) wall both
 loci are projective bundles over Jac^2 x Sym^N1, built by ``_loci_21``.
-At the (3, 1) wall sigma_n = 2n - d1 - d2 one closed form serves both
-parities of n: e(Jac)^2 [K e(Sym^N1) ((uv)^(2 N2) - (uv)^(2 N1)) +
-(uv)^(g-1) e(Jac) bracket] / DEN, with K the wall kernel over
-DEN = (1 - uv)^2 (1 - (uv)^2).  The bracket is built only at even n,
-where the loci stratify into six pieces indexed by the shape of the
-destabilizing filtration; ``c_n_even`` checks the closed form against
-their sum on every build, with Sym^2(P x Jac) by a product rule,
-multiplying the five strata that end in e(Jac) e(Sym^N1) by that factor
-once.  ``strata`` rebuilds the six on request.  ``flip_contribution`` is
-the one memo of checked jumps of both types, one per wall (t, n), so a
-wall that any route has built is reused by every other.
+At the (3, 1) wall sigma_n = 2n - d1 - d2 the jump is e(Jac)^2 C0, and
+one closed form of C0 serves both parities of n: [K e(Sym^N1)
+((uv)^(2 N2) - (uv)^(2 N1)) + (uv)^(g-1) e(Jac) bracket] / DEN, with K
+the wall kernel over DEN = (1 - uv)^2 (1 - (uv)^2).  The bracket is
+built only at even n, where the loci stratify into six pieces indexed
+by the shape of the destabilizing filtration; ``c_n_even`` checks C0
+against their sum over e(Jac)^2 on every build, with Sym^2(P x Jac) by
+a product rule, multiplying the five strata that end in e(Sym^N1) by
+that factor once.  e(Jac)^2 enters once per wall, after the check.
+``strata`` rebuilds the six full strata on request.
+``flip_contribution`` is the one memo of checked jumps of both types,
+one per wall (t, n), so a wall that any route has built is reused by
+every other.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ from .laurent import (
     ZERO,
     FractionUV,
     LaurentPoly,
+    U,
+    V,
     _times_binomials,
     divide_exact,
     halve_exact,
 )
 from .series import extract, sym_series
 from .stability import TripleType, _require_critical
-from .rank2 import e_m2s_even, e_triples21_critical_stable
+from .rank2 import _critical_stable_core, e_m2s_even
 from .zoo import (
     _times_jacobian,
     e_affine,
@@ -101,13 +105,15 @@ def _fibers(t: TripleType, n: int, parity: int) -> tuple[int, int]:
 
 
 def _contribution(
-    n: int, n1: int, two_n2: int, cn: FractionUV
+    t: TripleType, n: int, n1: int, two_n2: int, c0: LaurentPoly
 ) -> FlipContribution:
-    return FlipContribution(n, n1, Fraction(two_n2, 2), cn.normalize())
+    # the one place a (3, 1) jump gets its factor e(Jac)^2
+    cn = FractionUV(_times_jacobian(c0, t.g, 2)).normalize()
+    return FlipContribution(n, n1, Fraction(two_n2, 2), cn)
 
 
-def _closed_cn(t: TripleType, n: int, n1: int, two_n2: int) -> FractionUV:
-    # the closed C_n, summed over _DEN: the odd-n term, plus at even n
+def _closed_cn(t: TripleType, n: int, n1: int, two_n2: int) -> LaurentPoly:
+    # C_n / e(Jac)^2, summed over _DEN: the odd-n term, plus at even n
     # the bracket of the extra strata
     g = t.g
     num = e_sym(n1, g).poly * (UV**two_n2 - UV ** (2 * n1)) * _wall_kernel(g)
@@ -125,8 +131,8 @@ def _closed_cn(t: TripleType, n: int, n1: int, two_n2: int) -> FractionUV:
         )
         num = num + UV ** (g - 1) * e_jacobian(g).poly * bracket
     # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the jump divides
-    # on its own and e(Jac)^2 is multiplied in last
-    return FractionUV(_times_jacobian(divide_exact(num, _DEN), g, 2))
+    # without that factor
+    return divide_exact(num, _DEN)
 
 
 def c_n_odd(t: TripleType, n: int) -> FlipContribution:
@@ -138,23 +144,29 @@ def c_n_odd(t: TripleType, n: int) -> FlipContribution:
     half-integrality of N2 for odd n never surfaces.
     """
     n1, two_n2 = _fibers(t, n, 1)
-    return _contribution(n, n1, two_n2, _closed_cn(t, n, n1, two_n2))
+    return _contribution(t, n, n1, two_n2, _closed_cn(t, n, n1, two_n2))
 
 
 @memo
 def _strata_bases(g: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    # J = e(Jac), J^2 - J and J~ - J with J~ = J(-u^2, -v^2): built once
-    # per genus for the strata, shared and never mutated
-    jac = e_jacobian(g).poly
-    return jac, jac * jac - jac, jac.square_negate() - jac
+    # J - 1, J(-u, -v) - 1 and e(M^s(2, even)) / J, with J = e(Jac) =
+    # (1 + u)^g (1 + v)^g: built once per genus for the strata, shared
+    # and never mutated
+    m2s = divide_exact(e_m2s_even(g).poly, (ONE + U) ** g)
+    return (
+        e_jacobian(g).poly - ONE,
+        (ONE - U) ** g * (ONE - V) ** g - ONE,
+        divide_exact(m2s, (ONE + V) ** g),
+    )
 
 
 def _strata_factors(t: TripleType, n: int, n1: int, two_n2: int) -> tuple:
-    # the first stratum x1, and the cofactors y2..y6 of the factor
-    # js = e(Jac) e(Sym^{N1}) that the other five strata end in
+    # the six strata divided by e(Jac)^2: the first, x1, and the
+    # cofactors y2..y6 of the factor js = e(Sym^{N1}) that the other
+    # five end in
     g, d1, d2 = t.g, t.d1, t.d2
     n2 = two_n2 // 2
-    jac, jac2_jac, tilde_jac = _strata_bases(g)
+    jac_1, neg_jac_1, m2s_0 = _strata_bases(g)
 
     def pp(m: int) -> LaurentPoly:
         return e_projective(m).poly
@@ -163,51 +175,59 @@ def _strata_factors(t: TripleType, n: int, n1: int, two_n2: int) -> tuple:
         # (uv)^{m-1} * e(P^{m-1}); zero when m < 1
         return e_affine(m - 1).poly * pp(m)
 
-    stable21 = e_triples21_critical_stable(g, d1 - n // 2, d2, n // 2).poly
+    # x1 is e(Jac) e(N^s(2, 1)) at the wall n/2 times a difference of
+    # projective spaces: e(Jac)^3 in all, so one J stays
+    t21 = TripleType(2, 1, d1 - n // 2, d2, g)
+    core = _critical_stable_core(t21, n // 2)
     p1, p2 = pp(n1), pp(n2)
-    x1 = (pp(g - 1 + n1) - pp(g - 1 + n2)) * jac * stable21
-    y2 = (pp(2 * n1) - pp(2 * n2)) * e_m2s_even(g).poly
-    y3 = (pp(2 * n1) - p1 - pp(2 * n2) + p2) * pp(g - 1) * jac2_jac
-    # strata 4 and 6 end in e(Jac)^2 e(Sym): their cofactors take one J
-    y4 = (affine_cone(n1) - affine_cone(n2)) * pp(g) * jac
+    x1 = (pp(g - 1 + n1) - pp(g - 1 + n2)) * e_jacobian(g).poly * core
+    y2 = (pp(2 * n1) - pp(2 * n2)) * m2s_0
+    # J^2 - J = J (J - 1)
+    y3 = (pp(2 * n1) - p1 - pp(2 * n2) + p2) * pp(g - 1) * jac_1
+    y4 = (affine_cone(n1) - affine_cone(n2)) * pp(g)
     # Sym^2(P^{m-1} x Jac) - e(Jac) Sym^2(P^{m-1}), m = N1 minus m = N2:
     # e(Sym^2 Z) = (e(Z)^2 + e(Z)(-u^2, -v^2)) / 2, and the substitution
-    # is a ring map, so Z = P x Jac is never squared
+    # is a ring map, so Z = P x Jac is never squared; over J, with
+    # J(-u^2, -v^2) = J J(-u, -v), the halving still holds, since J is
+    # no zero divisor mod 2
     sq, sq_tilde = p1 * p1 - p2 * p2, p1.square_negate() - p2.square_negate()
     try:
-        y5 = halve_exact(sq * jac2_jac + sq_tilde * tilde_jac)
+        y5 = halve_exact(sq * jac_1 + sq_tilde * neg_jac_1)
     except ValueError as exc:
         raise NonIntegral("Sym^2 stratum has odd coefficients") from exc
-    y6 = (e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly) * jac
-    return x1, [y2, y3, y4, y5, y6], jac * e_sym(n1, g).poly
+    y6 = e_grassmannian(2, n1).poly - e_grassmannian(2, n2).poly
+    return x1, [y2, y3, y4, y5, y6], e_sym(n1, g).poly
 
 
 def strata(t: TripleType, n: int) -> tuple[LaurentPoly, ...]:
     """The six stratum contributions at an even critical index n.
 
     Plus side minus minus side, in filtration order; they sum to C_n,
-    which ``c_n_even`` checks whenever it builds the jump.
+    which ``c_n_even`` checks, over e(Jac)^2, whenever it builds the jump.
     """
     x1, ys, js = _strata_factors(t, n, *_fibers(t, n, 0))
-    return (x1, *(y * js for y in ys))
+    return tuple(
+        _times_jacobian(s, t.g, 2) for s in (x1, *(y * js for y in ys))
+    )
 
 
 def c_n_even(t: TripleType, n: int) -> FlipContribution:
     """Wall-crossing data C_n at an even critical index n.
 
     The closed-form jump is compared exactly with the six strata's sum,
-    x1 + (y2 + ... + y6) js, on every call, and a disagreement raises
-    StrataMismatch; ``strata`` returns the six strata themselves.
+    x1 + (y2 + ... + y6) js, on every call, both divided by e(Jac)^2,
+    and a disagreement raises StrataMismatch; ``strata`` returns the
+    six strata themselves.
     """
     n1, two_n2 = _fibers(t, n, 0)
-    closed = _closed_cn(t, n, n1, two_n2)
+    c0 = _closed_cn(t, n, n1, two_n2)
     x1, ys, js = _strata_factors(t, n, n1, two_n2)
-    if FractionUV(x1 + sum(ys, ZERO) * js) != closed:
+    if FractionUV(x1 + sum(ys, ZERO) * js) != c0:
         raise StrataMismatch(
             f"stratum sum disagrees with the closed form at n={n} "
             f"for (3,1,{t.d1},{t.d2}), g={t.g}"
         )
-    return _contribution(n, n1, two_n2, closed)
+    return _contribution(t, n, n1, two_n2, c0)
 
 
 @memo
@@ -237,8 +257,11 @@ def flip_contribution(t: TripleType, n: int) -> FlipContribution:
     (e(P^(N1-1)) - e(P^(N2-1))).  Built once per wall (t, n) and shared
     by every later call.
     """
-    if (t.n1, t.n2) != (2, 1):
+    ranks = (t.n1, t.n2)
+    if ranks == (3, 1):
         return (c_n_odd if n % 2 else c_n_even)(t, n)
+    if ranks != (2, 1):
+        raise OutOfRange(f"expected ranks (3, 1) or (2, 1), got {ranks}")
     s_minus, s_plus = _loci_21(t, n)
     n1, n2 = t.d1 - t.d2 - n, 2 * n - t.d1 + t.g - 1
-    return _contribution(n, n1, 2 * n2, FractionUV(s_plus - s_minus))
+    return FlipContribution(n, n1, Fraction(n2), FractionUV(s_plus - s_minus))

@@ -32,9 +32,9 @@ fills the product's box in slots that hold max|c| * 2^K plus a sign
 bit, K the total multiplicity, and each factor 1 +- m is one shift-add
 of the packed integer by i*W + j slots.  The closed forms multiply by
 e(Jac) = (1 + u)^g (1 + v)^g, by its square and by their other
-binomial powers this way.  The cross-check routes (the strata of an
-even wall, the rank-2 flip loci, the structural odd jump) keep ``*``,
-so the checks stay independent of the kernel.
+binomial powers this way.  The cross-check routes (the strata check of
+an even wall, the rank-2 flip loci, the structural odd jump) keep
+``*``, so the checks stay independent of the kernel.
 
 Exact division (``divide_exact``) picks its route by the shape of the
 divisor; every divisor on a production route is built from binomials
@@ -42,13 +42,14 @@ divisor; every divisor on a production route is built from binomials
 walk: along each line of m the quotient follows
 q_t = c0*(n_t - c1*q_(t-1)), one step per term of the numerator and of
 the quotient.  +-1 times a product of binomials 1 +- m^k on one ray,
-such as DEN = (1 - uv)^2 (1 - (uv)^2) of the N_sigma(3, 1) routes, takes
-the line route: each binomial is divided out of the numerator's lines
-along m by prefix sums, unless the padded lines would need more than
-len(num) * len(den) slots.  Any other divisor takes heap-ordered
-multivariate long division.  The walk and the line route give up on a
-remainder, and the heap route, run on the original inputs, builds the
-``NonDivisible`` remainder.
+such as DEN = (1 - uv)^2 (1 - (uv)^2) of the N_sigma(3, 1) routes, or
+such a product over factors 1 - m^k, such as e(P^(n-1)), takes the line
+route: the factors 1 - m^k are multiplied into the numerator's lines
+along m and each binomial is divided out of them by prefix sums, unless
+the padded lines would need more than len(num) * len(den) slots.  Any
+other divisor takes heap-ordered multivariate long division.  The walk
+and the line route give up on a remainder, and the heap route, run on
+the original inputs, builds the ``NonDivisible`` remainder.
 
 ``FractionUV`` carries intermediate rational expressions such as
 ``1/((1-uv)^2 (1-(uv)^2))`` as a plain (num, den) pair.  On a production
@@ -638,8 +639,8 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Walk.  A divisor of two unit terms, +-u^a v^b (+-1 +- m), divides
     along the lines of m, one step per term of the numerator and of the
     quotient, so (1 - (uv)^(2N)) / (1 - (uv)^N) takes three steps.  The
-    residue forms' differences of monomial poles, 1 - uv and the
-    pipeline's 1 - (uv)^(3g-2) are such divisors.
+    residue forms' differences of monomial poles and 1 - uv are such
+    divisors.
 
     Line route.  When a divisor of three or more terms, shifted, is D(m)
     for one monomial m = u^i v^j (a constant term 1 or -1, and every term
@@ -648,12 +649,15 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     on the lines laid end to end in one list of integers.  D's
     coefficient list, times its constant term, must split into binomials
     1 - x^k and 1 + x^k, peeled at its lowest nonzero k; each comes out
-    of every line by prefix sums over stride-k slices.  The route is
-    taken only when the lines, each with deg D slots of padding, fit in
+    of every line by prefix sums over stride-k slices.  Where neither
+    binomial divides at k and the coefficient there is 1, a factor
+    1 - x^k is multiplied into D and into every line instead, up to
+    deg D in all: e(P^(n-1)) = (1 - m^n) / (1 - m) divides as 1 - m^n.
+    The route is taken only when the padded lines fit in
     ``len(num) * len(den)`` slots.
     DEN = (1 - uv)^2 (1 - (uv)^2), over which every N_sigma(3, 1) route
     divides once, the denominator of ``e_m3``, its t-display, and the
-    pipeline's (1 + u)^g and (1 + v)^g take it.
+    pipeline's e(P^(3g-3)), (1 + u)^g and (1 + v)^g take it.
 
     Heap route.  Any other divisor, or a walk or line route that leaves
     a remainder, goes through multivariate long division under the project
@@ -764,18 +768,20 @@ def _divide_lines(terms, dterms, da, db):
     """``terms / (u^da v^db * dterms)`` along the lines of one monomial m.
 
     ``dterms`` has minimum exponents (0, 0).  None means the line route
-    does not apply (the divisor is not +-1 times a product of binomials
-    1 +- m^k, or the list below would hold more than
-    ``len(terms) * len(dterms)`` slots) or the division leaves a
-    remainder; the caller then runs the heap route.  Neither map is
-    mutated.  The unit +-1 is the divisor's constant term: a
-    denominator normalized to a positive lead has constant term -1.
+    does not apply (``_binomial_factors`` finds no split, or the list
+    below would hold more than ``len(terms) * len(dterms)`` slots) or the
+    division leaves a remainder; the caller then runs the heap route.
+    Neither map is mutated.  The unit +-1 is the divisor's constant
+    term: a denominator normalized to a positive lead has constant term
+    -1.
 
     The numerator's lines are laid end to end in one integer list, each
-    followed by ``deg D`` slots of padding, so every binomial divides all
-    lines in one pass.  Each line divides exactly if and only if the
+    followed by ``deg D + E`` slots of padding, E the degree of the
+    factors 1 - m^k multiplied in, so every factor multiplies or divides
+    all lines in one pass.  Each line divides exactly if and only if the
     whole list does and the quotient is zero on every line's padding: a
-    line's quotient times D then stays inside the line and its padding.
+    line's quotient times the binomials then stays inside the line and
+    its padding.
     """
     unit = dterms.get((0, 0))
     if len(dterms) < 2 or unit not in (1, -1):
@@ -792,9 +798,12 @@ def _divide_lines(terms, dterms, da, db):
         if a * j != b * i:
             return None
         coeffs[(a + b) // s] = unit * c
-    factors = _binomial_factors(coeffs)
-    if factors is None:
+    split = _binomial_factors(coeffs)
+    if split is None:
         return None
+    factors, times = split
+    # each line is padded for the degree of the grown divisor
+    pad = degree + sum(times)
 
     # u^a v^b lies on line a*j - b*i; as (i, j) is primitive, (a + b) // s
     # numbers the points of every line consecutively
@@ -807,18 +816,19 @@ def _divide_lines(terms, dterms, da, db):
             lows[key] = place
         if highs.get(key, place) <= place:
             highs[key] = place
-    # each line is followed by deg D slots of padding
     starts = {}
     size = 0
     for key, low in lows.items():
         starts[key] = size - low
-        size += highs[key] - low + 1 + degree
+        size += highs[key] - low + 1 + pad
     if size > len(terms) * len(dterms):
         return None
     flat = [0] * size
     for key, place, c in zip(keys, places, terms.values()):
         flat[starts[key] + place] = unit * c
 
+    for k in times:
+        flat = _times_one_minus(flat, k)
     for k, sign in factors:
         flat = _peel(flat, k, sign)
         if flat is None:
@@ -829,7 +839,7 @@ def _divide_lines(terms, dterms, da, db):
     for key, low in lows.items():
         start = starts[key] + low
         end = start + highs[key] - low + 1
-        if any(flat[end : end + degree]):
+        if any(flat[end : end + pad]):
             return None
         # the line's first point: a + b = total, a*j - b*i = key
         total = low * s + (-key * inverse) % s
@@ -841,29 +851,44 @@ def _divide_lines(terms, dterms, da, db):
 
 
 def _binomial_factors(coeffs):
-    """Split a coefficient list into binomials 1 + sign*x^k.
+    """Split a coefficient list, times factors 1 - x^k, into binomials
+    1 + sign*x^k.
 
-    ``coeffs[0]`` is 1, and each division keeps it.  Returns
-    ``[(k, sign), ...]`` whose product is ``coeffs``, or None when
-    ``coeffs`` is not such a product.  Each step tries 1 - x^k and
-    1 + x^k at the lowest k with a nonzero coefficient.  In a product of
-    such binomials that lowest term comes from the factors with the least
-    k, or, where those cancel in pairs (1 - x^k)(1 + x^k) = 1 - x^(2k),
-    from the binomial they multiply to; either way one of the two trials
-    divides, so a product of binomials always splits completely.
+    ``coeffs[0]`` is 1, and each step keeps it.  Returns ``(factors,
+    times)``: the product of ``[(k, sign), ...]`` is ``coeffs`` times
+    prod(1 - x^k) over ``times``; or None when there is no such split.
+    Each step tries 1 - x^k and 1 + x^k at the lowest k with a nonzero
+    coefficient.  In a product of such binomials that lowest term comes
+    from the factors with the least k, or, where those cancel in pairs
+    (1 - x^k)(1 + x^k) = 1 - x^(2k), from the binomial they multiply to;
+    either way one of the two trials divides, so a product of binomials
+    always splits completely.  Where neither divides and the coefficient
+    is 1, as in e(P^(n-1)) = (1 - x^n) / (1 - x), 1 - x^k is multiplied
+    in to cancel it, up to the degree of ``coeffs`` in all, so the split
+    ends: 1 + x + 2x^2 gives None after 1 - x.
     """
-    factors = []
+    factors, times = [], []
+    budget = len(coeffs) - 1
     while len(coeffs) > 1:
         k = next(t for t in range(1, len(coeffs)) if coeffs[t])
         for sign in (-1, 1):
             quotient = _peel(coeffs, k, sign)
             if quotient is not None:
+                factors.append((k, sign))
                 break
         else:
-            return None
-        factors.append((k, sign))
+            if coeffs[k] != 1 or k > budget:
+                return None
+            budget -= k
+            times.append(k)
+            quotient = _times_one_minus(coeffs + [0] * k, k)
         coeffs = quotient
-    return factors
+    return factors, times
+
+
+def _times_one_minus(values, k):
+    # the list ``values`` times 1 - x^k, cut to its own length
+    return list(map(sub, values, [0] * k + values[:-k]))
 
 
 def _peel(coeffs, k, sign):

@@ -197,10 +197,9 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
     _require_int(g, "genus", 2)
     d1 = 6 * g - 5
     low = e_n31_closed(g, d1, 0, chamber=1)
-    # one division per binomial instead of one by the multiplied-out
-    # product: e(P^(n-1)) (1 - uv) = 1 - (uv)^n
-    fiber = e_projective(3 * g - 2).poly
-    poly = divide_exact(low.poly * (ONE - UV), fiber * (ONE - UV))
+    # one division per factor instead of one by the multiplied-out
+    # product, each on the line route
+    poly = divide_exact(low.poly, e_projective(3 * g - 2).poly)
     poly = divide_exact(poly, (ONE + U) ** g)
     poly = divide_exact(poly, (ONE + V) ** g)
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)

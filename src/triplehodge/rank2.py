@@ -127,14 +127,21 @@ def e_triples21_critical_stable(
     space, hence not projective: flag off.
     """
     t = TripleType(2, 1, d1, d2, g)
+    poly = _times_jacobian(_critical_stable_core(t, d_m), g, 2)
+    return HodgeResult(
+        poly=poly, dim=1 - chi_triples(t, t), smooth_projective=False
+    )
+
+
+def _critical_stable_core(t: TripleType, d_m: int) -> LaurentPoly:
+    # the stable locus at the wall d_m before its factor e(Jac)^2, which
+    # the even-wall strata of a (3, 1) type multiply in once per wall
     _require_critical(t, d_m)
+    g, d1, d2 = t.g, t.d1, t.d2
     k = d1 - d2 - d_m
     w = sym_series(g, k + 1)
     c1 = extract(w, [UV**-1], k)
     c2 = extract(w, [UV**2], k - 1)
     c3 = w.coeff(k)
     bracket = UV**k * c1 - UV ** (g + 1 - d1 + 2 * d_m) * c2 - c3
-    poly = _times_jacobian(divide_exact(bracket, ONE - UV), g, 2)
-    return HodgeResult(
-        poly=poly, dim=1 - chi_triples(t, t), smooth_projective=False
-    )
+    return divide_exact(bracket, ONE - UV)

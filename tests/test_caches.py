@@ -5,7 +5,7 @@ of ``triplehodge._memo``: a ``@memo`` function, a ``_ChamberMemo`` or
 the ``series._sym_longest`` table.  The pieces every chamber and wall
 of a genus (or every query of a triple type) shares are memoized: a
 type's chamber bounds, the series of symmetric powers, the per-genus
-bases of the flip strata (the Sym^2 term's, and e(Jac)^2 - e(Jac)), the
+bases of the flip strata (the Sym^2 term's, and e(Jac) - 1), the
 t-display factors of ``poincare_n31``, the product e(Jac)^2 e(Sym^k) of
 the rank-2 wall replay, each wall's checked jump
 (``flips.flip_contribution``) and the running flip sum at each wall of
@@ -92,7 +92,7 @@ def _count_builds() -> dict[str, list]:
 
     counts = {name: Counter() for name in
               ("chambers", "sym_series", "sym2", "t_display",
-               "jac_square_minus_jac", "jac2_sym", "flip_sum", "walls")}
+               "jac_minus_one", "jac2_sym", "flip_sum", "walls")}
     genera = range(2, 7)
     jacs = {id(e_jacobian(g).poly): g for g in genera}
 
@@ -171,9 +171,9 @@ def _count_builds() -> dict[str, list]:
     jac2_sym_right = []
 
     def spy_sub(left, right):
-        g = jacs.get(id(right))
-        if g is not None and left == jac_squares[g]:
-            counts["jac_square_minus_jac"][str(g)] += 1
+        g = jacs.get(id(left))
+        if g is not None and right == ONE:
+            counts["jac_minus_one"][str(g)] += 1
         return sub(left, right)
 
     def spy_mul(left, right):
@@ -192,14 +192,13 @@ def _count_builds() -> dict[str, list]:
     assert code == 0
 
     counts["sym_series"].update(str(key) for key in build_of.values())
-    # the Sym^2 stratum's bases of genus g end with J~ - J, J~ the
-    # Jacobian's polynomial at (-u^2, -v^2), a new polynomial per build
+    # the Sym^2 stratum's second base of genus g is J(-u, -v) - 1, the
+    # Jacobian's polynomial at (-u, -v) minus 1, a new polynomial per build
     seen = set()
     for g, pieces in bases_seen:
-        jac = e_jacobian(g).poly
-        assert pieces[2] == jac.square_negate() - jac
-        if id(pieces[2]) not in seen:
-            seen.add(id(pieces[2]))
+        assert pieces[1] == (ONE - U) ** g * (ONE - V) ** g - ONE
+        if id(pieces[1]) not in seen:
+            seen.add(id(pieces[1]))
             counts["sym2"][str(g)] += 1
     t = LaurentPoly.monomial(1, 0)
     kernels = {
@@ -241,7 +240,7 @@ def builds():
 
 @pytest.mark.parametrize(
     "piece",
-    ["chambers", "sym_series", "sym2", "t_display", "jac_square_minus_jac",
+    ["chambers", "sym_series", "sym2", "t_display", "jac_minus_one",
      "jac2_sym", "flip_sum", "walls"],
 )
 def test_full_grid_verify_builds_each_piece_once_per_key(builds, piece):

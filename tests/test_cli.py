@@ -4,12 +4,17 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import triplehodge
 from triplehodge import (
     LaurentPoly,
     NonDivisible,
@@ -229,6 +234,33 @@ def test_a_package_error_exits_1_with_its_type(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: NonDivisible: remainder 1 + u\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv", ["verify all --grid quick", "compute proj --n 3"],
+    ids=["verify", "compute"],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # stdout's reader is gone before the first write, as under
+    # ``| head -1`` once head has its line; buffered or not, the error
+    # is met inside main, which exits 1 and writes nothing to stderr
+    # beyond the verify suites' wall times
+    src = Path(triplehodge.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplehodge.cli", *argv.split()],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert [line for line in proc.stderr.splitlines()
+            if not line.startswith("wall: ")] == []
 
 
 def test_unknown_arguments_exit_2(capsys):

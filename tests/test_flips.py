@@ -64,6 +64,7 @@ def test_parity_and_criticality_errors():
 
 
 _NOT_31 = "expected ranks (3, 1), got ({}, 1)"
+_NOT_31_21 = "expected ranks (3, 1) or (2, 1), got ({}, 1)"
 _NOT_WALL = "index {} is not critical for (3,1,5,0); criticals are [4, 5]"
 _NOT_WALL_21 = "index {} is not critical for (2,1,5,0); criticals are [3, 4, 5]"
 _NOT_INT = "wall index must be an integer, got {}"
@@ -75,7 +76,8 @@ _ODD = "n={} is odd; use the odd-index form"
 # c_n_even and strata runs in the order parity, ranks (3, 1), critical
 # integer index, so a wrong parity is named first even on a (2, 1) type
 # or a non-integer index.  flip_contribution also takes (2, 1, 5, 0),
-# walls 3, 4 and 5, and checks only its critical integer index
+# walls 3, 4 and 5, and checks only its critical integer index; its
+# refusal of other ranks names both
 @pytest.mark.parametrize("name, ranks, n, error, text", [
     ("c_n_odd", 31, 4, ParityError, _EVEN.format(4)),
     ("c_n_odd", 31, 6, ParityError, _EVEN.format(6)),
@@ -104,7 +106,7 @@ _ODD = "n={} is odd; use the odd-index form"
     ("flip_contribution", 31, 4.5, TypeError, _NOT_INT.format(4.5)),
     ("flip_contribution", 21, 6, NotCritical, _NOT_WALL_21.format(6)),
     ("flip_contribution", 21, 4.0, TypeError, _NOT_INT.format(4.0)),
-    ("flip_contribution", 11, 4, OutOfRange, _NOT_31.format(1)),
+    ("flip_contribution", 11, 4, OutOfRange, _NOT_31_21.format(1)),
 ])
 def test_wall_index_errors_keep_their_types_and_texts(name, ranks, n, error,
                                                       text):
@@ -319,9 +321,9 @@ def test_sym2_stratum_of_a_non_hodge_factor_is_nonintegral(monkeypatch):
     # inputs; fed a factor that is not one, the halving meets an odd
     # coefficient and raises NonIntegral, which the CLI reports without
     # a traceback, never a bare ValueError
-    jac, jac2_jac, tilde_jac = flips._strata_bases(2)
+    jac_1, neg_jac_1, m2s_0 = flips._strata_bases(2)
     monkeypatch.setattr(
-        flips, "_strata_bases", lambda g: (jac, jac2_jac, tilde_jac + ONE)
+        flips, "_strata_bases", lambda g: (jac_1, neg_jac_1 + ONE, m2s_0)
     )
     with pytest.raises(NonIntegral):
         c_n_even(TripleType(3, 1, 5, 0, 2), 4)
@@ -468,3 +470,61 @@ def test_strata_and_jumps_digest():
     assert digest.hexdigest() == (
         "2c16e72fc2abe6992cb60c47d33adcc025ba5dc6f959aabc21bd1962e6a6dab1"
     )
+
+
+def test_jacobian_square_times_the_core_is_the_critical_stable_locus():
+    # the strata's x1 reads the (2, 1) stable locus before its factor
+    # e(Jac)^2; multiplied back by plain *, it is the public value
+    walls = 0
+    for g in range(2, 5):
+        jac2 = e_jacobian(g).poly * e_jacobian(g).poly
+        for d1 in range(1, 9):
+            for d2 in (-1, 0, 1):
+                t = TripleType(2, 1, d1, d2, g)
+                for d_m, _sigma in criticals(t):
+                    stable = e_triples21_critical_stable(g, d1, d2, d_m).poly
+                    assert jac2 * rank2._critical_stable_core(t, d_m) == stable
+                    walls += 1
+    assert walls > 100
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_strata_bases_are_over_the_jacobian(g):
+    # J - 1, J(-u, -v) - 1 and e(M^s(2, even)) / J, J = e(Jac)
+    jac = e_jacobian(g).poly
+    jac_1, neg_jac_1, m2s_0 = flips._strata_bases(g)
+    assert m2s_0 * jac == e_m2s_even(g).poly
+    assert jac_1 == jac - ONE
+    # J(-u, -v) J = J(-u^2, -v^2)
+    assert (neg_jac_1 + ONE) * jac == jac.square_negate()
+
+
+@pytest.mark.parametrize("g", range(2, 5))
+def test_checked_strata_sum_lacks_the_jacobian_square(g):
+    # c_n_even compares x1 + (y2 + ... + y6) js with C_n / e(Jac)^2, of
+    # total degree deg C_n - 4g; e(Jac)^2 enters only after the check
+    t = TripleType(3, 1, 2 * g + 3, 0, g)
+    walls = 0
+    for n, _sigma in criticals(t):
+        if n % 2:
+            continue
+        x1, ys, js = flips._strata_factors(t, n, *flips._fibers(t, n, 0))
+        checked = x1 + sum(ys, ZERO) * js
+        cn = c_n_even(t, n).cn.as_polynomial()
+        assert checked.total_degree() == cn.total_degree() - 4 * g
+        assert checked == flips._closed_cn(t, n, *flips._fibers(t, n, 0))
+        walls += 1
+    assert walls >= 1
+
+
+def test_a_wrong_fixed_determinant_stratum_raises_strata_mismatch(
+    monkeypatch,
+):
+    # e(M^s(2, even)) / J one too big moves the second stratum by
+    # (e(P^{2 N1 - 1}) - e(P^{2 N2 - 1})) e(Sym^{N1}), which is not zero
+    jac_1, neg_jac_1, m2s_0 = flips._strata_bases(2)
+    monkeypatch.setattr(
+        flips, "_strata_bases", lambda g: (jac_1, neg_jac_1, m2s_0 + ONE)
+    )
+    with pytest.raises(StrataMismatch):
+        c_n_even(TripleType(3, 1, 5, 0, 2), 4)

@@ -579,17 +579,22 @@ _N = 10**6
                 -((ONE - UV) ** 2 * (ONE + UV)),
             )
         ),
-        # the pipeline's e(P^(3g-3)) (1 - uv) at g = 2: two terms
+        # two unit terms: 1 - (uv)^4
         (_production_divisors(6)[0] * (ONE - UV**4), ONE - UV**4, "walk"),
         # on one ray, but not a product of binomials: a cofactor
-        # 1 + 2uv + 3(uv)^2, and e(P^4) = 1 + uv + ... + (uv)^4
+        # 1 + 2uv + 3(uv)^2
         *(
             (_production_divisors(4)[0] * den, den, "heap")
             for den in (
                 (ONE - UV) * (1 + 2 * UV + 3 * UV**2),
                 (ONE + UV) * (1 + 2 * UV + 3 * UV**2),
-                ONE + UV + UV**2 + UV**3 + UV**4,
             )
+        ),
+        # e(P^4) = (1 - (uv)^5) / (1 - uv): 1 - uv multiplied in
+        (
+            _production_divisors(4)[0] * (ONE + UV + UV**2 + UV**3 + UV**4),
+            ONE + UV + UV**2 + UV**3 + UV**4,
+            "lines",
         ),
         # bivariate e(Jac): no single monomial carries it
         (
@@ -603,6 +608,23 @@ _N = 10**6
         (ONE - UV ** (2 * _N), ONE - UV**_N, "walk"),
         # two terms, but 2 is no unit
         ((2 - 2 * UV) * (ONE + U + V) ** 4, 2 - 2 * UV, "heap"),
+        # the pipeline's e(P^9) at g = 4,
+        # (1 + uv)(1 - (uv)^10) / (1 - (uv)^2): 1 - (uv)^2 multiplied in
+        (
+            _production_divisors(4)[0] * sum((UV**k for k in range(10)), ZERO),
+            sum((UV**k for k in range(10)), ZERO),
+            "lines",
+        ),
+        # no product of binomials over factors 1 - m^k either:
+        # 1 + uv + 2(uv)^2, whose factors 1 - m^k multiplied in would
+        # pass its degree
+        *(
+            (_production_divisors(4)[0] * den, den, "heap")
+            for den in (
+                ONE + UV + 2 * UV**2,
+                (ONE - UV) * (ONE + UV + 2 * UV**2),
+            )
+        ),
     ],
 )
 def test_divide_routing(monkeypatch, num, den, route):
@@ -625,15 +647,20 @@ def test_divide_routing(monkeypatch, num, den, route):
 
 @st.composite
 def line_divisors(draw):
-    """+-u^a v^b times binomials 1 +- m^k (k <= 4), and optionally a
+    """+-u^a v^b times binomials 1 +- m^k (k <= 4), optionally e(P^(n-1))
+    in m^k = (1 - m^(nk)) / (1 - m^k) (n <= 7, k <= 2), and optionally a
     cofactor c0 + c1*m + c2*m^2 with c0 != 0, for one m among u, v, uv
     and u^2 v.  Unless the cofactor is itself a product of binomials,
-    such a divisor must fall through to the heap route."""
+    or one over factors 1 - m^k such as 1 + m + m^2, such a divisor must
+    fall through to the heap route."""
     m = draw(st.sampled_from([U, V, UV, U**2 * V]))
     den = LaurentPoly.monomial(draw(exponents), draw(exponents))
     binomials = st.tuples(st.integers(1, 4), st.sampled_from([-1, 1]))
     for k, sign in draw(st.lists(binomials, min_size=1, max_size=4)):
         den = den * (ONE + sign * m**k)
+    if draw(st.booleans()):
+        n, k = draw(st.integers(2, 7)), draw(st.integers(1, 2))
+        den = den * sum((m ** (k * t) for t in range(n)), ZERO)
     if draw(st.booleans()):
         c0 = draw(coeffs.filter(bool))
         c1, c2 = draw(coeffs), draw(coeffs)
