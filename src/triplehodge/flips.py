@@ -27,21 +27,19 @@ from ._memo import memo
 from .errors import NonIntegral, OutOfRange, ParityError, StrataMismatch
 from .laurent import (
     ONE,
-    U2V,
     UV,
-    UV2,
     ZERO,
     FractionUV,
     LaurentPoly,
     U,
     V,
-    _times_binomials,
+    _binomial_sum,
     divide_exact,
     halve_exact,
 )
 from .series import extract, sym_series
 from .stability import TripleType, _require_critical
-from .rank2 import _critical_stable_core, e_m2s_even
+from .rank2 import _critical_stable_core, _kernel_pieces, e_m2s_even
 from .zoo import (
     _times_jacobian,
     e_affine,
@@ -86,9 +84,10 @@ _DEN = (ONE - UV) ** 2 * (ONE - UV**2)
 @memo
 def _wall_kernel(g: int) -> LaurentPoly:
     # numerator over _DEN of the factor common to every wall-crossing
-    # term: _wall_kernel(g) e(Jac) = e(M(2,odd)) (1 - uv) (1 - (uv)^2)
-    num = _times_binomials(ONE, {ONE + U2V: g, ONE + UV2: g})
-    return num - _times_jacobian(UV**g, g)
+    # term: _wall_kernel(g) e(Jac) = e(M(2,odd)) (1 - uv) (1 - (uv)^2),
+    # the sum of its two pieces (1 + u^2 v)^g (1 + u v^2)^g and
+    # -(uv)^g e(Jac)
+    return _binomial_sum(_kernel_pieces(g, ONE))
 
 
 def _fibers(t: TripleType, n: int, parity: int) -> tuple[int, int]:
@@ -114,7 +113,8 @@ def _contribution(
 
 def _closed_cn(t: TripleType, n: int, n1: int, two_n2: int) -> LaurentPoly:
     # C_n / e(Jac)^2, summed over _DEN: the odd-n term, plus at even n
-    # the bracket of the extra strata
+    # the bracket of the extra strata.  Plain * and K from the memo: on
+    # the binomial kernel this was slower on the verify grid's small walls
     g = t.g
     num = e_sym(n1, g).poly * (UV**two_n2 - UV ** (2 * n1)) * _wall_kernel(g)
     if n % 2 == 0:
@@ -240,7 +240,7 @@ def _jac2_sym(g: int, k: int) -> LaurentPoly:
 
 def _loci_21(t: TripleType, d_m: int) -> tuple[LaurentPoly, LaurentPoly]:
     # e(S^-) and e(S^+) at the (2, 1) wall d_m; plain *, so the wall
-    # replay stays independent of the _times_binomials kernel
+    # replay stays independent of the binomial kernel
     _require_critical(t, d_m)
     n1 = t.d1 - t.d2 - d_m
     base = _jac2_sym(t.g, n1)

@@ -26,15 +26,23 @@ both measured with ``perfbench``: products of fewer than 256 term pairs,
 and products whose exponent box has more slots than there are term
 pairs (sparse operands such as a product of factors ``1 - (uv)^k``).
 
-A product by binomials, ``poly`` times prod(1 +- m)^k with each m a
-monomial u^i v^j, takes one packing (``_times_binomials``): ``poly``
-fills the product's box in slots that hold max|c| * 2^K plus a sign
-bit, K the total multiplicity, and each factor 1 +- m is one shift-add
-of the packed integer by i*W + j slots.  The closed forms multiply by
-e(Jac) = (1 + u)^g (1 + v)^g, by its square and by their other
-binomial powers this way.  The cross-check routes (the strata check of
-an even wall, the rank-2 flip loci, the structural odd jump) keep
-``*``, so the checks stay independent of the kernel.
+A sum of pieces c * u^a v^b * poly * prod(1 +- m)^k, each m a monomial
+u^i v^j, takes one packing (``_binomial_sum``; ``_times_binomials`` is
+a one-piece call): each poly is packed once into the box of the whole
+sum, in slots that hold the sum of the pieces' bounds
+|c| * max|poly| * 2^K plus a sign bit, K a piece's total multiplicity;
+each factor 1 +- m is one shift-add of the packed integer by i*W + j
+slots, and the pieces add as integers before one unpack.  A factor
+other than 1 +- u^i v^j with i, j >= 0, or a multiplicity that is no
+int >= 0, raises ``ValueError``.  The closed forms are built on it: the
+N_sigma(3, 1) numerator K x + (uv)^(g-1) e(Jac) (1 - uv) y, the three
+pieces of e(M(3)), the numerators of e(M(2, odd)) and e(M^s(2, even)),
+the wall kernel K and every product by e(Jac) = (1 + u)^g (1 + v)^g or
+its square.  The closed jump C_n / e(Jac)^2 of ``flips`` keeps ``*``,
+because it was slower on the kernel at the verify grid's small walls,
+and so do the cross-check routes (the strata check of an even wall,
+the rank-2 flip loci, the t-displays), so the checks stay independent
+of the kernel.
 
 Exact division (``divide_exact``) picks its route by the shape of the
 divisor; every divisor on a production route is built from binomials
@@ -510,13 +518,14 @@ def _half_fill(size: int, slots: int) -> int:
     return int.from_bytes(half * slots, sys.byteorder)
 
 
-def _pack(terms, width: int, size: int) -> tuple[int, int, int]:
+def _pack(terms, width: int, size: int, axes=None) -> tuple[int, int, int]:
     # u^a v^b -> slot (a - a0) * width + (b - b0) of ``size`` bytes, with
-    # (a0, b0) the operand's minimum exponents.  Each coefficient is
+    # (a0, b0) the operand's minimum exponents; ``axes`` is zip(*terms)
+    # when the caller has it already.  Each coefficient is
     # written in two's complement into its own slot; flipping every
     # slot's top bit then turns c into c + half, so subtracting the
     # half-fill leaves the signed packing without borrows between slots
-    us, vs = zip(*terms)
+    us, vs = axes or zip(*terms)
     a0, b0 = min(us), min(vs)
     slots = (max(us) - a0 + 1) * width
     buffer = bytearray(slots * size)
@@ -556,33 +565,92 @@ def _mul_kronecker(p, q, width: int, height: int):
     return _unpack(pp * qq, pa0 + qa0, pb0 + qb0, width, height, size)
 
 
-def _times_binomials(poly: LaurentPoly, binomials) -> LaurentPoly:
-    """``poly`` times prod(1 +- m)^k by shift-adds on one packing.
+def _binomial_sum(pieces) -> LaurentPoly:
+    """The sum of c * u^a v^b * poly * prod(1 +- m)^k over ``pieces``.
 
-    ``binomials`` maps each 1 +- m, m = u^i v^j != 1 with i, j >= 0, to
-    its multiplicity k.
+    Each piece is ``(c, a, b, poly, binomials)``; ``binomials`` maps each
+    factor 1 +- m, m = u^i v^j != 1 with i, j >= 0, to its multiplicity,
+    an int >= 0, and any other factor or multiplicity raises
+    ``ValueError``.  A poly that pieces share is packed once (see the
+    module doc for the slots and the shift-adds).
     """
-    terms = poly._terms
-    if not terms:
+    live = []
+    extents = {}
+    bound = 0
+    for c, a, b, poly, binomials in pieces:
+        steps, di, dj, total = _binomial_steps(binomials)
+        terms = poly._terms
+        if not (c and terms):
+            continue
+        key = id(poly)
+        if key not in extents:
+            us, vs = axes = tuple(zip(*terms))
+            extents[key] = (
+                min(us), max(us), min(vs), max(vs),
+                max(map(abs, terms.values())), axes,
+            )
+        pa0, pa1, pb0, pb1, top, _ = extents[key]
+        box = (a + pa0, b + pb0, a + pa1 + di, b + pb1 + dj)
+        if live:
+            box = (
+                min(box[0], a0), min(box[1], b0), max(box[2], a1), max(box[3], b1)
+            )
+        a0, b0, a1, b1 = box
+        bound += abs(c) * top << total
+        live.append((c, a + pa0, b + pb0, poly, steps))
+    if not live:
         return ZERO
-    us, vs = zip(*terms)
-    height = max(us) - min(us) + 1
-    width = max(vs) - min(vs) + 1
-    total = 0
+    width = b1 - b0 + 1
+    height = a1 - a0 + 1
+    size = _slot_bytes(bound)
+    bits = 8 * size
+    packed = {}
+    whole = 0
+    for c, a, b, poly, steps in live:
+        key = id(poly)
+        if key not in packed:
+            packed[key] = _pack(poly._terms, width, size, extents[key][-1])[0]
+        n = packed[key]
+        if a != a0 or b != b0:
+            n <<= ((a - a0) * width + b - b0) * bits
+        for i, j, sign, k in steps:
+            shift = (i * width + j) * bits
+            for _ in range(k):
+                n = n + (n << shift) if sign > 0 else n - (n << shift)
+        if c != 1:
+            n *= c
+        whole = whole + n if whole else n
+    return _raw(_unpack(whole, a0, b0, width, height, size))
+
+
+def _binomial_steps(binomials):
+    # (i, j, sign, k) for each factor 1 + sign * u^i v^j of multiplicity
+    # k, and the u-degree, v-degree and multiplicity they add in all
     steps = []
-    for binomial, k in binomials.items():
-        (i, j), sign = max(binomial._terms.items())
-        steps.append((i, j, sign, k))
-        height += i * k
-        width += j * k
-        total += k
-    size = _slot_bytes(max(map(abs, terms.values())) << total)
-    n, a0, b0 = _pack(terms, width, size)
-    for i, j, sign, k in steps:
-        shift = (i * width + j) * 8 * size
-        for _ in range(k):
-            n = n + (n << shift) if sign > 0 else n - (n << shift)
-    return _raw(_unpack(n, a0, b0, width, height, size))
+    di = dj = total = 0
+    for factor, k in binomials.items():
+        terms = factor._terms if isinstance(factor, LaurentPoly) else {}
+        if len(terms) == 2 and terms.get((0, 0)) == 1:
+            (i, j), sign = max(terms.items())
+            if (
+                i >= 0 and j >= 0 and i + j and sign in (1, -1)
+                and type(k) is int and k >= 0
+            ):
+                steps.append((i, j, sign, k))
+                di += i * k
+                dj += j * k
+                total += k
+                continue
+        raise ValueError(
+            f"binomial factor ({factor})^{k!r} is not (1 +- u^i v^j)^k"
+            " with i, j >= 0, (i, j) != (0, 0) and an int k >= 0"
+        )
+    return steps, di, dj, total
+
+
+def _times_binomials(poly: LaurentPoly, binomials) -> LaurentPoly:
+    """``poly`` times prod(1 +- m)^k: the one-piece ``_binomial_sum``."""
+    return _binomial_sum(((1, 0, 0, poly, binomials),))
 
 
 def _unpack(packed, a0: int, b0: int, width: int, height: int, size: int):

@@ -26,15 +26,17 @@ from .laurent import (
     LaurentPoly,
     U,
     V,
-    _times_binomials,
+    _binomial_sum,
     divide_exact,
 )
 from .series import XSeries, extract, sym_series
 from .stability import TripleType, _require_int, criticals, locate
-from .flips import _DEN, _wall_kernel, flip_contribution
+from .flips import _DEN, flip_contribution
+from .rank2 import _kernel_pieces
 from .zoo import (
     HodgeResult,
     _ChamberMemo,
+    _jacobian_factors,
     _times_jacobian,
     e_jacobian,
     e_projective,
@@ -83,31 +85,32 @@ def _closed_n31(t: TripleType, n0: int) -> LaurentPoly:
     # kb <= k0, so one series serves both parts
     w = sym_series(g, k0 + 1)
 
-    # both parts are numerators over _DEN
+    # the numerator over _DEN is K x + (uv)^(g-1) e(Jac) (1 - uv) y, K
+    # the wall kernel: three pieces of one binomial sum, two for K x
+    # (K's own pieces, so K is never multiplied out) and one for the
+    # even-wall part
     ca1 = extract(w, [UV**-2], k0)
     ca2 = extract(w, [UV**3], k0)
-    part_a = _wall_kernel(g) * (
-        UV ** (2 * k0) * ca1 - UV ** (2 * g - 2 - 2 * d1 + 3 * n0) * ca2
-    )
-
-    jac = e_jacobian(g).poly
+    x = UV ** (2 * k0) * ca1 - UV ** (2 * g - 2 - 2 * d1 + 3 * n0) * ca2
+    pieces = _kernel_pieces(g, x)
     if kb >= 0:
         cb1 = extract(w, [UV**-2, UV**-1], kb)
         cb2 = extract(w, [UV**3, UV**2], kb)
         cb3 = extract(w, [UV**2, UV**-1], kb)
-        # the prefactor (uv)^(g-1) e(Jac) / ((1 - uv)^2 (1 + uv)),
-        # brought over _DEN by 1 - uv
-        part_b = UV ** (g - 1) * jac * (ONE - UV) * (
+        y = (
             UV ** (2 * kb + 1) * cb1
             + UV ** (2 * g - 2 - 2 * d1 + 3 * nbar0) * cb2
             - (ONE + UV) * UV ** (g - 1 - d2 + nbar0 // 2) * cb3
         )
-    else:
-        part_b = ZERO
+        # the prefactor (uv)^(g-1) e(Jac) / ((1 - uv)^2 (1 + uv)),
+        # brought over _DEN by 1 - uv
+        pieces.append(
+            (1, g - 1, g - 1, y, {**_jacobian_factors(g), ONE - UV: 1})
+        )
 
     # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the sum divides
     # on its own and e(Jac)^2 is multiplied in last
-    whole = FractionUV(part_a + part_b, _DEN).as_polynomial()
+    whole = FractionUV(_binomial_sum(pieces), _DEN).as_polynomial()
     return _times_jacobian(whole, g, 2)
 
 
@@ -171,18 +174,23 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
             f"d={d} is divisible by 3; M(3, d) is singular there"
         )
     jac = e_jacobian(g).poly
-    u2v3 = LaurentPoly.monomial(2, 3)
-    u3v2 = LaurentPoly.monomial(3, 2)
-    piece1 = _times_binomials(
-        UV ** (2 * g - 1) * jac, {ONE + UV: 2, ONE + U2V: g, ONE + UV2: g}
-    )
-    piece2 = _times_jacobian(UV ** (3 * g - 1) * (ONE + UV + UV**2), g, 2)
-    piece3 = _times_binomials(
-        ONE, {ONE + u2v3: g, ONE + u3v2: g, ONE + U2V: g, ONE + UV2: g}
-    )
+    b = {ONE + U2V: g, ONE + UV2: g}
+    # with B = (1 + u^2 v)^g (1 + u v^2)^g the numerator is
+    # -(uv)^(2g-1) (1 + uv)^2 e(Jac) B + (uv)^(3g-1) (1 + uv + (uv)^2)
+    # e(Jac)^2 + (1 + u^2 v^3)^g (1 + u^3 v^2)^g B: three pieces of the
+    # binomial kernel, summed on one packing
+    num = _binomial_sum([
+        (-1, 2 * g - 1, 2 * g - 1, jac, {**b, ONE + UV: 2}),
+        (1, 3 * g - 1, 3 * g - 1, ONE + UV + UV**2, _jacobian_factors(2 * g)),
+        (1, 0, 0, ONE, {
+            **b,
+            ONE + LaurentPoly.monomial(2, 3): g,
+            ONE + LaurentPoly.monomial(3, 2): g,
+        }),
+    ])
     den = (ONE - UV) * (ONE - UV**2) ** 2 * (ONE - UV**3)
     # den is cyclotomic in uv, prime to e(Jac): divide, then multiply
-    poly = _times_jacobian(divide_exact(piece2 - piece1 + piece3, den), g)
+    poly = _times_jacobian(divide_exact(num, den), g)
     return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
 
 

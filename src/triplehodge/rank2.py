@@ -16,9 +16,7 @@ from .laurent import (
     UV,
     UV2,
     LaurentPoly,
-    U,
-    V,
-    _times_binomials,
+    _binomial_sum,
     divide_exact,
     halve_exact,
 )
@@ -26,7 +24,7 @@ from .series import extract, sym_series
 from .stability import (
     TripleType, _require_critical, _require_int, chi_triples
 )
-from .zoo import HodgeResult, _ChamberMemo, _times_jacobian
+from .zoo import HodgeResult, _ChamberMemo, _jacobian_factors, _times_jacobian
 
 __all__ = [
     "e_m2_odd",
@@ -43,9 +41,10 @@ def e_m2_odd(g: int) -> HodgeResult:
     The space is smooth projective and independent of the odd degree d.
     """
     _require_int(g, "genus", 2)
-    # e(Jac) = (1 + u)^g (1 + v)^g divides the numerator and is prime to
-    # the cyclotomic denominator, so it is multiplied in after the division
-    num = (ONE + U2V) ** g * (ONE + UV2) ** g - _times_jacobian(UV**g, g)
+    # the numerator is the wall kernel K; e(Jac) = (1 + u)^g (1 + v)^g
+    # is prime to the cyclotomic denominator, so it is multiplied in
+    # after the division
+    num = _binomial_sum(_kernel_pieces(g, ONE))
     den = (ONE - UV) * (ONE - UV**2)
     poly = _times_jacobian(divide_exact(num, den), g)
     return HodgeResult(poly=poly, dim=4 * g - 3, smooth_projective=True)
@@ -60,19 +59,18 @@ def e_m2s_even(g: int) -> HodgeResult:
     flag stays off even though the polynomial is exact.
     """
     _require_int(g, "genus", 2)
-    a = _times_binomials(
-        ONE, {ONE + U: g, ONE + V: g, ONE + U2V: g, ONE + UV2: g}
-    )
     correction = ONE + LaurentPoly.monomial(g + 1, g + 1, 2) - UV**2
-    c = _times_binomials(
-        ONE,
-        {
+    # 2 e(Jac) (1 + u^2 v)^g (1 + u v^2)^g - e(Jac)^2 correction
+    # - (1 - u^2)^g (1 - v^2)^g (1 - uv)^2, on one packing
+    num = _binomial_sum([
+        (2, 0, 0, ONE, {**_jacobian_factors(g), ONE + U2V: g, ONE + UV2: g}),
+        (-1, 0, 0, correction, _jacobian_factors(2 * g)),
+        (-1, 0, 0, ONE, {
             ONE - LaurentPoly.monomial(2, 0): g,
             ONE - LaurentPoly.monomial(0, 2): g,
             ONE - UV: 2,
-        },
-    )
-    num = 2 * a - _times_jacobian(correction, g, 2) - c
+        }),
+    ])
     den = (ONE - UV) * (ONE - UV**2)
     try:
         half = halve_exact(divide_exact(num, den))
@@ -81,6 +79,16 @@ def e_m2s_even(g: int) -> HodgeResult:
             "stable-locus polynomial has odd coefficients"
         ) from exc
     return HodgeResult(poly=half, dim=4 * g - 3, smooth_projective=False)
+
+
+def _kernel_pieces(g: int, poly: LaurentPoly) -> list:
+    # K * poly as two pieces of ``_binomial_sum``, K the wall kernel
+    # (1 + u^2 v)^g (1 + u v^2)^g - (uv)^g e(Jac), with
+    # K e(Jac) = e(M(2, odd)) (1 - uv) (1 - (uv)^2)
+    return [
+        (1, 0, 0, poly, {ONE + U2V: g, ONE + UV2: g}),
+        (-1, g, g, poly, _jacobian_factors(g)),
+    ]
 
 
 def e_triples21(

@@ -136,9 +136,18 @@ def e_jacobian(g: int) -> HodgeResult:
     return HodgeResult(poly=poly, dim=g, smooth_projective=True)
 
 
+# the binomial factors of e(Jac) = (1 + u)^g (1 + v)^g, built once
+_JACOBIAN_FACTORS = (ONE + U, ONE + V)
+
+
+def _jacobian_factors(k: int) -> dict[LaurentPoly, int]:
+    """The factors of e(Jac)^power, k = power * g, for ``_binomial_sum``."""
+    return dict.fromkeys(_JACOBIAN_FACTORS, k)
+
+
 def _times_jacobian(poly: LaurentPoly, g: int, power: int = 1) -> LaurentPoly:
     """``poly`` times e(Jac)^power, with e(Jac) = (1 + u)^g (1 + v)^g."""
-    return _times_binomials(poly, {ONE + U: power * g, ONE + V: power * g})
+    return _times_binomials(poly, _jacobian_factors(power * g))
 
 
 @memo

@@ -346,6 +346,87 @@ def test_times_binomials_fills_word_sized_slots_to_the_edge(bits, size):
         assert got.terms == oracles.pmul(q.terms, oracles.ppow(binomial.terms, 6))
 
 
+@pytest.mark.parametrize(
+    "factor",
+    ["-1 + u", "2 + u", "1 + 3*u", "1 + u + v", "u^-1 + 1"],
+)
+def test_times_binomials_refuses_a_factor_that_is_no_binomial(factor):
+    f = LaurentPoly.parse(factor)
+    with pytest.raises(ValueError, match=re.escape(f"({f})^1")):
+        laurent._times_binomials(ONE, {f: 1})
+
+
+@pytest.mark.parametrize("k", [-1, True, 2.0])
+def test_times_binomials_refuses_a_multiplicity_that_is_no_count(k):
+    with pytest.raises(ValueError, match=re.escape(f"(1 + u)^{k!r}")):
+        laurent._times_binomials(ONE, {ONE + U: k})
+
+
+def _binomial_product_oracle(c, a, b, p, factors):
+    expected = oracles.pmul({(a, b): c}, p.terms)
+    for (m, sign), k in factors.items():
+        expected = oracles.pmul(expected, oracles.ppow({(0, 0): 1, m: sign}, k))
+    return expected
+
+
+binomial_pieces = st.lists(
+    st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        exponents,
+        exponents,
+        st.integers(min_value=0, max_value=2),
+        binomial_maps,
+    ),
+    max_size=4,
+)
+
+
+@given(st.lists(polys, min_size=3, max_size=3), binomial_pieces)
+@example([ZERO, ONE, ONE], [])
+@example(
+    [LaurentPoly.parse("u^-2*v - 3 + 5*u*v^3"), ZERO, ONE],
+    [(2, -1, 3, 0, {((1, 0), 1): 2}), (-3, 0, -2, 0, {((2, 3), -1): 1}),
+     (0, 1, 1, 2, {((1, 1), 1): 1}), (1, 2, 0, 1, {})],
+)
+@settings(max_examples=60, deadline=None)
+def test_binomial_sum_matches_dict_oracle(pool, pieces):
+    # pieces draw their polynomial from a pool of three, so one object
+    # often serves two pieces and is packed once for both
+    expected = {}
+    for c, a, b, index, factors in pieces:
+        expected = oracles.padd(
+            expected, _binomial_product_oracle(c, a, b, pool[index], factors)
+        )
+    got = laurent._binomial_sum([
+        (c, a, b, pool[index],
+         {LaurentPoly({(0, 0): 1, m: sign}): k for (m, sign), k in factors.items()})
+        for c, a, b, index, factors in pieces
+    ])
+    assert got.terms == expected
+
+
+def test_binomial_sum_of_no_pieces_is_zero():
+    assert laurent._binomial_sum([]) is ZERO
+    assert laurent._binomial_sum([(0, 1, 1, ONE, {ONE + U: 3})]) is ZERO
+
+
+@pytest.mark.parametrize(
+    "bits, size", [(bits, size) for bits, size in _WORD_EDGES if bits % 8 == 0]
+)
+def test_binomial_sum_sizes_slots_by_the_sum_of_the_bounds(bits, size):
+    # two pieces, each c * 2^6 at u^6 and so fitting the slot below, add to
+    # c * 2^7 there, which needs the next slot size
+    c = (1 << (bits - 7)) - 1
+    assert laurent._slot_bytes(c << 6) < size == laurent._slot_bytes(c << 7)
+    p = LaurentPoly({(i, 0): c for i in range(7)})
+    alternating = LaurentPoly({(i, 0): (-1) ** i * c for i in range(7)})
+    for q, binomial in ((p, ONE + U), (-p, ONE + U), (alternating, ONE - U)):
+        got = laurent._binomial_sum([(1, 0, 0, q, {binomial: 6})] * 2)
+        assert abs(got.coefficient(6, 0)) == c << 7
+        expected = oracles.pmul(q.terms, oracles.ppow(binomial.terms, 6))
+        assert got.terms == oracles.padd(expected, expected)
+
+
 @pytest.mark.parametrize("size", _SLOT_SIZES)
 def test_pack_and_unpack_convert_once_per_box(size):
     # a 20 x 20 box of nonzero slots: int.to_bytes and int.from_bytes run
