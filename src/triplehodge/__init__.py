@@ -13,8 +13,10 @@ e(u, v) of:
 
 Every rank-(3, 1) and rank-(2, 1) triple value can be computed along two
 independent routes (a closed-form generating function and a
-wall-crossing sum over flip loci) and the command line
-``triplehodge verify`` re-derives and cross-checks them.
+wall-crossing sum over flip loci).  The command line
+``triplehodge verify`` cross-checks both routes on every (3, 1) chamber,
+and replays each (2, 1) wall against the closed chambers through the
+jump record that the flip sum adds up.
 """
 
 from .errors import (

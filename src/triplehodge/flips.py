@@ -1,9 +1,11 @@
 """Wall-crossing contributions for triples of type (3, 1) and (2, 1).
 
 Crossing a critical value replaces the flip locus S^- by S^+, and the
-Hodge polynomial jumps by C_n = e(S^+) - e(S^-).  At a (2, 1) wall both
-loci are projective bundles over Jac^2 x Sym^N1, built by ``_loci_21``.
-At the (3, 1) wall sigma_n = 2n - d1 - d2 the jump is e(Jac)^2 C0, and
+Hodge polynomial jumps by C_n = e(S^+) - e(S^-).  At a wall of either
+type the jump is e(Jac)^2 C0, and ``_contribution`` is the one place
+that multiplies that factor in.  At a (2, 1) wall both loci are
+projective bundles over Jac^2 x Sym^N1, so C0 is e(Sym^N1)
+(e(P^(N1-1)) - e(P^(N2-1))).  At the (3, 1) wall sigma_n = 2n - d1 - d2
 one closed form of C0 serves both parities of n: [K e(Sym^N1)
 ((uv)^(2 N2) - (uv)^(2 N1)) + (uv)^(g-1) e(Jac) bracket] / DEN, with K
 the wall kernel over DEN = (1 - uv)^2 (1 - (uv)^2).  The bracket is
@@ -33,13 +35,12 @@ from .laurent import (
     LaurentPoly,
     U,
     V,
-    _binomial_sum,
     divide_exact,
     halve_exact,
 )
 from .series import extract, sym_series
 from .stability import TripleType, _require_critical
-from .rank2 import _critical_stable_core, _kernel_pieces, e_m2s_even
+from .rank2 import _critical_stable_core, _wall_kernel, e_m2s_even
 from .zoo import (
     _times_jacobian,
     e_affine,
@@ -81,15 +82,6 @@ class FlipContribution:
 _DEN = (ONE - UV) ** 2 * (ONE - UV**2)
 
 
-@memo
-def _wall_kernel(g: int) -> LaurentPoly:
-    # numerator over _DEN of the factor common to every wall-crossing
-    # term: _wall_kernel(g) e(Jac) = e(M(2,odd)) (1 - uv) (1 - (uv)^2),
-    # the sum of its two pieces (1 + u^2 v)^g (1 + u v^2)^g and
-    # -(uv)^g e(Jac)
-    return _binomial_sum(_kernel_pieces(g, ONE))
-
-
 def _fibers(t: TripleType, n: int, parity: int) -> tuple[int, int]:
     # the one check of a wall index, for the required parity of n:
     # parity, then ranks (3, 1), then a critical integer index; returns
@@ -106,7 +98,7 @@ def _fibers(t: TripleType, n: int, parity: int) -> tuple[int, int]:
 def _contribution(
     t: TripleType, n: int, n1: int, two_n2: int, c0: LaurentPoly
 ) -> FlipContribution:
-    # the one place a (3, 1) jump gets its factor e(Jac)^2
+    # the one place a jump of either type gets its factor e(Jac)^2
     cn = FractionUV(_times_jacobian(c0, t.g, 2)).normalize()
     return FlipContribution(n, n1, Fraction(two_n2, 2), cn)
 
@@ -231,24 +223,6 @@ def c_n_even(t: TripleType, n: int) -> FlipContribution:
 
 
 @memo
-def _jac2_sym(g: int, k: int) -> LaurentPoly:
-    # e(Jac)^2 e(Sym^k), the base shared by S^- and S^+; built once per
-    # (g, k), shared and never mutated
-    jac = e_jacobian(g).poly
-    return jac * jac * e_sym(k, g).poly
-
-
-def _loci_21(t: TripleType, d_m: int) -> tuple[LaurentPoly, LaurentPoly]:
-    # e(S^-) and e(S^+) at the (2, 1) wall d_m; plain *, so the wall
-    # replay stays independent of the binomial kernel
-    _require_critical(t, d_m)
-    n1 = t.d1 - t.d2 - d_m
-    base = _jac2_sym(t.g, n1)
-    s_minus = base * e_projective(2 * d_m - t.d1 + t.g - 1).poly
-    return s_minus, base * e_projective(n1).poly
-
-
-@memo
 def flip_contribution(t: TripleType, n: int) -> FlipContribution:
     """Wall-crossing data at the critical index n of a (3, 1) or (2, 1) type.
 
@@ -262,6 +236,7 @@ def flip_contribution(t: TripleType, n: int) -> FlipContribution:
         return (c_n_odd if n % 2 else c_n_even)(t, n)
     if ranks != (2, 1):
         raise OutOfRange(f"expected ranks (3, 1) or (2, 1), got {ranks}")
-    s_minus, s_plus = _loci_21(t, n)
+    _require_critical(t, n)
     n1, n2 = t.d1 - t.d2 - n, 2 * n - t.d1 + t.g - 1
-    return FlipContribution(n, n1, Fraction(n2), FractionUV(s_plus - s_minus))
+    c0 = e_sym(n1, t.g).poly * (e_projective(n1).poly - e_projective(n2).poly)
+    return _contribution(t, n, n1, 2 * n2, c0)

@@ -44,9 +44,8 @@ def e_m2_odd(g: int) -> HodgeResult:
     # the numerator is the wall kernel K; e(Jac) = (1 + u)^g (1 + v)^g
     # is prime to the cyclotomic denominator, so it is multiplied in
     # after the division
-    num = _binomial_sum(_kernel_pieces(g, ONE))
     den = (ONE - UV) * (ONE - UV**2)
-    poly = _times_jacobian(divide_exact(num, den), g)
+    poly = _times_jacobian(divide_exact(_wall_kernel(g), den), g)
     return HodgeResult(poly=poly, dim=4 * g - 3, smooth_projective=True)
 
 
@@ -79,6 +78,14 @@ def e_m2s_even(g: int) -> HodgeResult:
             "stable-locus polynomial has odd coefficients"
         ) from exc
     return HodgeResult(poly=half, dim=4 * g - 3, smooth_projective=False)
+
+
+@memo
+def _wall_kernel(g: int) -> LaurentPoly:
+    # the wall kernel K, the sum of ``_kernel_pieces``: the numerator of
+    # e(M(2, odd)) / e(Jac) and the factor common to every (3, 1)
+    # wall-crossing term; built once per genus, shared and never mutated
+    return _binomial_sum(_kernel_pieces(g, ONE))
 
 
 def _kernel_pieces(g: int, poly: LaurentPoly) -> list:

@@ -40,7 +40,7 @@ from .rank2 import (
     e_triples21,
     e_triples21_critical_stable,
 )
-from .flips import _loci_21, c_n_even, c_n_odd, flip_contribution
+from .flips import c_n_even, c_n_odd, flip_contribution
 from .moduli import (
     e_m3,
     e_m3_via_pipeline,
@@ -340,10 +340,17 @@ def _rank2_wall(g: int, d1: int, d2: int) -> str:
     t = TripleType(2, 1, d1, d2, g)
     bounds = chamber_bounds(t)
     crits = criticals(t)
+    jac = e_jacobian(g).poly
+    jac2 = jac * jac
     for i, (d_m, _sigma) in enumerate(crits):
+        flip = flip_contribution(t, d_m)
         below = e_triples21(g, d1, d2, chamber=i + 1).poly
         stable = e_triples21_critical_stable(g, d1, d2, d_m).poly
-        s_minus, s_plus = _loci_21(t, d_m)
+        # S^- = e(Jac)^2 e(Sym^N1) e(P^(N2-1)) by plain *, independent of
+        # the binomial kernel that built the record's jump
+        s_minus = jac2 * (
+            e_sym(flip.N1, g).poly * e_projective(int(flip.N2)).poly
+        )
         if below - s_minus != stable:
             raise _CheckFailed(f"d_m={d_m}: below - S^- != stable locus")
         above = (
@@ -351,8 +358,8 @@ def _rank2_wall(g: int, d1: int, d2: int) -> str:
             if i + 2 <= len(bounds)
             else ZERO
         )
-        if below - above != s_minus - s_plus:
-            raise _CheckFailed(f"d_m={d_m}: chamber jump != S^- - S^+")
+        if flip.cn != above - below:
+            raise _CheckFailed(f"d_m={d_m}: chamber jump != C_n")
     return f"{len(crits)} walls replayed"
 
 

@@ -10,7 +10,8 @@ polynomial of a flip jump C_n).  The keys:
   ``e_n31_closed`` and ``poincare_n31`` on every chamber of the (3, 1)
   type, ``e_triples21`` on every chamber and
   ``e_triples21_critical_stable`` on every wall of the (2, 1) type, and
-  ``flip_contribution(t, n).cn`` on every (3, 1) wall.
+  ``flip_contribution(t, n).cn`` on every wall of both types, the
+  (2, 1) keys marked ``(2,1)``.
 
 ``entries`` pairs each key with a function that computes its value, so
 a key can be recomputed on its own.  ``tests/test_value_corpus.py``
@@ -84,6 +85,8 @@ def entries():
                     yield (f"e_triples21_critical_stable {where} d_m={d_m}",
                            partial(e_triples21_critical_stable,
                                    g, d1, d2, d_m))
+                    yield (f"flip_contribution.cn (2,1) {where} d_m={d_m}",
+                           lambda t=t21, n=d_m: flip_contribution(t, n).cn)
 
 
 def corpus() -> dict[str, str]:

@@ -6,8 +6,7 @@ the ``series._sym_longest`` table.  The pieces every chamber and wall
 of a genus (or every query of a triple type) shares are memoized: a
 type's chamber bounds, the series of symmetric powers, the per-genus
 bases of the flip strata (the Sym^2 term's, and e(Jac) - 1), the
-t-display factors of ``poincare_n31``, the product e(Jac)^2 e(Sym^k) of
-the rank-2 wall replay, each wall's checked jump
+t-display factors of ``poincare_n31``, each wall's checked jump
 (``flips.flip_contribution``) and the running flip sum at each wall of
 a (3, 1) type.  These tests check that callers still get values of
 their own, that a truncated series equals a fresh build, that one
@@ -88,11 +87,11 @@ def _count_builds() -> dict[str, list]:
     """
     from triplehodge import flips, moduli, series, stability, verify
     from triplehodge.laurent import LaurentPoly
-    from triplehodge.zoo import e_jacobian, e_sym
+    from triplehodge.zoo import e_jacobian
 
     counts = {name: Counter() for name in
               ("chambers", "sym_series", "sym2", "t_display",
-               "jac_minus_one", "jac2_sym", "flip_sum", "walls")}
+               "jac_minus_one", "flip_sum", "walls")}
     genera = range(2, 7)
     jacs = {id(e_jacobian(g).poly): g for g in genera}
 
@@ -165,10 +164,7 @@ def _count_builds() -> dict[str, list]:
         for module in (flips, verify):
             setattr(module, name, spy_build)
 
-    sub, mul = LaurentPoly.__sub__, LaurentPoly.__mul__
-    jac_squares = {g: mul(jac, jac) for jac, g in
-                   ((e_jacobian(g).poly, g) for g in genera)}
-    jac2_sym_right = []
+    sub = LaurentPoly.__sub__
 
     def spy_sub(left, right):
         g = jacs.get(id(left))
@@ -176,19 +172,13 @@ def _count_builds() -> dict[str, list]:
             counts["jac_minus_one"][str(g)] += 1
         return sub(left, right)
 
-    def spy_mul(left, right):
-        for g, square in jac_squares.items():
-            if len(left) == len(square) and left == square:
-                jac2_sym_right.append((g, right))
-        return mul(left, right)
-
-    LaurentPoly.__sub__, LaurentPoly.__mul__ = spy_sub, spy_mul
+    LaurentPoly.__sub__ = spy_sub
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["verify", "all", "--grid", "full"])
     finally:
-        LaurentPoly.__sub__, LaurentPoly.__mul__ = sub, mul
+        LaurentPoly.__sub__ = sub
     assert code == 0
 
     counts["sym_series"].update(str(key) for key in build_of.values())
@@ -212,11 +202,6 @@ def _count_builds() -> dict[str, list]:
         if id(pieces[0]) not in built:
             built.add(id(pieces[0]))
             counts["t_display"][str(g)] += 1
-    syms = {(g, e_sym(k, g).poly): k for g in genera for k in range(16)}
-    for g, right in jac2_sym_right:
-        k = syms.get((g, right))
-        if k is not None:
-            counts["jac2_sym"][str((g, k))] += 1
     return {name: sorted(c.items()) for name, c in counts.items()}
 
 
@@ -241,7 +226,7 @@ def builds():
 @pytest.mark.parametrize(
     "piece",
     ["chambers", "sym_series", "sym2", "t_display", "jac_minus_one",
-     "jac2_sym", "flip_sum", "walls"],
+     "flip_sum", "walls"],
 )
 def test_full_grid_verify_builds_each_piece_once_per_key(builds, piece):
     assert builds[piece], f"no build of {piece} was seen"
@@ -358,6 +343,6 @@ def test_process_state_inventory():
     registered = {id(m) for m in _memo._registry.values()}
     assert sorted(memos[i] for i in memos.keys() - registered) == []
     assert registered <= memos.keys()
-    # 13 @memo functions, 3 chamber memos and the sym_series table
-    assert len(registered) == 17
+    # 12 @memo functions, 3 chamber memos and the sym_series table
+    assert len(registered) == 16
     assert containers == CONTAINERS

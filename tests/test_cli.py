@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 import oracles
 import triplehodge
 from triplehodge import (
+    FractionUV,
     LaurentPoly,
     NonDivisible,
     e_m2_odd,
     e_m3,
     e_n31_closed,
     e_n31_flipsum,
+    flip_contribution,
     verify,
 )
 from triplehodge.cli import _TARGETS, main
@@ -430,6 +432,41 @@ def test_verify_a_route_disagreement_fails_each_chamber(capsys, monkeypatch):
     lines.append("summary: 13 cases, 4 pass, 9 fail, 0 warn")
     assert out == "\n".join(lines) + "\n"
     assert err.startswith("wall:") and err.count("\n") == 1
+
+
+def _negate_cn(flip):
+    return dataclasses.replace(flip, cn=FractionUV(-flip.cn.num, flip.cn.den))
+
+
+def _shift_n2(flip):
+    return dataclasses.replace(flip, N2=flip.N2 + 1)
+
+
+# the first wall of each d1 whose replay catches the tampering: a wrong
+# sign leaves S^- alone but not the jump, and N2 = N1 at d_m = 3 of
+# d1 = 5 makes that jump zero, sign or not
+@pytest.mark.parametrize(
+    "tamper, walls, detail",
+    [(_negate_cn, (3, 4, 4, 4), "chamber jump != C_n"),
+     (_shift_n2, (3, 3, 4, 4), "below - S^- != stable locus")],
+    ids=["negated-jump", "N2-off-by-one"],
+)
+def test_verify_replays_each_21_wall_through_its_record(
+    capsys, monkeypatch, tamper, walls, detail
+):
+    def tampered(t, n):
+        flip = flip_contribution(t, n)
+        return tamper(flip) if (t.n1, t.n2) == (2, 1) else flip
+
+    monkeypatch.setattr(verify, "flip_contribution", tampered)
+    code, out, _ = run(capsys, "verify", "rank2", "--grid", "quick")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        f"FAIL rank2/wall-replay-g2-d{d1}-0  [d_m={d_m}: {detail}]"
+        for d1, d_m in zip((4, 5, 6, 7), walls)
+    ]
+    assert out.splitlines()[-1] == "summary: 10 cases, 6 pass, 4 fail, 0 warn"
 
 
 def test_verify_a_raised_error_fails_its_case_by_type(capsys, monkeypatch):

@@ -285,7 +285,7 @@ def test_verify_suites_build_each_wall_once(monkeypatch):
 def test_wall_kernel_anchor(g):
     # the kernel's numerator over (1 - uv)^2 (1 - (uv)^2), times e(Jac),
     # is e(M(2, odd)) (1 - uv) (1 - (uv)^2)
-    lhs = flips._wall_kernel(g) * e_jacobian(g).poly
+    lhs = rank2._wall_kernel(g) * e_jacobian(g).poly
     assert lhs == e_m2_odd(g).poly * (ONE - UV) * (ONE - UV**2)
     # e_m2_odd's numerator is the kernel too, so anchor K itself on the
     # dict oracle: (1 + u^2 v)^g (1 + u v^2)^g - (uv)^g e(Jac)
@@ -293,7 +293,7 @@ def test_wall_kernel_anchor(g):
     k = oracles.ppow(oracles.pmul({**one, (2, 1): 1}, {**one, (1, 2): 1}), g)
     jac = oracles.ppow(oracles.pmul({**one, (1, 0): 1}, {**one, (0, 1): 1}), g)
     k = oracles.psub(k, oracles.pmul({(g, g): 1}, jac))
-    assert flips._wall_kernel(g).terms == k
+    assert rank2._wall_kernel(g).terms == k
 
 
 def test_sym2_stratum_by_product_rule_equals_the_literal_form():

@@ -21,7 +21,7 @@ def test_values_match_the_pinned_corpus():
     assert (missing, extra, changed) == ([], [], []), (
         f"missing keys {missing}, extra keys {extra}, changed values {changed}"
     )
-    assert len(pinned) == 478
+    assert len(pinned) == 588
 
 
 def test_every_fifth_key_recomputed_cold_in_reverse_order():
