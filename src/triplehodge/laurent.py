@@ -53,7 +53,7 @@ the quotient.  +-1 times a product of binomials 1 +- m^k on one ray,
 such as DEN = (1 - uv)^2 (1 - (uv)^2) of the N_sigma(3, 1) routes, or
 such a product over factors 1 - m^k, such as e(P^(n-1)), takes the line
 route: the factors 1 - m^k are multiplied into the numerator's lines
-along m and each binomial is divided out of them by prefix sums, unless
+along m and each (1 +- m^k)^e is divided out by e prefix sums, unless
 the padded lines would need more than len(num) * len(den) slots.  Any
 other divisor takes heap-ordered multivariate long division.  The walk
 and the line route give up on a remainder, and the heap route, run on
@@ -79,7 +79,7 @@ import sys
 from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, count, product, repeat
+from itertools import accumulate, compress, count, groupby, product, repeat
 from math import comb, gcd
 from operator import add, and_, lshift, mul, neg, rshift, sub
 from typing import Iterable, Mapping
@@ -716,13 +716,13 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     ``base + t*(i, j)`` to itself, so the quotient is found line by line,
     on the lines laid end to end in one list of integers.  D's
     coefficient list, times its constant term, must split into binomials
-    1 - x^k and 1 + x^k, peeled at its lowest nonzero k; each comes out
-    of every line by prefix sums over stride-k slices.  Where neither
-    binomial divides at k and the coefficient there is 1, a factor
-    1 - x^k is multiplied into D and into every line instead, up to
-    deg D in all: e(P^(n-1)) = (1 - m^n) / (1 - m) divides as 1 - m^n.
-    The route is taken only when the padded lines fit in
-    ``len(num) * len(den)`` slots.
+    1 - x^k and 1 + x^k, peeled at its lowest nonzero k; a run of e
+    equal ones comes out of every line by e prefix sums over stride-k
+    slices.  Where neither binomial divides at k and the coefficient
+    there is 1, a factor 1 - x^k is multiplied into D and into every
+    line instead, up to deg D in all: e(P^(n-1)) = (1 - m^n) / (1 - m)
+    divides as 1 - m^n.  The route is taken only when the padded lines
+    fit in ``len(num) * len(den)`` slots.
     DEN = (1 - uv)^2 (1 - (uv)^2), over which every N_sigma(3, 1) route
     divides once, the denominator of ``e_m3``, its t-display, and the
     pipeline's e(P^(3g-3)), (1 + u)^g and (1 + v)^g take it.
@@ -845,8 +845,9 @@ def _divide_lines(terms, dterms, da, db):
 
     The numerator's lines are laid end to end in one integer list, each
     followed by ``deg D + E`` slots of padding, E the degree of the
-    factors 1 - m^k multiplied in, so every factor multiplies or divides
-    all lines in one pass.  Each line divides exactly if and only if the
+    factors 1 - m^k multiplied in, so every factor multiplies all lines
+    in one pass and every run of equal binomials, such as (1 + u)^g,
+    divides them in one.  Each line divides exactly if and only if the
     whole list does and the quotient is zero on every line's padding: a
     line's quotient times the binomials then stays inside the line and
     its padding.
@@ -897,8 +898,8 @@ def _divide_lines(terms, dterms, da, db):
 
     for k in times:
         flat = _times_one_minus(flat, k)
-    for k, sign in factors:
-        flat = _peel(flat, k, sign)
+    for (k, sign), run in groupby(factors):
+        flat = _peel(flat, k, sign, len(list(run)))
         if flat is None:
             return None
 
@@ -959,29 +960,30 @@ def _times_one_minus(values, k):
     return list(map(sub, values, [0] * k + values[:-k]))
 
 
-def _peel(coeffs, k, sign):
-    """``coeffs / (1 + sign*x^k)`` as a list, or None on a remainder.
+def _peel(coeffs, k, sign, power=1):
+    """``coeffs / (1 + sign*x^k)^power`` as a list, or None on a remainder.
 
-    The quotient q satisfies q[n] = coeffs[n] - sign*q[n - k], so along
-    each residue class mod k it is a prefix sum (a sign-alternated one
-    for 1 + x^k); the sums past the quotient's degree are the remainder.
+    Along each residue class mod k, in y = x^k, the quotient is
+    ``power`` prefix sums (for 1 + y, between two sign flips of alternate
+    entries, y -> -y); run over the whole list, they leave its top
+    k*power entries all zero if and only if the division is exact.
     """
-    n = len(coeffs)
-    if n <= k:
+    cut = len(coeffs) - k * power
+    if cut <= 0:
         return None
     out = coeffs[:]
     for r in range(k):
         column = coeffs[r::k]
-        if sign < 0:
-            out[r::k] = accumulate(column)
-        else:
+        if sign > 0:
             column[1::2] = map(neg, column[1::2])
-            sums = list(accumulate(column))
-            sums[1::2] = map(neg, sums[1::2])
-            out[r::k] = sums
-    if any(out[n - k :]):
+        for _ in range(power):
+            column = list(accumulate(column))
+        if sign > 0:
+            column[1::2] = map(neg, column[1::2])
+        out[r::k] = column
+    if any(out[cut:]):
         return None
-    del out[n - k :]
+    del out[cut:]
     return out
 
 

@@ -7,8 +7,8 @@ coefficient we ever extract is an honest Laurent polynomial, and the
 rational prefactors in (u, v) are applied after extraction.
 
 ``extract`` is the one extraction primitive: it reads [x^k] of a series
-divided by a product of poles (1 - m x) with a prefix recurrence, so no
-route multiplies series just to read one coefficient.
+divided by poles (1 - m x) with a prefix recurrence over term dicts, so no
+route multiplies series or polynomials just to read one coefficient.
 
 The module also carries the closed residue forms ``residue_f1`` and
 ``residue_f2``.  They evaluate the x^0-coefficient extractions that
@@ -27,7 +27,7 @@ from math import comb
 from ._memo import Table
 from .errors import DegeneratePoles, OrderTooLow
 from .laurent import (
-    ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly, divide_exact
+    ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly, _raw, divide_exact
 )
 from .stability import _require_int
 
@@ -164,10 +164,11 @@ def sym_series(g: int, order: int) -> XSeries:
 def extract(w: XSeries, poles, k: int) -> LaurentPoly:
     """Coefficient of x^k in w(x) / prod(1 - m x) over the poles m.
 
-    Dividing by 1 - m x is the prefix recurrence c[j] += m c[j-1], so
-    each pole costs k monomial-times-polynomial products and no series
-    is multiplied.  Poles may repeat.  Zero for k < 0; OrderTooLow when
-    w is not known up to x^k.
+    Dividing by 1 - m x is the prefix recurrence c[j] += m c[j-1]: for
+    each j, every term of m shifts every term of c[j-1] into a copy of
+    c[j], deleting a coefficient that reaches 0, so no product, sum or
+    series is built.  Poles may repeat.  Zero for k < 0; OrderTooLow
+    when w is not known up to x^k.
 
     Example: [x^2] of 1/((1-x)(1-uv x)) is 1 + uv + (uv)^2::
 
@@ -176,12 +177,21 @@ def extract(w: XSeries, poles, k: int) -> LaurentPoly:
     """
     if k < 0:
         return ZERO
-    coeffs = [w.coeff(j) for j in range(k + 1)]
+    coeffs = [w.coeff(j)._terms for j in range(k + 1)]
     for pole in poles:
-        m = _as_poly(pole)
+        pole = _as_poly(pole)._terms.items()
         for j in range(1, k + 1):
-            coeffs[j] = coeffs[j] + m * coeffs[j - 1]
-    return coeffs[k]
+            prev, acc = coeffs[j - 1], coeffs[j].copy()
+            for (ma, mb), mc in pole:
+                for (a, b), c in prev.items():
+                    key = (a + ma, b + mb)
+                    s = acc.get(key, 0) + mc * c
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
+            coeffs[j] = acc
+    return _raw(coeffs[k])
 
 
 def _check_distinct(poles):

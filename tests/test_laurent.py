@@ -728,7 +728,8 @@ def test_divide_routing(monkeypatch, num, den, route):
 
 @st.composite
 def line_divisors(draw):
-    """+-u^a v^b times binomials 1 +- m^k (k <= 4), optionally e(P^(n-1))
+    """+-u^a v^b times binomial powers (1 +- m^k)^e (k <= 4, e <= 10, as
+    the pipeline's (1 + u)^g for g <= 10), optionally e(P^(n-1))
     in m^k = (1 - m^(nk)) / (1 - m^k) (n <= 7, k <= 2), and optionally a
     cofactor c0 + c1*m + c2*m^2 with c0 != 0, for one m among u, v, uv
     and u^2 v.  Unless the cofactor is itself a product of binomials,
@@ -736,9 +737,11 @@ def line_divisors(draw):
     fall through to the heap route."""
     m = draw(st.sampled_from([U, V, UV, U**2 * V]))
     den = LaurentPoly.monomial(draw(exponents), draw(exponents))
-    binomials = st.tuples(st.integers(1, 4), st.sampled_from([-1, 1]))
-    for k, sign in draw(st.lists(binomials, min_size=1, max_size=4)):
-        den = den * (ONE + sign * m**k)
+    binomials = st.tuples(
+        st.integers(1, 4), st.sampled_from([-1, 1]), st.integers(1, 10)
+    )
+    for k, sign, e in draw(st.lists(binomials, min_size=1, max_size=4)):
+        den = den * (ONE + sign * m**k) ** e
     if draw(st.booleans()):
         n, k = draw(st.integers(2, 7)), draw(st.integers(1, 2))
         den = den * sum((m ** (k * t) for t in range(n)), ZERO)
@@ -791,6 +794,71 @@ def test_line_route_matches_heap_route(q, den, bump):
             divide_exact(num + bump, den)
     assert by_lines.value.remainder == by_heap.value.remainder
     assert str(by_lines.value) == str(by_heap.value)
+
+
+@pytest.mark.parametrize("m", [U, V, UV])
+@pytest.mark.parametrize("e", range(2, 11))
+def test_line_route_refuses_one_binomial_too_many(m, e):
+    # (1 + m)^(e - 1) divides num, (1 + m)^e does not: the line route
+    # peels the run of e equal binomials at once and must see the
+    # remainder, which the heap route then builds
+    cofactor = 2 + U + V**2
+    den = (ONE + m) ** e
+    assert laurent._divide_lines((den * cofactor).terms, den.terms, 0, 0) == (
+        cofactor.terms
+    )
+    num = (ONE + m) ** (e - 1) * cofactor
+    assert laurent._divide_lines(num.terms, den.terms, 0, 0) is None
+    with pytest.raises(NonDivisible) as by_lines:
+        divide_exact(num, den)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_divide_lines", lambda *args: None)
+        with pytest.raises(NonDivisible) as by_heap:
+            divide_exact(num, den)
+    assert not by_lines.value.remainder.is_zero()
+    assert by_lines.value.remainder == by_heap.value.remainder
+    assert str(by_lines.value) == str(by_heap.value)
+
+
+def _times_binomial(values, k, sign):
+    # the list ``values`` times 1 + sign*x^k
+    return [
+        c + sign * (values[n - k] if 0 <= n - k < len(values) else 0)
+        for n, c in enumerate(values + [0] * k)
+    ]
+
+
+@given(
+    st.lists(coeffs, min_size=1, max_size=30),
+    st.integers(1, 4),
+    st.sampled_from([-1, 1]),
+    st.integers(1, 10),
+    st.integers(0, 10),
+    st.integers(0, 40),
+    coeffs,
+)
+# (1 - x)^2, and (1 - x)^2 + 5x^4: the first prefix sum's top entry is
+# 5, the second's top two entries are 0 and 5, so one check must cover
+# both
+@example([1, -2, 1], 1, -1, 2, 0, 0, 0)
+@example([1, -2, 1, 0, 5], 1, -1, 2, 0, 0, 0)
+@settings(max_examples=200, deadline=None)
+def test_power_peel_matches_chained_peels(
+    values, k, sign, power, times, place, bump
+):
+    # ``values`` times (1 + sign*x^k)^times, so the power peel is drawn
+    # both exact and one or more binomials short, plus a bump at a place
+    # counted from the top: near the top, only the later chained peels
+    # see it
+    for _ in range(times):
+        values = _times_binomial(values, k, sign)
+    values[-1 - place % len(values)] += bump
+    chained = values
+    for _ in range(power):
+        chained = laurent._peel(chained, k, sign)
+        if chained is None:
+            break
+    assert laurent._peel(values, k, sign, power) == chained
 
 
 # m = u^k, v^k, (uv)^k with k <= 7, or u^2 v^3

@@ -323,7 +323,14 @@ def test_poincare_helper_accepts_both_shapes():
 # -- rank-3 moduli space -----------------------------------------------------
 
 
-@pytest.mark.parametrize("g", range(2, 11))
+# g = 11..14 divide by (1 + u)^g and (1 + v)^g with a power above 10
+@pytest.mark.parametrize(
+    "g",
+    [
+        *range(2, 11),
+        *(pytest.param(g, marks=pytest.mark.slow) for g in range(11, 15)),
+    ],
+)
 def test_m3_equals_pipeline(g):
     assert e_m3(g).poly == e_m3_via_pipeline(g).poly
 

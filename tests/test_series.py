@@ -17,7 +17,7 @@ from triplehodge import (
     residue_f1,
     residue_f2,
 )
-from triplehodge.laurent import ONE, UV, ZERO
+from triplehodge.laurent import ONE, U, UV, V, ZERO
 from triplehodge.series import (
     curve_numerator,
     extract,
@@ -110,6 +110,30 @@ def test_extract_matches_brute_force(g, k, exps):
     got = extract(curve_numerator(g, max(k + 1, 0)), poles, k)
     expected = oracles.coeff_extract(g, [{e: 1} for e in exps], k)
     assert got == LaurentPoly(expected)
+
+
+# poles with several terms, repeated poles, and -u and -u - v, which
+# cancel one and both terms of c[1] = u + v at g = 1
+_POLE_LISTS = [
+    [ONE + U],
+    [2 + UV],
+    [U - V**2],
+    [UV, UV],
+    [ONE + U, 2 + UV, U - V**2, UV, UV],
+    [-U],
+    [-U - V],
+    [-U - V, ONE + U, -U - V],
+]
+
+
+@pytest.mark.parametrize("poles", _POLE_LISTS)
+@pytest.mark.parametrize("g", [0, 1, 3])
+def test_extract_at_polynomial_and_repeated_poles(g, poles):
+    dicts = [p.terms for p in poles]
+    for k in range(7):
+        got = extract(curve_numerator(g, k + 1), poles, k)
+        assert got == LaurentPoly(oracles.coeff_extract(g, dicts, k))
+        assert 0 not in got.terms.values()
 
 
 def test_extract_needs_the_coefficient_it_reads():
