@@ -844,13 +844,15 @@ def _divide_lines(terms, dterms, da, db):
     -1.
 
     The numerator's lines are laid end to end in one integer list, each
-    followed by ``deg D + E`` slots of padding, E the degree of the
-    factors 1 - m^k multiplied in, so every factor multiplies all lines
-    in one pass and every run of equal binomials, such as (1 + u)^g,
-    divides them in one.  Each line divides exactly if and only if the
+    followed by ``deg D`` slots of padding, so every factor multiplies
+    all lines in one pass and every run of equal binomials, such as
+    (1 + u)^g, divides them in one.  The factors 1 - m^k multiplied in
+    have degree E <= deg D (``_binomial_factors`` keeps that budget), so
+    each line times them stays inside the line and its padding, and the
+    list is the exact product.  Cancelling them, the list is exactly the
+    quotient times D.  Each line divides exactly if and only if the
     whole list does and the quotient is zero on every line's padding: a
-    line's quotient times the binomials then stays inside the line and
-    its padding.
+    line's quotient times D then stays inside the line and its padding.
     """
     unit = dterms.get((0, 0))
     if len(dterms) < 2 or unit not in (1, -1):
@@ -871,8 +873,6 @@ def _divide_lines(terms, dterms, da, db):
     if split is None:
         return None
     factors, times = split
-    # each line is padded for the degree of the grown divisor
-    pad = degree + sum(times)
 
     # u^a v^b lies on line a*j - b*i; as (i, j) is primitive, (a + b) // s
     # numbers the points of every line consecutively
@@ -889,7 +889,7 @@ def _divide_lines(terms, dterms, da, db):
     size = 0
     for key, low in lows.items():
         starts[key] = size - low
-        size += highs[key] - low + 1 + pad
+        size += highs[key] - low + 1 + degree
     if size > len(terms) * len(dterms):
         return None
     flat = [0] * size
@@ -908,7 +908,7 @@ def _divide_lines(terms, dterms, da, db):
     for key, low in lows.items():
         start = starts[key] + low
         end = start + highs[key] - low + 1
-        if any(flat[end : end + pad]):
+        if any(flat[end : end + degree]):
             return None
         # the line's first point: a + b = total, a*j - b*i = key
         total = low * s + (-key * inverse) % s
@@ -930,11 +930,13 @@ def _binomial_factors(coeffs):
     coefficient.  In a product of such binomials that lowest term comes
     from the factors with the least k, or, where those cancel in pairs
     (1 - x^k)(1 + x^k) = 1 - x^(2k), from the binomial they multiply to;
-    either way one of the two trials divides, so a product of binomials
-    always splits completely.  Where neither divides and the coefficient
-    is 1, as in e(P^(n-1)) = (1 - x^n) / (1 - x), 1 - x^k is multiplied
-    in to cancel it, up to the degree of ``coeffs`` in all, so the split
-    ends: 1 + x + 2x^2 gives None after 1 - x.
+    either way one of the two trials divides.  Taking 1 - x^k where both
+    do can still strand the rest: (1 + x)(1 - x^3)^2 gives None, and its
+    division goes to the heap route.  Where neither divides and the
+    coefficient is 1, as in e(P^(n-1)) = (1 - x^n) / (1 - x), 1 - x^k is
+    multiplied in to cancel it, up to the degree of ``coeffs`` in all
+    (``_divide_lines`` pads by that degree), so the split ends:
+    1 + x + 2x^2 gives None after 1 - x.
     """
     factors, times = [], []
     budget = len(coeffs) - 1

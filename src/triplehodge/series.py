@@ -27,7 +27,7 @@ from math import comb
 from ._memo import Table
 from .errors import DegeneratePoles, OrderTooLow
 from .laurent import (
-    ONE, ZERO, FractionUV, LaurentPoly, U, V, _as_poly, _raw, divide_exact
+    ONE, ZERO, LaurentPoly, U, V, _as_poly, _raw, divide_exact
 )
 from .stability import _require_int
 
@@ -218,7 +218,7 @@ def _divided_difference(g: int, poles) -> LaurentPoly:
     return row[0]
 
 
-def residue_f1(g: int, a, b, c) -> FractionUV:
+def residue_f1(g: int, a, b, c) -> LaurentPoly:
     """Closed form of [x^(2g-2)] (1+ux)^g (1+vx)^g / ((1-ax)(1-bx)(1-cx)).
 
     Equals the sum over the three poles of
@@ -229,17 +229,17 @@ def residue_f1(g: int, a, b, c) -> FractionUV:
     three exact divisions of a difference of entries by a difference of
     poles.  Coincident poles raise ``DegeneratePoles`` before any.
     """
-    return FractionUV(_divided_difference(g, (a, b, c)))
+    return _divided_difference(g, (a, b, c))
 
 
-def residue_f2(g: int, a, b, c, d) -> FractionUV:
+def residue_f2(g: int, a, b, c, d) -> LaurentPoly:
     """Closed form of [x^(2g-3)] (1+ux)^g (1+vx)^g / ((1-ax)(1-bx)(1-cx)(1-dx)).
 
     Four-pole analogue of :func:`residue_f1`; each summand divides by the
     product of the three differences to the other poles, and the sum is
     the divided difference N[a, b, c, d], six exact divisions.
     """
-    return FractionUV(_divided_difference(g, (a, b, c, d)))
+    return _divided_difference(g, (a, b, c, d))
 
 
 def f1_via_series(g: int, a, b, c) -> LaurentPoly:

@@ -10,7 +10,8 @@ auxiliary variable x are lists of such dicts, index = x-exponent.
 """
 
 from fractions import Fraction
-from math import floor
+from functools import lru_cache
+from math import comb, floor, gcd, inf
 
 # -- dict polynomial arithmetic ----------------------------------------
 
@@ -34,10 +35,15 @@ def psub(p, q):
     return padd(p, pneg(q))
 
 
-def pmul(p, q):
+def pmul(p, q, cut=inf):
+    # terms of total degree above cut are dropped, each row at the cut
+    rows = sorted(q.items(), key=lambda item: sum(item[0]))
     out = {}
     for (a, b), c in p.items():
-        for (x, y), d in q.items():
+        room = cut - a - b
+        for (x, y), d in rows:
+            if x + y > room:
+                break
             key = (a + x, b + y)
             s = out.get(key, 0) + c * d
             if s:
@@ -84,8 +90,6 @@ def series_geometric(ratio, order):
 
 def series_binomial(factor, g, order):
     # (1 + factor * x)^g truncated
-    from math import comb
-
     out = []
     power = pconst(1)
     for k in range(order):
@@ -112,149 +116,94 @@ def sym_power_curve(k, g):
     return coeff_extract(g, [pconst(1), {(1, 1): 1}], k)
 
 
-# -- Harder-Narasimhan recursion for stable-bundle Betti numbers -------
+# -- Harder-Narasimhan recursion for stable-bundle Hodge polynomials ----
 #
-# Univariate integer series in t, truncated lists; every series of one
-# computation has the same length, the truncation order.  The recursion
-# needs only the stack series of all bundles and the codimensions of the
-# Harder-Narasimhan strata; it knows nothing about triples or
-# wall-crossing, which is the point.
+# Atiyah-Bott (1983), with the Hodge types of the generators from
+# Earl-Kirwan (2000), for any rank.  Every series is a dict polynomial
+# cut at one total degree, 2 * dim of the moduli space asked for: every
+# series starts at degree 0 and the codimension shifts (uv)^c only raise
+# degrees, so each coefficient kept is exact.  The recursion needs only
+# the gauge-group series and the codimensions of the Harder-Narasimhan
+# strata; it knows nothing about triples or wall-crossing, which is the
+# point.
 
 
-def hn_order(r, g):
-    """Truncation order that holds every Betti number of M(r, d).
+def gauge_series(n, g, cut):
+    """P_n, the Hodge series of the stack of rank-n bundles, cut.
 
-    M(r, d) has complex dimension r^2 (g - 1) + 1, so its Poincare
-    polynomial has degree 2 * dim and 2 * dim + 1 coefficients.
-    Truncating lower leaves the coefficients below the order unchanged.
+    (1+u)^g (1+v)^g / (1-uv) times, for k = 2..n,
+    (1 + u^k v^(k-1))^g (1 + u^(k-1) v^k)^g
+    / ((1 - (uv)^k)(1 - (uv)^(k-1))).
     """
-    return 2 * (r * r * (g - 1) + 1) + 1
-
-
-def tser(order, coeffs=()):
-    out = [0] * order
-    for i, c in enumerate(coeffs):
-        if i < order:
-            out[i] = c
+    out = pconst(1)
+    for k in range(1, n + 1):
+        for a, b in ((k, k - 1), (k - 1, k)):
+            binomial = {(a * j, b * j): comb(g, j) for j in range(g + 1)}
+            out = pmul(out, binomial, cut)
+        for step in range(max(k - 1, 1), k + 1):
+            ladder = range(cut // (2 * step) + 1)
+            out = pmul(out, {(step * j, step * j): 1 for j in ladder}, cut)
     return out
 
 
-def tmul(a, b):
-    order = len(a)
-    out = [0] * order
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y and i + j < order:
-                    out[i + j] += x * y
-    return out
+def hn_types(n, d, g, budget, above=None):
+    """Harder-Narasimhan types of rank n and degree d, with codimension.
 
-
-def tsub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def tinv(a):
-    assert a[0] == 1
-    order = len(a)
-    out = [0] * order
-    out[0] = 1
-    for n in range(1, order):
-        out[n] = -sum(a[k] * out[n - k] for k in range(1, n + 1))
-    return out
-
-
-def t_one_plus_pow(order, shift, exp):
-    base = tser(order, [1])
-    base[shift] = 1
-    out = tser(order, [1])
-    for _ in range(exp):
-        out = tmul(out, base)
-    return out
-
-
-def t_shift(order, k):
-    s = tser(order)
-    s[k] = 1
-    return s
-
-
-def t_geometric(order, k):
-    # 1 / (1 - t^k)
-    return tinv(tsub(tser(order, [1]), t_shift(order, k)))
-
-
-def hn_pic_stack(order, g):
-    return tmul(t_one_plus_pow(order, 1, 2 * g), t_geometric(order, 2))
-
-
-def hn_bun_stack(order, r, g):
-    out = hn_pic_stack(order, g)
-    for k in range(2, r + 1):
-        out = tmul(out, t_one_plus_pow(order, 2 * k - 1, 2 * g))
-        out = tmul(out, t_geometric(order, 2 * k))
-        out = tmul(out, t_geometric(order, 2 * k - 2))
-    return out
-
-
-def hn_ss_stack_2(order, d, g):
-    total = hn_bun_stack(order, 2, g)
-    p1 = hn_pic_stack(order, g)
-    p1p1 = tmul(p1, p1)
-    a = d // 2 + 1
-    while True:
-        codim = 2 * a - d + (g - 1)
-        if 2 * codim >= order:
-            return total
-        total = tsub(total, tmul(p1p1, t_shift(order, 2 * codim)))
-        a += 1
-
-
-def hn_ss_stack_3(order, d, g):
-    total = hn_bun_stack(order, 3, g)
-    p1 = hn_pic_stack(order, g)
-    a = d // 3 + 1
-    while True:
-        codim = 3 * a - d + 2 * (g - 1)
-        if 2 * codim >= order:
-            break
-        block = tmul(p1, hn_ss_stack_2(order, d - a, g))
-        total = tsub(total, tmul(block, t_shift(order, 2 * codim)))
-        a += 1
-    b = (2 * d) // 3 + 1
-    while True:
-        codim = 3 * b - 2 * d + 2 * (g - 1)
-        if 2 * codim >= order:
-            break
-        block = tmul(hn_ss_stack_2(order, b, g), p1)
-        total = tsub(total, tmul(block, t_shift(order, 2 * codim)))
-        b += 1
-    p13 = tmul(tmul(p1, p1), p1)
-    a = d // 3 + 1
-    while True:
-        b_min = (d - a) // 2 + 1
-        min_codim = 3 * (g - 1) + 2 * (2 * a + b_min - d)
-        if 2 * min_codim >= order:
-            break
-        for b in range(b_min, a):
-            codim = 3 * (g - 1) + 2 * (2 * a + b - d)
-            if 2 * codim >= order:
+    Yields (pieces, c): pieces (n_i, d_i) of strictly decreasing slope,
+    all below the slope of the piece ``above`` when it is given, with
+    c = sum_(i<j) (n_i n_j (g-1) + n_j d_i - n_i d_j) <= budget.  The
+    one-piece type comes first.  Slopes are compared as integers.
+    """
+    if above is None or d * above[0] < above[1] * n:
+        yield [(n, d)], 0
+    for n1 in range(1, n):
+        # the first piece's slope is above d / n, and its share of c
+        # grows with d1
+        d1 = n1 * d // n + 1
+        while above is None or d1 * above[0] < above[1] * n1:
+            c1 = n1 * (n - n1) * (g - 1) + n * d1 - n1 * d
+            if c1 > budget:
                 break
-            total = tsub(total, tmul(p13, t_shift(order, 2 * codim)))
-        a += 1
+            for rest, c in hn_types(n - n1, d - d1, g, budget - c1, (n1, d1)):
+                yield [(n1, d1), *rest], c1 + c
+            d1 += 1
+
+
+@lru_cache(maxsize=None)
+def hn_semistable(n, r, g, cut):
+    """P^ss_(n,d) for any d = r mod n: P_n minus its unstable strata.
+
+    Memoized, so every caller gets the same dict; none may change it.
+    """
+    total = gauge_series(n, g, cut)
+    # the product commutes, so types whose pieces agree up to order and
+    # twist share one product, times the sum of their shifts (uv)^c
+    shifts = {}
+    for pieces, c in hn_types(n, r, g, cut // 2):
+        if len(pieces) > 1:
+            key = tuple(sorted((m, e % m) for m, e in pieces))
+            shift = shifts.setdefault(key, {})
+            shift[c, c] = shift.get((c, c), 0) + 1
+    for key, product in shifts.items():
+        for m, e in key:
+            product = pmul(product, hn_semistable(m, e, g, cut), cut)
+        total = psub(total, product)
     return total
 
 
-def hn_moduli_betti(r, d, g):
-    """Betti numbers of M(r,d) for gcd(r,d) = 1, as a trimmed list."""
-    order = hn_order(r, g)
-    if r == 2:
-        stack = hn_ss_stack_2(order, d, g)
-    else:
-        stack = hn_ss_stack_3(order, d, g)
-    poly = tmul(stack, tsub(tser(order, [1]), t_shift(order, 2)))
-    last = max(i for i, c in enumerate(poly) if c)
-    return poly[: last + 1]
+def hn_moduli_hodge(n, d, g):
+    """e(M(n, d)) for gcd(n, d) = 1: (1 - uv) P^ss_(n,d), cut at 2 * dim."""
+    assert gcd(n, d) == 1
+    cut = 2 * (n * n * (g - 1) + 1)
+    return pmul({(0, 0): 1, (1, 1): -1}, hn_semistable(n, d % n, g, cut), cut)
+
+
+def pdiagonal(p):
+    """Coefficients of p(t, t), lowest degree first."""
+    out = [0] * (max(a + b for a, b in p) + 1)
+    for (a, b), c in p.items():
+        out[a + b] += c
+    return out
 
 
 # -- stability chambers of types (3,1) and (2,1) ------------------------
@@ -331,7 +280,9 @@ P3_BETTI = [1, 0, 1, 0, 1, 0, 1]
 CRITICALS_3150 = [(4, 3), (5, 5)]
 CRITICALS_3160 = [(5, 4), (6, 6)]
 
-# Betti numbers of M(2,1) and M(3,1), frozen from the recursion above.
+# Betti numbers of M(2,1) and M(3,1), frozen from the Betti-only HN
+# recursion that the Hodge-level one above replaced; its diagonal must
+# still give them.
 M21_BETTI = {
     2: [1, 4, 7, 12, 24, 32, 24, 12, 7, 4, 1],
     3: [1, 6, 16, 32, 68, 134, 218, 328, 465, 536,

@@ -861,6 +861,37 @@ def test_power_peel_matches_chained_peels(
     assert laurent._peel(values, k, sign, power) == chained
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 4), st.sampled_from([-1, 1]), st.integers(1, 10)
+        ),
+        max_size=4,
+    ),
+    st.integers(1, 7),
+    st.integers(1, 2),
+)
+@example([], 7, 1)
+@example([(1, 1, 1), (3, -1, 2)], 1, 1)
+@settings(max_examples=150, deadline=None)
+def test_binomial_split_multiplies_in_at_most_deg_d(binomials, n, k):
+    # the line route pads each line by deg D alone; that holds a line
+    # times the factors 1 - x^k multiplied in only because their degree,
+    # sum(times), stays within deg D.  The divisors: products of
+    # binomials (1 +- x^k)^e, alone and times e(P^(n-1)) in x^k
+    projective = [int(t % k == 0) for t in range(k * (n - 1) + 1)]
+    for coeffs in ([1], projective):
+        for step, sign, e in binomials:
+            for _ in range(e):
+                coeffs = _times_binomial(coeffs, step, sign)
+        split = laurent._binomial_factors(coeffs)
+        # e(P^(n-1)) alone always splits; a product may not, as
+        # (1 + x)(1 - x^3)^2, and then the heap route divides
+        assert split is not None or binomials
+        if split is not None:
+            assert sum(split[1]) <= len(coeffs) - 1
+
+
 # m = u^k, v^k, (uv)^k with k <= 7, or u^2 v^3
 walk_steps = st.one_of(
     st.integers(1, 7).flatmap(

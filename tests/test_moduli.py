@@ -43,11 +43,11 @@ CROSS_GRID = [
 ]
 
 
-# the rank-3 recursion takes 0.4-2.2 s per genus from g = 6 on, so
+# the rank-3 recursion takes 0.2-1.7 s per genus from g = 6 on, so
 # those genera are marked slow and run in their own CI step
-HN_GENERA = [
-    *range(2, 6),
-    *(pytest.param(g, marks=pytest.mark.slow) for g in range(6, 11)),
+HN_CASES = [
+    *((g, d) for g in range(2, 6) for d in (1, 2)),
+    *(pytest.param(g, 1, marks=pytest.mark.slow) for g in range(6, 11)),
 ]
 
 
@@ -148,6 +148,32 @@ def test_top_chamber_is_single_flip():
         top = e_n31_closed(g, d1, d2, chamber=len(crits))
         single = -flip_contribution(t, top_n).cn.as_polynomial()
         assert top.poly == single
+
+
+def test_top_chamber_matches_oracle_bundle():
+    # just below sigma_M the space is a P^(h-1)-bundle over M(2, d1 - d2)
+    # x Jac, h = d1 - 3*d2 + 2g - 2, for d1 - d2 odd; the prediction is
+    # built from the oracles only, and both routes must meet it
+    curve = oracles.pmul({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1})
+    types = 0
+    for g in (2, 3):
+        jac = oracles.ppow(curve, g)
+        for d2 in (-1, 0, 1):
+            for d1 in range(2 * g + 1, 2 * g + 8):
+                if (d1 - d2) % 2 == 0:
+                    continue
+                # sigma_M is critical and the next critical value is
+                # sigma_M - 2, so sigma_M - 1 lies in the top chamber
+                _, sigma_top = oracles.sigma_interval(3, d1, d2)
+                h = d1 - 3 * d2 + 2 * g - 2
+                m2 = oracles.hn_moduli_hodge(2, d1 - d2, g)
+                fiber = {(k, k): 1 for k in range(h)}
+                want = oracles.pmul(oracles.pmul(m2, jac), fiber)
+                for route in (e_n31_closed, e_n31_flipsum):
+                    got = route(g, d1, d2, sigma_top - 1)
+                    assert got.poly.terms == want, (route.__name__, g, d1, d2)
+                types += 1
+    assert types == 20
 
 
 def test_low_chamber_pinned_product_form():
@@ -345,11 +371,18 @@ def test_m3_invariants():
         assert smooth_projective_failures(h.poly, h.dim) == []
 
 
-@pytest.mark.parametrize("g", HN_GENERA)
-def test_m3_betti_matches_hn_recursion(g):
-    betti = _betti(e_m3(g).poly)
-    assert betti == oracles.M31_BETTI.get(g, betti)
-    assert betti == oracles.hn_moduli_betti(3, 1, g)
+@pytest.mark.parametrize("g,d", HN_CASES)
+def test_m3_matches_hn_recursion(g, d):
+    assert e_m3(g, d).poly.terms == oracles.hn_moduli_hodge(3, d, g)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_hn_recursion_diagonal_matches_frozen_betti(g):
+    # guards the oracle itself: its Hodge values must still give the
+    # Betti numbers that the Betti-only recursion gave
+    for n, frozen in ((2, oracles.M21_BETTI), (3, oracles.M31_BETTI)):
+        hodge = oracles.hn_moduli_hodge(n, 1, g)
+        assert oracles.pdiagonal(hodge) == frozen[g]
 
 
 def test_m3_euler_characteristic_vanishes():

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from triplehodge import (
     CriticalSigma,
-    LaurentPoly,
     NotCritical,
     OutOfRange,
     TripleType,
@@ -27,19 +26,12 @@ from triplehodge.laurent import ZERO, FractionUV
 from triplehodge.zoo import smooth_projective_failures
 
 
-def _betti(poly: LaurentPoly) -> list[int]:
-    diag = poly.diagonal().as_univariate()
-    return [diag.get(k, 0) for k in range(max(diag) + 1)]
-
-
 # -- rank-2 bundle moduli -------------------------------------------------
 
 
 @pytest.mark.parametrize("g", range(2, 11))
-def test_m2_odd_betti_matches_hn_recursion(g):
-    betti = _betti(e_m2_odd(g).poly)
-    assert betti == oracles.M21_BETTI.get(g, betti)
-    assert betti == oracles.hn_moduli_betti(2, 1, g)
+def test_m2_odd_matches_hn_recursion(g):
+    assert e_m2_odd(g).poly.terms == oracles.hn_moduli_hodge(2, 1, g)
 
 
 def test_m2_odd_invariants():
