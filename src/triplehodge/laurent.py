@@ -51,13 +51,14 @@ walk: along each line of m the quotient follows
 q_t = c0*(n_t - c1*q_(t-1)), one step per term of the numerator and of
 the quotient.  +-1 times a product of binomials 1 +- m^k on one ray,
 such as DEN = (1 - uv)^2 (1 - (uv)^2) of the N_sigma(3, 1) routes, or
-such a product over factors 1 - m^k, such as e(P^(n-1)), takes the line
-route: the factors 1 - m^k are multiplied into the numerator's lines
-along m and each (1 +- m^k)^e is divided out by e prefix sums, unless
-the padded lines would need more than len(num) * len(den) slots.  Any
-other divisor takes heap-ordered multivariate long division.  The walk
-and the line route give up on a remainder, and the heap route, run on
-the original inputs, builds the ``NonDivisible`` remainder.
+such a product over factors 1 - m^k, such as e(P^(n-1)) = (1 - m^n) /
+(1 - m), takes the line route: the factors 1 - m^k are multiplied into
+the numerator's lines along m and each (1 +- m^k)^e is divided out by e
+prefix sums, unless the padded lines would need more than len(num) *
+len(den) slots.  Any other divisor takes heap-ordered multivariate long
+division.  The walk and the line route give up on a remainder, and the
+heap route, run on the original inputs, builds the ``NonDivisible``
+remainder.
 
 ``FractionUV`` carries intermediate rational expressions such as
 ``1/((1-uv)^2 (1-(uv)^2))`` as a plain (num, den) pair.  On a production
@@ -720,9 +721,10 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     equal ones comes out of every line by e prefix sums over stride-k
     slices.  Where neither binomial divides at k and the coefficient
     there is 1, a factor 1 - x^k is multiplied into D and into every
-    line instead, up to deg D in all: e(P^(n-1)) = (1 - m^n) / (1 - m)
-    divides as 1 - m^n.  The route is taken only when the padded lines
-    fit in ``len(num) * len(den)`` slots.
+    line instead, up to deg D in all.  Before any trial, e(P^(n-1)) in
+    m^k with n >= 3 splits as one peel of 1 - m^(nk) over one factor
+    1 - m^k multiplied in.  The route is taken only when the padded
+    lines fit in ``len(num) * len(den)`` slots.
     DEN = (1 - uv)^2 (1 - (uv)^2), over which every N_sigma(3, 1) route
     divides once, the denominator of ``e_m3``, its t-display, and the
     pipeline's e(P^(3g-3)), (1 + u)^g and (1 + v)^g take it.
@@ -926,22 +928,30 @@ def _binomial_factors(coeffs):
     ``coeffs[0]`` is 1, and each step keeps it.  Returns ``(factors,
     times)``: the product of ``[(k, sign), ...]`` is ``coeffs`` times
     prod(1 - x^k) over ``times``; or None when there is no such split.
-    Each step tries 1 - x^k and 1 + x^k at the lowest k with a nonzero
-    coefficient.  In a product of such binomials that lowest term comes
-    from the factors with the least k, or, where those cancel in pairs
-    (1 - x^k)(1 + x^k) = 1 - x^(2k), from the binomial they multiply to;
-    either way one of the two trials divides.  Taking 1 - x^k where both
-    do can still strand the rest: (1 + x)(1 - x^3)^2 gives None, and its
-    division goes to the heap route.  Where neither divides and the
-    coefficient is 1, as in e(P^(n-1)) = (1 - x^n) / (1 - x), 1 - x^k is
-    multiplied in to cancel it, up to the degree of ``coeffs`` in all
-    (``_divide_lines`` pads by that degree), so the split ends:
+    Each step takes the lowest k with a nonzero coefficient.  The list
+    of e(P^(n-1)) in x^k, n >= 3, ends the split as 1 - x^(nk) over
+    1 - x^k (even n would peel 1 + x^k, 1 + x^(2k), ...); 1 + x^k is
+    left whole, so (1 + x)^g stays one run.  Otherwise the step tries
+    1 - x^k and 1 + x^k.  In a product of such binomials that lowest term
+    comes from the factors with the least k, or, where those cancel in
+    pairs (1 - x^k)(1 + x^k) = 1 - x^(2k), from the binomial they
+    multiply to; either way one of the two trials divides.  Taking
+    1 - x^k where both do can still strand the rest: (1 + x)(1 - x^3)^2
+    gives None, and its division goes to the heap route.  Where neither
+    divides and the coefficient is 1, as in (1 + x + x^2)(1 + x^2),
+    1 - x^k is multiplied in to cancel it, up to the degree of ``coeffs``
+    in all (``_divide_lines`` pads by that degree), so the split ends:
     1 + x + 2x^2 gives None after 1 - x.
     """
     factors, times = [], []
     budget = len(coeffs) - 1
     while len(coeffs) > 1:
         k = next(t for t in range(1, len(coeffs)) if coeffs[t])
+        n = (len(coeffs) + k - 1) // k
+        if n > 2 and k <= budget and coeffs == ([1] + [0] * (k - 1)) * (n - 1) + [1]:
+            factors.append((n * k, -1))
+            times.append(k)
+            return factors, times
         for sign in (-1, 1):
             quotient = _peel(coeffs, k, sign)
             if quotient is not None:

@@ -892,6 +892,26 @@ def test_binomial_split_multiplies_in_at_most_deg_d(binomials, n, k):
             assert sum(split[1]) <= len(coeffs) - 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", range(3, 21))
+def test_binomial_split_of_projective_space_is_one_multiply_in(n, k):
+    # e(P^(n-1)) in x^k = (1 - x^(nk)) / (1 - x^k): one factor 1 - x^k
+    # multiplied in and one peel, also for even n, where 1 + x^k divides
+    projective = [int(t % k == 0) for t in range(k * (n - 1) + 1)]
+    assert laurent._binomial_factors(projective) == ([(n * k, -1)], [k])
+    assert _times_binomial(projective, k, -1) == _times_binomial([1], n * k, -1)
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_binomial_split_keeps_a_power_of_one_plus_x_whole(g):
+    # (1 + x)^g is g equal factors and nothing multiplied in, so the line
+    # route divides e(Jac)'s (1 + u)^g and (1 + v)^g by one peel each
+    coeffs = [1]
+    for _ in range(g):
+        coeffs = _times_binomial(coeffs, 1, 1)
+    assert laurent._binomial_factors(coeffs) == ([(1, 1)] * g, [])
+
+
 # m = u^k, v^k, (uv)^k with k <= 7, or u^2 v^3
 walk_steps = st.one_of(
     st.integers(1, 7).flatmap(
