@@ -142,13 +142,13 @@ def c_n_odd(t: TripleType, n: int) -> FlipContribution:
 @memo
 def _strata_bases(g: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     # J - 1, J(-u, -v) - 1 and e(M^s(2, even)) / J, with J = e(Jac) =
-    # (1 + u)^g (1 + v)^g: built once per genus for the strata, shared
-    # and never mutated
-    m2s = divide_exact(e_m2s_even(g).poly, (ONE + U) ** g)
+    # (1 + u)^g (1 + v)^g, the last read from e_m2s_even's fixed
+    # polynomial: built once per genus for the strata, shared and never
+    # mutated
     return (
         e_jacobian(g).poly - ONE,
         (ONE - U) ** g * (ONE - V) ** g - ONE,
-        divide_exact(m2s, (ONE + V) ** g),
+        e_m2s_even(g).fixed,
     )
 
 

@@ -36,13 +36,13 @@ slots, and the pieces add as integers before one unpack.  A factor
 other than 1 +- u^i v^j with i, j >= 0, or a multiplicity that is no
 int >= 0, raises ``ValueError``.  The closed forms are built on it: the
 N_sigma(3, 1) numerator K x + (uv)^(g-1) e(Jac) (1 - uv) y, the three
-pieces of e(M(3)), the numerators of e(M(2, odd)) and e(M^s(2, even)),
-the wall kernel K and every product by e(Jac) = (1 + u)^g (1 + v)^g or
-its square.  The closed jump C_n / e(Jac)^2 of ``flips`` keeps ``*``,
-because it was slower on the kernel at the verify grid's small walls,
-and so do the cross-check routes (the strata check of an even wall,
-the rank-2 flip loci, the t-displays), so the checks stay independent
-of the kernel.
+pieces of e(M(3)), the numerators of e(M(2, odd)) and e(M^s(2, even))
+over e(Jac), the wall kernel K and every product by e(Jac) = (1 + u)^g
+(1 + v)^g or its square.  The closed jump C_n / e(Jac)^2 of ``flips``
+keeps ``*``, because it was slower on the kernel at the verify grid's
+small walls, and so do the cross-check routes (the strata check of an
+even wall, the rank-2 flip loci, the t-displays), so the checks stay
+independent of the kernel.
 
 Exact division (``divide_exact``) picks its route by the shape of the
 divisor; every divisor on a production route is built from binomials
@@ -727,7 +727,7 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     lines fit in ``len(num) * len(den)`` slots.
     DEN = (1 - uv)^2 (1 - (uv)^2), over which every N_sigma(3, 1) route
     divides once, the denominator of ``e_m3``, its t-display, and the
-    pipeline's e(P^(3g-3)), (1 + u)^g and (1 + v)^g take it.
+    pipeline's one division, e(N_0) by e(P^(3g-3)), take it.
 
     Heap route.  Any other divisor, or a walk or line route that leaves
     a remainder, goes through multivariate long division under the project

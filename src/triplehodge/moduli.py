@@ -24,8 +24,6 @@ from .laurent import (
     ZERO,
     FractionUV,
     LaurentPoly,
-    U,
-    V,
     _binomial_sum,
     divide_exact,
 )
@@ -75,7 +73,7 @@ def e_n31_closed(
 
 
 @_ChamberMemo
-def _closed_n31(t: TripleType, n0: int) -> LaurentPoly:
+def _closed_n31(t: TripleType, n0: int) -> tuple[LaurentPoly, LaurentPoly]:
     g, d1, d2 = t.g, t.d1, t.d2
     # the sums are cut at the least critical index n0 above sigma and
     # at the least even integer nbar0 >= n0
@@ -109,9 +107,9 @@ def _closed_n31(t: TripleType, n0: int) -> LaurentPoly:
         )
 
     # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the sum divides
-    # on its own and e(Jac)^2 is multiplied in last
-    whole = FractionUV(_binomial_sum(pieces), _DEN).as_polynomial()
-    return _times_jacobian(whole, g, 2)
+    # on its own into e(N_0), and e(Jac)^2 is multiplied in last
+    fixed = FractionUV(_binomial_sum(pieces), _DEN).as_polynomial()
+    return _times_jacobian(fixed, g, 2), fixed
 
 
 def e_n31_flipsum(
@@ -148,16 +146,18 @@ def e_triples21_flipsum(
 
 
 @_ChamberMemo
-def _flip_sum(t: TripleType, wall: int) -> LaurentPoly:
-    # -C_n summed from the top wall down; the memo keeps each wall's sum
+def _flip_sum(t: TripleType, wall: int) -> tuple[LaurentPoly, None]:
+    # -C_n summed from the top wall down; the memo keeps each wall's
+    # sum, with no fixed-determinant value
     sums = _flip_sum
     poly = ZERO
     for n, _crit in reversed(criticals(t)):
         if n >= wall:
             if n not in sums:
-                sums[n] = poly - flip_contribution(t, n).cn.as_polynomial()
-            poly = sums[n]
-    return poly
+                jump = flip_contribution(t, n).cn.as_polynomial()
+                sums[n] = poly - jump, None
+            poly = sums[n][0]
+    return poly, None
 
 
 @memo
@@ -190,8 +190,9 @@ def e_m3(g: int, d: int = 1) -> HodgeResult:
     ])
     den = (ONE - UV) * (ONE - UV**2) ** 2 * (ONE - UV**3)
     # den is cyclotomic in uv, prime to e(Jac): divide, then multiply
-    poly = _times_jacobian(divide_exact(num, den), g)
-    return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
+    fixed = divide_exact(num, den)
+    poly = _times_jacobian(fixed, g)
+    return HodgeResult(poly, 9 * g - 8, smooth_projective=True, fixed=fixed)
 
 
 def e_m3_via_pipeline(g: int) -> HodgeResult:
@@ -199,18 +200,16 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
 
     For d2 = 0, d1 = 6g - 5 and sigma in the lowest chamber, the triple
     space fibers over M(3, d1) x Jac(X) with projective fibers
-    P^{3g-3}, so dividing e(N_sigma) by e(Jac) e(P^{3g-3}) returns
-    e(M(3, d1)).  NonDivisible here would signal a formula error.
+    P^{3g-3}.  So the chamber's fixed-determinant polynomial e(N_0) =
+    e(N_sigma) / e(Jac)^2, divided once by e(P^{3g-3}), is
+    e(M(3, d1)) / e(Jac); e(Jac) is multiplied in last.  NonDivisible
+    here would signal a formula error.
     """
     _require_int(g, "genus", 2)
-    d1 = 6 * g - 5
-    low = e_n31_closed(g, d1, 0, chamber=1)
-    # one division per factor instead of one by the multiplied-out
-    # product, each on the line route
-    poly = divide_exact(low.poly, e_projective(3 * g - 2).poly)
-    poly = divide_exact(poly, (ONE + U) ** g)
-    poly = divide_exact(poly, (ONE + V) ** g)
-    return HodgeResult(poly=poly, dim=9 * g - 8, smooth_projective=True)
+    low = e_n31_closed(g, 6 * g - 5, 0, chamber=1)
+    fixed = divide_exact(low.fixed, e_projective(3 * g - 2).poly)
+    poly = _times_jacobian(fixed, g)
+    return HodgeResult(poly, 9 * g - 8, smooth_projective=True, fixed=fixed)
 
 
 def poincare(h: HodgeResult | LaurentPoly) -> LaurentPoly:

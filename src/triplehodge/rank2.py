@@ -16,6 +16,8 @@ from .laurent import (
     UV,
     UV2,
     LaurentPoly,
+    U,
+    V,
     _binomial_sum,
     divide_exact,
     halve_exact,
@@ -45,8 +47,9 @@ def e_m2_odd(g: int) -> HodgeResult:
     # is prime to the cyclotomic denominator, so it is multiplied in
     # after the division
     den = (ONE - UV) * (ONE - UV**2)
-    poly = _times_jacobian(divide_exact(_wall_kernel(g), den), g)
-    return HodgeResult(poly=poly, dim=4 * g - 3, smooth_projective=True)
+    fixed = divide_exact(_wall_kernel(g), den)
+    poly = _times_jacobian(fixed, g)
+    return HodgeResult(poly, 4 * g - 3, smooth_projective=True, fixed=fixed)
 
 
 @memo
@@ -59,25 +62,25 @@ def e_m2s_even(g: int) -> HodgeResult:
     """
     _require_int(g, "genus", 2)
     correction = ONE + LaurentPoly.monomial(g + 1, g + 1, 2) - UV**2
-    # 2 e(Jac) (1 + u^2 v)^g (1 + u v^2)^g - e(Jac)^2 correction
-    # - (1 - u^2)^g (1 - v^2)^g (1 - uv)^2, on one packing
+    # the numerator over e(Jac) = (1 + u)^g (1 + v)^g, on one packing:
+    # 2 (1 + u^2 v)^g (1 + u v^2)^g - e(Jac) correction
+    # - (1 - u)^g (1 - v)^g (1 - uv)^2
     num = _binomial_sum([
-        (2, 0, 0, ONE, {**_jacobian_factors(g), ONE + U2V: g, ONE + UV2: g}),
-        (-1, 0, 0, correction, _jacobian_factors(2 * g)),
-        (-1, 0, 0, ONE, {
-            ONE - LaurentPoly.monomial(2, 0): g,
-            ONE - LaurentPoly.monomial(0, 2): g,
-            ONE - UV: 2,
-        }),
+        (2, 0, 0, ONE, {ONE + U2V: g, ONE + UV2: g}),
+        (-1, 0, 0, correction, _jacobian_factors(g)),
+        (-1, 0, 0, ONE, {ONE - U: g, ONE - V: g, ONE - UV: 2}),
     ])
     den = (ONE - UV) * (ONE - UV**2)
+    # e(Jac) is no zero divisor mod 2, so halving before it is
+    # multiplied in fails exactly when halving after it would
     try:
-        half = halve_exact(divide_exact(num, den))
+        fixed = halve_exact(divide_exact(num, den))
     except ValueError as exc:
         raise NonIntegral(
             "stable-locus polynomial has odd coefficients"
         ) from exc
-    return HodgeResult(poly=half, dim=4 * g - 3, smooth_projective=False)
+    poly = _times_jacobian(fixed, g)
+    return HodgeResult(poly, 4 * g - 3, smooth_projective=False, fixed=fixed)
 
 
 @memo
@@ -120,7 +123,9 @@ def e_triples21(
 
 
 @_ChamberMemo
-def _closed_21(t: TripleType, d0: int) -> LaurentPoly:
+def _closed_21(
+    t: TripleType, d0: int
+) -> tuple[LaurentPoly, LaurentPoly]:
     g, d1, d2 = t.g, t.d1, t.d2
     # the sum is cut at the least critical index d0 above sigma
     k = d1 - d2 - d0
@@ -128,7 +133,8 @@ def _closed_21(t: TripleType, d0: int) -> LaurentPoly:
     c1 = extract(w, [UV**-1], k)
     c2 = extract(w, [UV**2], k)
     bracket = UV**k * c1 - UV ** (g - 1 - d1 + 2 * d0) * c2
-    return _times_jacobian(divide_exact(bracket, ONE - UV), g, 2)
+    fixed = divide_exact(bracket, ONE - UV)
+    return _times_jacobian(fixed, g, 2), fixed
 
 
 def e_triples21_critical_stable(
@@ -142,10 +148,10 @@ def e_triples21_critical_stable(
     space, hence not projective: flag off.
     """
     t = TripleType(2, 1, d1, d2, g)
-    poly = _times_jacobian(_critical_stable_core(t, d_m), g, 2)
-    return HodgeResult(
-        poly=poly, dim=1 - chi_triples(t, t), smooth_projective=False
-    )
+    fixed = _critical_stable_core(t, d_m)
+    poly = _times_jacobian(fixed, g, 2)
+    dim = 1 - chi_triples(t, t)
+    return HodgeResult(poly, dim, smooth_projective=False, fixed=fixed)
 
 
 def _critical_stable_core(t: TripleType, d_m: int) -> LaurentPoly:

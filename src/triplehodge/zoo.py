@@ -10,7 +10,7 @@ spaces' routes turn a query at sigma into a result through a chamber memo.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._memo import Table, memo
 from .laurent import (
@@ -53,12 +53,19 @@ class HodgeResult:
         chamber: for moduli of triples, the :class:`Chamber` that
             ``stability.locate`` placed the query's sigma in.  None for
             other varieties and for a sigma outside the allowed range.
+        fixed: the fixed-determinant polynomial, the value before its
+            route multiplied e(Jac)^k in: poly = e(Jac)^k * fixed, with
+            k = 2 for triple chambers and the (2, 1) critical stable
+            locus and k = 1 for M(2, odd), M^s(2, even) and M(3).  None
+            where no route has it (the flip sums, the zoo varieties).
+            Equality and repr ignore it.
     """
 
     poly: LaurentPoly
     dim: int
     smooth_projective: bool = False
     chamber: Chamber | None = None
+    fixed: LaurentPoly | None = field(default=None, compare=False, repr=False)
 
     @property
     def empty(self) -> bool:
@@ -72,11 +79,13 @@ class _ChamberMemo(Table):
     The moduli space is constant on a chamber, so a query depends on
     sigma only through the chamber's upper wall.  Queries walk one type
     at a time, so the memo maps only the last queried type's walls to
-    their polynomials.  The flip sum adds each wall it passes.  It is
+    the pairs (poly, fixed) that build returns, the full polynomial and
+    the fixed-determinant one (None for the flip sum), so a read
+    multiplies nothing.  The flip sum adds each wall it passes.  It is
     the ``_memo.Table`` named after build, which ``clear_all`` empties.
     """
 
-    def __init__(self, build: Callable[[TripleType, int], LaurentPoly]):
+    def __init__(self, build: Callable[[TripleType, int], tuple]):
         super().__init__(f"{build.__module__}.{build.__qualname__}")
         self.build = build
         self.type: TripleType | None = None
@@ -94,14 +103,17 @@ class _ChamberMemo(Table):
         if t != self.type:
             self.type = t
             self.clear()
-        poly = self.get(ch.wall)
-        if poly is None:
+        pair = self.get(ch.wall)
+        if pair is None:
             self.misses += 1
-            poly = self[ch.wall] = self.build(t, ch.wall)
+            pair = self[ch.wall] = self.build(t, ch.wall)
         else:
             self.hits += 1
+        poly, fixed = pair
         dim = 1 - chi_triples(t, t)
-        return HodgeResult(poly, dim, smooth_projective=True, chamber=ch)
+        return HodgeResult(
+            poly, dim, smooth_projective=True, chamber=ch, fixed=fixed
+        )
 
 
 def e_affine(n: int) -> HodgeResult:

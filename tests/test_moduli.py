@@ -1,5 +1,6 @@
 """Tests for N_sigma(3, 1) triple spaces and the rank-3 moduli space."""
 
+import dataclasses
 import importlib
 import pkgutil
 from fractions import Fraction
@@ -16,11 +17,18 @@ from triplehodge import (
     OutOfRange,
     TripleType,
     criticals,
+    e_affine,
+    e_grassmannian,
     e_jacobian,
+    e_m2_odd,
+    e_m2s_even,
     e_m3,
     e_m3_via_pipeline,
     e_n31_closed,
     e_n31_flipsum,
+    e_projective,
+    e_sym,
+    e_sym2_quotient,
     e_triples21,
     e_triples21_critical_stable,
     e_triples21_flipsum,
@@ -349,16 +357,110 @@ def test_poincare_helper_accepts_both_shapes():
 # -- rank-3 moduli space -----------------------------------------------------
 
 
-# g = 11..14 divide by (1 + u)^g and (1 + v)^g with a power above 10
+# g = 11..16 are the sizes past the north star's g = 10
 @pytest.mark.parametrize(
     "g",
     [
         *range(2, 11),
-        *(pytest.param(g, marks=pytest.mark.slow) for g in range(11, 15)),
+        *(pytest.param(g, marks=pytest.mark.slow) for g in range(11, 17)),
     ],
 )
 def test_m3_equals_pipeline(g):
     assert e_m3(g).poly == e_m3_via_pipeline(g).poly
+
+
+# -- fixed-determinant values -----------------------------------------------
+
+
+def _fixed_results(g):
+    # (result, k) for every route that sets fixed, poly = e(Jac)^k fixed:
+    # the bundle routes, then the value corpus's triple types
+    yield from ((r, 1) for r in (e_m2_odd(g), e_m2s_even(g), e_m3(g),
+                                 e_m3_via_pipeline(g)))
+    for d1, d2 in product((2 * g + 3, 2 * g + 4), (0, 1)):
+        for n1, route in ((3, e_n31_closed), (2, e_triples21)):
+            t = TripleType(n1, 1, d1, d2, g)
+            for k in range(1, len(chamber_bounds(t)) + 1):
+                yield route(g, d1, d2, chamber=k), 2
+        for d_m, _sigma in criticals(TripleType(2, 1, d1, d2, g)):
+            yield e_triples21_critical_stable(g, d1, d2, d_m), 2
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_fixed_times_jacobian_power_is_the_polynomial(g):
+    # e(Jac) from the dict oracle, not from _times_jacobian
+    jac = oracles.pmul(oracles.ppow({(0, 0): 1, (1, 0): 1}, g),
+                       oracles.ppow({(0, 0): 1, (0, 1): 1}, g))
+    powers = {k: oracles.ppow(jac, k) for k in (1, 2)}
+    checked = 0
+    for r, k in _fixed_results(g):
+        assert r.poly.terms == oracles.pmul(powers[k], r.fixed.terms)
+        checked += 1
+    assert checked > 4
+
+
+def test_fixed_is_none_where_no_route_has_it():
+    for g, d1, d2 in ((2, 7, 0), (3, 9, 1)):
+        for n1, route in ((3, e_n31_flipsum), (2, e_triples21_flipsum)):
+            t = TripleType(n1, 1, d1, d2, g)
+            for k in range(1, len(chamber_bounds(t)) + 1):
+                assert route(g, d1, d2, chamber=k).fixed is None
+    for r in (e_jacobian(3), e_projective(4), e_sym(2, 3),
+              e_grassmannian(2, 4), e_affine(2), e_sym2_quotient(e_m3(2)),
+              e_n31_closed(2, 7, 0, 100)):
+        assert r.fixed is None
+
+
+def test_result_equality_ignores_fixed():
+    h = e_m3(2)
+    other = dataclasses.replace(h, fixed=h.fixed + ONE)
+    assert other == h
+    assert hash(other) == hash(h)
+    assert "fixed" not in repr(h)
+
+
+def _spy(monkeypatch, name, calls):
+    # record the arguments of every call of name, through whichever
+    # submodule imported it
+    for module in SUBMODULES:
+        original = vars(module).get(name)
+        if original is not None:
+            def spy(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("g", [2, 3, 5])
+def test_pipeline_divides_once_and_a_warm_read_multiplies_nothing(
+    monkeypatch, g
+):
+    # cold but for the zoo's e(P^{3g-3}), the pipeline's divisions
+    # outside e_n31_closed are the one by e(P^{3g-3})
+    triplehodge._memo.clear_all()
+    projective = e_projective(3 * g - 2).poly
+    divisions = []
+    closed = moduli.e_n31_closed
+
+    def closed_unrecorded(*args, **kwargs):
+        before = len(divisions)
+        low = closed(*args, **kwargs)
+        del divisions[before:]
+        return low
+
+    monkeypatch.setattr(moduli, "e_n31_closed", closed_unrecorded)
+    _spy(monkeypatch, "divide_exact", divisions)
+    pipeline = e_m3_via_pipeline(g)
+    assert [den for _num, den in divisions] == [projective]
+    # the chamber memo holds e(N_0) beside e(N_sigma), so a warm read of
+    # the chamber multiplies nothing in
+    products = []
+    _spy(monkeypatch, "_times_jacobian", products)
+    low = e_n31_closed(g, 6 * g - 5, 0, chamber=1)
+    assert products == []
+    assert divisions[0][0] == low.fixed
+    assert pipeline.fixed == divide_exact(low.fixed, projective)
 
 
 def test_m3_invariants():
