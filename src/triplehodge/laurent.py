@@ -27,9 +27,9 @@ and products whose exponent box has more slots than there are term
 pairs (sparse operands such as a product of factors ``1 - (uv)^k``).
 
 A sum of pieces c * u^a v^b * poly * prod(1 +- m)^k, each m a monomial
-u^i v^j, takes one packing (``_binomial_sum``; ``_times_binomials`` is
-a one-piece call): each poly is packed once into the box of the whole
-sum, in slots that hold the sum of the pieces' bounds
+u^i v^j, takes one packing (``_binomial_sum``): each poly is packed
+once into the box of the whole sum, in slots that hold the sum of the
+pieces' bounds
 |c| * max|poly| * 2^K plus a sign bit, K a piece's total multiplicity;
 each factor 1 +- m is one shift-add of the packed integer by i*W + j
 slots, and the pieces add as integers before one unpack.  A factor
@@ -49,16 +49,16 @@ divisor; every divisor on a production route is built from binomials
 1 +- m, m = u^i v^j.  Two unit terms, +-u^a v^b (+-1 +- m), take the
 walk: along each line of m the quotient follows
 q_t = c0*(n_t - c1*q_(t-1)), one step per term of the numerator and of
-the quotient.  +-1 times a product of binomials 1 +- m^k on one ray,
-such as DEN = (1 - uv)^2 (1 - (uv)^2) of the N_sigma(3, 1) routes, or
-such a product over factors 1 - m^k, such as e(P^(n-1)) = (1 - m^n) /
-(1 - m), takes the line route: the factors 1 - m^k are multiplied into
-the numerator's lines along m and each (1 +- m^k)^e is divided out by e
-prefix sums, unless the padded lines would need more than len(num) *
-len(den) slots.  Any other divisor takes heap-ordered multivariate long
-division.  The walk and the line route give up on a remainder, and the
-heap route, run on the original inputs, builds the ``NonDivisible``
-remainder.
+the quotient.  +-1 times D(m) = prod (1 - m^k)^(e_k), e_k in Z, on one
+ray takes the line route; every product of binomials 1 +- m^k is one,
+as 1 + m^k = (1 - m^(2k)) / (1 - m^k).  Each e_k is minus D's lowest
+nonzero coefficient once the lower factors are gone.  The factors with
+e_k < 0 are multiplied into the numerator's lines along m and each
+(1 - m^k)^(e_k) with e_k > 0 is divided out by e_k prefix sums, unless
+the padded lines would need more than len(num) * len(den) slots.  Any
+other divisor takes heap-ordered multivariate long division.  The walk
+and the line route give up on a remainder, and the heap route, run on
+the original inputs, builds the ``NonDivisible`` remainder.
 
 ``FractionUV`` carries intermediate rational expressions such as
 ``1/((1-uv)^2 (1-(uv)^2))`` as a plain (num, den) pair.  On a production
@@ -80,9 +80,9 @@ import sys
 from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, count, groupby, product, repeat
+from itertools import accumulate, compress, count, product, repeat
 from math import comb, gcd
-from operator import add, and_, lshift, mul, neg, rshift, sub
+from operator import add, and_, lshift, mul, rshift, sub
 from typing import Iterable, Mapping
 
 from .errors import NonDivisible
@@ -649,11 +649,6 @@ def _binomial_steps(binomials):
     return steps, di, dj, total
 
 
-def _times_binomials(poly: LaurentPoly, binomials) -> LaurentPoly:
-    """``poly`` times prod(1 +- m)^k: the one-piece ``_binomial_sum``."""
-    return _binomial_sum(((1, 0, 0, poly, binomials),))
-
-
 def _unpack(packed, a0: int, b0: int, width: int, height: int, size: int):
     # the term map of a packing whose slot (a - a0) * width + (b - b0),
     # of ``size`` bytes, holds the signed coefficient of u^a v^b: adding
@@ -716,15 +711,15 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     on the ray k*(i, j)), multiplying by D maps each line
     ``base + t*(i, j)`` to itself, so the quotient is found line by line,
     on the lines laid end to end in one list of integers.  D's
-    coefficient list, times its constant term, must split into binomials
-    1 - x^k and 1 + x^k, peeled at its lowest nonzero k; a run of e
-    equal ones comes out of every line by e prefix sums over stride-k
-    slices.  Where neither binomial divides at k and the coefficient
-    there is 1, a factor 1 - x^k is multiplied into D and into every
-    line instead, up to deg D in all.  Before any trial, e(P^(n-1)) in
-    m^k with n >= 3 splits as one peel of 1 - m^(nk) over one factor
-    1 - m^k multiplied in.  The route is taken only when the padded
-    lines fit in ``len(num) * len(den)`` slots.
+    coefficient list, times its constant term, must be
+    prod (1 - x^k)^(e_k): at its lowest nonzero coefficient c, at x^k,
+    e_k = -c, and (1 - x^k)^(e_k) is taken off before the next k.
+    Factors with e_k < 0, up to deg D in all, are multiplied into every
+    line, and each (1 - x^k)^(e_k) with e_k > 0 comes out of every line
+    by e_k prefix sums over stride-k slices.  So e(P^(n-1)) in m^k is
+    one factor 1 - m^k multiplied in and one peel of 1 - m^(nk).  The
+    route is taken only when the padded lines fit in
+    ``len(num) * len(den)`` slots.
     DEN = (1 - uv)^2 (1 - (uv)^2), over which every N_sigma(3, 1) route
     divides once, the denominator of ``e_m3``, its t-display, and the
     pipeline's one division, e(N_0) by e(P^(3g-3)), take it.
@@ -846,12 +841,12 @@ def _divide_lines(terms, dterms, da, db):
     -1.
 
     The numerator's lines are laid end to end in one integer list, each
-    followed by ``deg D`` slots of padding, so every factor multiplies
-    all lines in one pass and every run of equal binomials, such as
-    (1 + u)^g, divides them in one.  The factors 1 - m^k multiplied in
-    have degree E <= deg D (``_binomial_factors`` keeps that budget), so
-    each line times them stays inside the line and its padding, and the
-    list is the exact product.  Cancelling them, the list is exactly the
+    followed by ``deg D`` slots of padding, so each factor (1 - m^k)^e
+    with e < 0 multiplies all lines in -e passes and each with e > 0
+    divides them in one.  The factors multiplied in have degree
+    E <= deg D (``_binomial_factors`` keeps that budget), so each line
+    times them stays inside the line and its padding, and the list is
+    the exact product.  Cancelling them, the list is exactly the
     quotient times D.  Each line divides exactly if and only if the
     whole list does and the quotient is zero on every line's padding: a
     line's quotient times D then stays inside the line and its padding.
@@ -859,9 +854,9 @@ def _divide_lines(terms, dterms, da, db):
     unit = dterms.get((0, 0))
     if len(dterms) < 2 or unit not in (1, -1):
         return None
-    # D = unit * prod(1 + sign*m^k), m = u^i v^j with (i, j) primitive,
+    # D = unit * prod(1 - m^k)^(e_k), m = u^i v^j with (i, j) primitive,
     # when every term lies on the ray of D's far end and the coefficient
-    # list along it splits into binomials
+    # list along it splits
     a, b = max(dterms)
     degree = gcd(a, b)
     i, j = a // degree, b // degree
@@ -874,7 +869,6 @@ def _divide_lines(terms, dterms, da, db):
     split = _binomial_factors(coeffs)
     if split is None:
         return None
-    factors, times = split
 
     # u^a v^b lies on line a*j - b*i; as (i, j) is primitive, (a + b) // s
     # numbers the points of every line consecutively
@@ -898,12 +892,14 @@ def _divide_lines(terms, dterms, da, db):
     for key, place, c in zip(keys, places, terms.values()):
         flat[starts[key] + place] = unit * c
 
-    for k in times:
-        flat = _times_one_minus(flat, k)
-    for (k, sign), run in groupby(factors):
-        flat = _peel(flat, k, sign, len(list(run)))
-        if flat is None:
-            return None
+    for k, e in split:
+        for _ in range(-e):
+            flat = _times_one_minus(flat, k)
+    for k, e in split:
+        if e > 0:
+            flat = _peel(flat, k, e)
+            if flat is None:
+                return None
 
     inverse = pow(i, -1, s)
     out: dict[tuple[int, int], int] = {}
@@ -922,49 +918,36 @@ def _divide_lines(terms, dterms, da, db):
 
 
 def _binomial_factors(coeffs):
-    """Split a coefficient list, times factors 1 - x^k, into binomials
-    1 + sign*x^k.
+    """The exponents e_k of a coefficient list D = prod (1 - x^k)^(e_k).
 
-    ``coeffs[0]`` is 1, and each step keeps it.  Returns ``(factors,
-    times)``: the product of ``[(k, sign), ...]`` is ``coeffs`` times
-    prod(1 - x^k) over ``times``; or None when there is no such split.
-    Each step takes the lowest k with a nonzero coefficient.  The list
-    of e(P^(n-1)) in x^k, n >= 3, ends the split as 1 - x^(nk) over
-    1 - x^k (even n would peel 1 + x^k, 1 + x^(2k), ...); 1 + x^k is
-    left whole, so (1 + x)^g stays one run.  Otherwise the step tries
-    1 - x^k and 1 + x^k.  In a product of such binomials that lowest term
-    comes from the factors with the least k, or, where those cancel in
-    pairs (1 - x^k)(1 + x^k) = 1 - x^(2k), from the binomial they
-    multiply to; either way one of the two trials divides.  Taking
-    1 - x^k where both do can still strand the rest: (1 + x)(1 - x^3)^2
-    gives None, and its division goes to the heap route.  Where neither
-    divides and the coefficient is 1, as in (1 + x + x^2)(1 + x^2),
-    1 - x^k is multiplied in to cancel it, up to the degree of ``coeffs``
-    in all (``_divide_lines`` pads by that degree), so the split ends:
-    1 + x + 2x^2 gives None after 1 - x.
+    ``coeffs[0]`` is 1.  Returns ``[(k, e_k), ...]``, k ascending and
+    every e_k nonzero, or None when D is no such product.  Every product
+    of binomials 1 +- x^k is one, as 1 + x^k = (1 - x^(2k)) / (1 - x^k),
+    and its exponents are unique: where the lowest nonzero coefficient
+    c sits at x^k, e_k = -c.  (1 - x^k)^(e_k) is peeled in one pass when
+    e_k > 0 and multiplied in when e_k < 0, which clears x^k, and the
+    rule repeats on what is left.  None on a remainder, or once the
+    factors multiplied in pass the degree of ``coeffs`` in all
+    (``_divide_lines`` pads each line by that degree).
     """
-    factors, times = [], []
+    split = []
     budget = len(coeffs) - 1
     while len(coeffs) > 1:
         k = next(t for t in range(1, len(coeffs)) if coeffs[t])
-        n = (len(coeffs) + k - 1) // k
-        if n > 2 and k <= budget and coeffs == ([1] + [0] * (k - 1)) * (n - 1) + [1]:
-            factors.append((n * k, -1))
-            times.append(k)
-            return factors, times
-        for sign in (-1, 1):
-            quotient = _peel(coeffs, k, sign)
-            if quotient is not None:
-                factors.append((k, sign))
-                break
-        else:
-            if coeffs[k] != 1 or k > budget:
+        e = -coeffs[k]
+        if e > 0:
+            coeffs = _peel(coeffs, k, e)
+            if coeffs is None:
                 return None
-            budget -= k
-            times.append(k)
-            quotient = _times_one_minus(coeffs + [0] * k, k)
-        coeffs = quotient
-    return factors, times
+        else:
+            budget += k * e
+            if budget < 0:
+                return None
+            coeffs = coeffs + [0] * (-k * e)
+            for _ in range(-e):
+                coeffs = _times_one_minus(coeffs, k)
+        split.append((k, e))
+    return split
 
 
 def _times_one_minus(values, k):
@@ -972,13 +955,12 @@ def _times_one_minus(values, k):
     return list(map(sub, values, [0] * k + values[:-k]))
 
 
-def _peel(coeffs, k, sign, power=1):
-    """``coeffs / (1 + sign*x^k)^power`` as a list, or None on a remainder.
+def _peel(coeffs, k, power):
+    """``coeffs / (1 - x^k)^power`` as a list, or None on a remainder.
 
-    Along each residue class mod k, in y = x^k, the quotient is
-    ``power`` prefix sums (for 1 + y, between two sign flips of alternate
-    entries, y -> -y); run over the whole list, they leave its top
-    k*power entries all zero if and only if the division is exact.
+    Along each residue class mod k the quotient is ``power`` prefix
+    sums; run over the whole list, they leave its top k*power entries
+    all zero if and only if the division is exact.
     """
     cut = len(coeffs) - k * power
     if cut <= 0:
@@ -986,12 +968,8 @@ def _peel(coeffs, k, sign, power=1):
     out = coeffs[:]
     for r in range(k):
         column = coeffs[r::k]
-        if sign > 0:
-            column[1::2] = map(neg, column[1::2])
         for _ in range(power):
             column = list(accumulate(column))
-        if sign > 0:
-            column[1::2] = map(neg, column[1::2])
         out[r::k] = column
     if any(out[cut:]):
         return None

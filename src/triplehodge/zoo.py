@@ -20,7 +20,7 @@ from .laurent import (
     LaurentPoly,
     U,
     V,
-    _times_binomials,
+    _binomial_sum,
     divide_exact,
     halve_exact,
 )
@@ -159,7 +159,7 @@ def _jacobian_factors(k: int) -> dict[LaurentPoly, int]:
 
 def _times_jacobian(poly: LaurentPoly, g: int, power: int = 1) -> LaurentPoly:
     """``poly`` times e(Jac)^power, with e(Jac) = (1 + u)^g (1 + v)^g."""
-    return _times_binomials(poly, _jacobian_factors(power * g))
+    return _binomial_sum([(1, 0, 0, poly, _jacobian_factors(power * g))])
 
 
 @memo

@@ -249,7 +249,7 @@ def test_times_binomials_matches_dict_oracle(p, factors):
     expected = p.terms
     for (m, sign), k in factors.items():
         expected = oracles.pmul(expected, oracles.ppow({(0, 0): 1, m: sign}, k))
-    assert laurent._times_binomials(p, binomials).terms == expected
+    assert laurent._binomial_sum([(1, 0, 0, p, binomials)]).terms == expected
 
 
 @pytest.mark.parametrize("c, k", [(7, 5), (200, 8), (2**30 - 1, 2), (3, 62)])
@@ -261,7 +261,7 @@ def test_times_binomials_reaches_the_coefficient_bound(c, k):
     p = LaurentPoly({(i, 0): c for i in range(k + 1)})
     alternating = LaurentPoly({(i, 0): (-1) ** i * c for i in range(k + 1)})
     for q, binomial in ((p, ONE + U), (-p, ONE + U), (alternating, ONE - U)):
-        got = laurent._times_binomials(q, {binomial: k})
+        got = laurent._binomial_sum([(1, 0, 0, q, {binomial: k})])
         assert abs(got.coefficient(k, 0)) == c << k
         assert got.terms == oracles.pmul(q.terms, oracles.ppow(binomial.terms, k))
 
@@ -341,7 +341,7 @@ def test_times_binomials_fills_word_sized_slots_to_the_edge(bits, size):
     p = LaurentPoly({(i, 0): c for i in range(7)})
     alternating = LaurentPoly({(i, 0): (-1) ** i * c for i in range(7)})
     for q, binomial in ((p, ONE + U), (-p, ONE + U), (alternating, ONE - U)):
-        got = laurent._times_binomials(q, {binomial: 6})
+        got = laurent._binomial_sum([(1, 0, 0, q, {binomial: 6})])
         assert abs(got.coefficient(6, 0)) == c << 6
         assert got.terms == oracles.pmul(q.terms, oracles.ppow(binomial.terms, 6))
 
@@ -353,13 +353,13 @@ def test_times_binomials_fills_word_sized_slots_to_the_edge(bits, size):
 def test_times_binomials_refuses_a_factor_that_is_no_binomial(factor):
     f = LaurentPoly.parse(factor)
     with pytest.raises(ValueError, match=re.escape(f"({f})^1")):
-        laurent._times_binomials(ONE, {f: 1})
+        laurent._binomial_sum([(1, 0, 0, ONE, {f: 1})])
 
 
 @pytest.mark.parametrize("k", [-1, True, 2.0])
 def test_times_binomials_refuses_a_multiplicity_that_is_no_count(k):
     with pytest.raises(ValueError, match=re.escape(f"(1 + u)^{k!r}")):
-        laurent._times_binomials(ONE, {ONE + U: k})
+        laurent._binomial_sum([(1, 0, 0, ONE, {ONE + U: k})])
 
 
 def _binomial_product_oracle(c, a, b, p, factors):
@@ -689,11 +689,18 @@ _N = 10**6
         (ONE - UV ** (2 * _N), ONE - UV**_N, "walk"),
         # two terms, but 2 is no unit
         ((2 - 2 * UV) * (ONE + U + V) ** 4, 2 - 2 * UV, "heap"),
-        # the pipeline's e(P^9) at g = 4,
-        # (1 + uv)(1 - (uv)^10) / (1 - (uv)^2): 1 - (uv)^2 multiplied in
+        # the pipeline's e(P^9) at g = 4, (1 - (uv)^10) / (1 - uv): 1 - uv
+        # multiplied in
         (
             _production_divisors(4)[0] * sum((UV**k for k in range(10)), ZERO),
             sum((UV**k for k in range(10)), ZERO),
+            "lines",
+        ),
+        # (1 + uv)(1 - (uv)^3)^2 = (1 - (uv)^2)(1 - (uv)^3)^2 / (1 - uv),
+        # whose lowest binomials 1 - uv and 1 + uv both divide
+        (
+            _production_divisors(4)[0] * (ONE + UV) * (ONE - UV**3) ** 2,
+            (ONE + UV) * (ONE - UV**3) ** 2,
             "lines",
         ),
         # no product of binomials over factors 1 - m^k either:
@@ -728,8 +735,8 @@ def test_divide_routing(monkeypatch, num, den, route):
 
 @st.composite
 def line_divisors(draw):
-    """+-u^a v^b times binomial powers (1 +- m^k)^e (k <= 4, e <= 10, as
-    the pipeline's (1 + u)^g for g <= 10), optionally e(P^(n-1))
+    """+-u^a v^b times binomial powers (1 +- m^k)^e (k <= 4, e <= 10),
+    optionally e(P^(n-1))
     in m^k = (1 - m^(nk)) / (1 - m^k) (n <= 7, k <= 2), and optionally a
     cofactor c0 + c1*m + c2*m^2 with c0 != 0, for one m among u, v, uv
     and u^2 v.  Unless the cofactor is itself a product of binomials,
@@ -800,8 +807,8 @@ def test_line_route_matches_heap_route(q, den, bump):
 @pytest.mark.parametrize("e", range(2, 11))
 def test_line_route_refuses_one_binomial_too_many(m, e):
     # (1 + m)^(e - 1) divides num, (1 + m)^e does not: the line route
-    # peels the run of e equal binomials at once and must see the
-    # remainder, which the heap route then builds
+    # multiplies (1 - m)^e in, peels (1 - m^2)^e at once and must see
+    # the remainder, which the heap route then builds
     cofactor = 2 + U + V**2
     den = (ONE + m) ** e
     assert laurent._divide_lines((den * cofactor).terms, den.terms, 0, 0) == (
@@ -831,7 +838,6 @@ def _times_binomial(values, k, sign):
 @given(
     st.lists(coeffs, min_size=1, max_size=30),
     st.integers(1, 4),
-    st.sampled_from([-1, 1]),
     st.integers(1, 10),
     st.integers(0, 10),
     st.integers(0, 40),
@@ -840,56 +846,96 @@ def _times_binomial(values, k, sign):
 # (1 - x)^2, and (1 - x)^2 + 5x^4: the first prefix sum's top entry is
 # 5, the second's top two entries are 0 and 5, so one check must cover
 # both
-@example([1, -2, 1], 1, -1, 2, 0, 0, 0)
-@example([1, -2, 1, 0, 5], 1, -1, 2, 0, 0, 0)
+@example([1, -2, 1], 1, 2, 0, 0, 0)
+@example([1, -2, 1, 0, 5], 1, 2, 0, 0, 0)
 @settings(max_examples=200, deadline=None)
 def test_power_peel_matches_chained_peels(
-    values, k, sign, power, times, place, bump
+    values, k, power, times, place, bump
 ):
-    # ``values`` times (1 + sign*x^k)^times, so the power peel is drawn
-    # both exact and one or more binomials short, plus a bump at a place
+    # ``values`` times (1 - x^k)^times, so the power peel is drawn both
+    # exact and one or more binomials short, plus a bump at a place
     # counted from the top: near the top, only the later chained peels
     # see it
     for _ in range(times):
-        values = _times_binomial(values, k, sign)
+        values = _times_binomial(values, k, -1)
     values[-1 - place % len(values)] += bump
     chained = values
     for _ in range(power):
-        chained = laurent._peel(chained, k, sign)
+        chained = laurent._peel(chained, k, 1)
         if chained is None:
             break
-    assert laurent._peel(values, k, sign, power) == chained
+    assert laurent._peel(values, k, power) == chained
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(1, 4), st.sampled_from([-1, 1]), st.integers(1, 10)
-        ),
-        max_size=4,
-    ),
-    st.integers(1, 7),
-    st.integers(1, 2),
+# binomial powers (1 +- x^step)^e as (step, sign, e)
+binomial_powers = st.lists(
+    st.tuples(st.integers(1, 4), st.sampled_from([-1, 1]), st.integers(1, 10)),
+    max_size=4,
 )
-@example([], 7, 1)
-@example([(1, 1, 1), (3, -1, 2)], 1, 1)
-@settings(max_examples=150, deadline=None)
-def test_binomial_split_multiplies_in_at_most_deg_d(binomials, n, k):
-    # the line route pads each line by deg D alone; that holds a line
-    # times the factors 1 - x^k multiplied in only because their degree,
-    # sum(times), stays within deg D.  The divisors: products of
-    # binomials (1 +- x^k)^e, alone and times e(P^(n-1)) in x^k
+
+
+def _binomial_products(binomials, n, k, cofactor=(1,)):
+    # the coefficient lists of the binomial powers, alone and times
+    # e(P^(n-1)) in x^k, each times the cofactor, by plain list products
     projective = [int(t % k == 0) for t in range(k * (n - 1) + 1)]
     for coeffs in ([1], projective):
         for step, sign, e in binomials:
             for _ in range(e):
                 coeffs = _times_binomial(coeffs, step, sign)
+        product_ = [0] * (len(coeffs) + len(cofactor) - 1)
+        for s, c in enumerate(coeffs):
+            for t, d in enumerate(cofactor):
+                product_[s + t] += c * d
+        yield product_
+
+
+@given(binomial_powers, st.integers(1, 7), st.integers(1, 2))
+@example([], 7, 1)
+@example([(1, 1, 1), (3, -1, 2)], 1, 1)
+@example([(1, 1, 1), (3, -1, 2)], 3, 1)
+@settings(max_examples=150, deadline=None)
+def test_binomial_split_multiplies_in_at_most_deg_d(binomials, n, k):
+    # the line route pads each line by deg D alone; that holds a line
+    # times the factors 1 - x^k multiplied in only because their degree
+    # stays within deg D.  Every product of binomials (1 +- x^k)^e, alone
+    # and times e(P^(n-1)) in x^k, splits
+    for coeffs in _binomial_products(binomials, n, k):
         split = laurent._binomial_factors(coeffs)
-        # e(P^(n-1)) alone always splits; a product may not, as
-        # (1 + x)(1 - x^3)^2, and then the heap route divides
-        assert split is not None or binomials
-        if split is not None:
-            assert sum(split[1]) <= len(coeffs) - 1
+        assert split is not None
+        assert sum(-step * e for step, e in split if e < 0) <= len(coeffs) - 1
+
+
+@given(
+    binomial_powers,
+    st.integers(1, 7),
+    st.integers(1, 2),
+    st.lists(coeffs.filter(bool), max_size=2).map(lambda tail: [1, *tail]),
+)
+@example([(1, 1, 1), (3, -1, 2)], 1, 1, [1])
+@example([], 1, 1, [1, 1, 2])
+@example([(1, -1, 1)], 3, 1, [1, 1, 1])
+@settings(max_examples=150, deadline=None)
+def test_binomial_split_exponents_reproduce_the_divisor(
+    binomials, n, k, cofactor
+):
+    # prod_(e > 0) (1 - x^k)^e == D * prod_(e < 0) (1 - x^k)^(-e), both
+    # sides built by plain list products; a cofactor that is no product
+    # of binomials may leave D without a split
+    for coeffs in _binomial_products(binomials, n, k, cofactor):
+        split = laurent._binomial_factors(coeffs)
+        if split is None:
+            assert cofactor != [1]
+            continue
+        steps = [step for step, _ in split]
+        assert steps == sorted(set(steps)) and all(e for _, e in split)
+        peeled, multiplied = [1], coeffs
+        for step, e in split:
+            for _ in range(abs(e)):
+                if e > 0:
+                    peeled = _times_binomial(peeled, step, -1)
+                else:
+                    multiplied = _times_binomial(multiplied, step, -1)
+        assert peeled == multiplied
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -898,18 +944,18 @@ def test_binomial_split_of_projective_space_is_one_multiply_in(n, k):
     # e(P^(n-1)) in x^k = (1 - x^(nk)) / (1 - x^k): one factor 1 - x^k
     # multiplied in and one peel, also for even n, where 1 + x^k divides
     projective = [int(t % k == 0) for t in range(k * (n - 1) + 1)]
-    assert laurent._binomial_factors(projective) == ([(n * k, -1)], [k])
+    assert laurent._binomial_factors(projective) == [(k, -1), (n * k, 1)]
     assert _times_binomial(projective, k, -1) == _times_binomial([1], n * k, -1)
 
 
 @pytest.mark.parametrize("g", range(1, 13))
-def test_binomial_split_keeps_a_power_of_one_plus_x_whole(g):
-    # (1 + x)^g is g equal factors and nothing multiplied in, so the line
-    # route divides e(Jac)'s (1 + u)^g and (1 + v)^g by one peel each
+def test_binomial_split_of_a_power_of_one_plus_x(g):
+    # (1 + x)^g = (1 - x^2)^g / (1 - x)^g: g factors 1 - x multiplied in,
+    # then one peel of (1 - x^2)^g
     coeffs = [1]
     for _ in range(g):
         coeffs = _times_binomial(coeffs, 1, 1)
-    assert laurent._binomial_factors(coeffs) == ([(1, 1)] * g, [])
+    assert laurent._binomial_factors(coeffs) == [(1, -g), (2, g)]
 
 
 # m = u^k, v^k, (uv)^k with k <= 7, or u^2 v^3

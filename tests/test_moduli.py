@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import triplehodge
-from triplehodge import moduli, rank2
+from triplehodge import laurent, moduli, rank2
 from triplehodge import (
     CriticalSigma,
     LaurentPoly,
@@ -463,6 +463,53 @@ def test_pipeline_divides_once_and_a_warm_read_multiplies_nothing(
     assert pipeline.fixed == divide_exact(low.fixed, projective)
 
 
+def test_production_divisors_split_and_only_grassmannian_ones_reach_the_heap(
+    monkeypatch,
+):
+    # cold, over the M(3) routes for g = 2..6 and both (3,1) routes on
+    # every chamber of (3,1,2g+3,0) for g = 2..4: every divisor of three
+    # or more terms splits into factors 1 - m^k, and the one division
+    # the walk and the line route leave to the heap route is Gr(2, N)'s,
+    # whose 4-term quotient falls below the line route's size cutoff
+    triplehodge._memo.clear_all()
+    splits = []
+    heap = set()
+    binomial_factors = laurent._binomial_factors
+    walk = laurent._divide_walk
+    lines = laurent._divide_lines
+
+    def split_spy(coeffs):
+        split = binomial_factors(coeffs)
+        splits.append(split)
+        return split
+
+    def walk_spy(terms, dterms):
+        quotient = walk(terms, dterms)
+        if quotient is None:
+            heap.add(LaurentPoly(dterms))
+        return quotient
+
+    def lines_spy(terms, dterms, da, db):
+        quotient = lines(terms, dterms, da, db)
+        if quotient is None:
+            heap.add(LaurentPoly(dterms) * LaurentPoly.monomial(da, db))
+        return quotient
+
+    monkeypatch.setattr(laurent, "_binomial_factors", split_spy)
+    monkeypatch.setattr(laurent, "_divide_walk", walk_spy)
+    monkeypatch.setattr(laurent, "_divide_lines", lines_spy)
+    for g in range(2, 7):
+        e_m3(g)
+        e_m3_via_pipeline(g)
+    for g in range(2, 5):
+        t = TripleType(3, 1, 2 * g + 3, 0, g)
+        for index in range(1, len(chamber_bounds(t)) + 1):
+            e_n31_closed(g, t.d1, t.d2, chamber=index)
+            e_n31_flipsum(g, t.d1, t.d2, chamber=index)
+    assert splits and None not in splits
+    assert heap == {(ONE - UV) * (ONE - UV**2)}
+
+
 def test_m3_invariants():
     for g in (2, 3):
         h = e_m3(g)
@@ -476,6 +523,22 @@ def test_m3_invariants():
 @pytest.mark.parametrize("g,d", HN_CASES)
 def test_m3_matches_hn_recursion(g, d):
     assert e_m3(g, d).poly.terms == oracles.hn_moduli_hodge(3, d, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("g", range(2, 11))
+def test_stable_range_is_the_gauge_series(n, g):
+    # Atiyah-Bott: below twice the least codimension c of an unstable
+    # Harder-Narasimhan stratum, e(M(n, d)) is (1 - uv) times the Hodge
+    # series of the stack of bundles; c = g for M(2, odd) and 2g - 1 for
+    # M(3) with 3 not dividing d, and at degree 2c the one stratum of
+    # codimension c takes (uv)^c away
+    route, c = {2: (e_m2_odd, g), 3: (e_m3, 2 * g - 1)}[n]
+    stack = oracles.pmul(
+        {(0, 0): 1, (1, 1): -1}, oracles.gauge_series(n, g, 2 * c), 2 * c
+    )
+    low = {k: v for k, v in route(g).poly.terms.items() if sum(k) <= 2 * c}
+    assert oracles.psub(low, stack) == {(c, c): -1}
 
 
 @pytest.mark.parametrize("g", [2, 3])
