@@ -45,6 +45,7 @@ from .zoo import (
 )
 from .rank2 import (
     e_m2_odd,
+    e_m2_odd_via_pipeline,
     e_m2s_even,
     e_triples21,
     e_triples21_critical_stable,
@@ -99,6 +100,7 @@ __all__ = [
     "e_sym2_quotient",
     "smooth_projective_failures",
     "e_m2_odd",
+    "e_m2_odd_via_pipeline",
     "e_m2s_even",
     "e_triples21",
     "e_triples21_critical_stable",

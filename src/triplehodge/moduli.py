@@ -30,14 +30,14 @@ from .laurent import (
 from .series import XSeries, extract, sym_series
 from .stability import TripleType, _require_int, criticals, locate
 from .flips import _DEN, flip_contribution
-from .rank2 import _kernel_pieces
+from .rank2 import _base_of_lowest_chamber, _kernel_pieces
 from .zoo import (
     HodgeResult,
     _ChamberMemo,
+    _JacobianMultiple,
     _jacobian_factors,
     _times_jacobian,
     e_jacobian,
-    e_projective,
 )
 
 __all__ = [
@@ -107,9 +107,10 @@ def _closed_n31(t: TripleType, n0: int) -> tuple[LaurentPoly, LaurentPoly]:
         )
 
     # _DEN is cyclotomic in uv, prime to e(Jac)^2, so the sum divides
-    # on its own into e(N_0), and e(Jac)^2 is multiplied in last
+    # on its own into e(N_0); e(Jac)^2 is multiplied in on the first
+    # read of the polynomial, which e_m3_via_pipeline never makes
     fixed = FractionUV(_binomial_sum(pieces), _DEN).as_polynomial()
-    return _times_jacobian(fixed, g, 2), fixed
+    return _JacobianMultiple(fixed, g, 2), fixed
 
 
 def e_n31_flipsum(
@@ -200,16 +201,11 @@ def e_m3_via_pipeline(g: int) -> HodgeResult:
 
     For d2 = 0, d1 = 6g - 5 and sigma in the lowest chamber, the triple
     space fibers over M(3, d1) x Jac(X) with projective fibers
-    P^{3g-3}.  So the chamber's fixed-determinant polynomial e(N_0) =
-    e(N_sigma) / e(Jac)^2, divided once by e(P^{3g-3}), is
-    e(M(3, d1)) / e(Jac); e(Jac) is multiplied in last.  NonDivisible
-    here would signal a formula error.
+    P^{3g-3}, so the chamber's e(N_0) = e(N_sigma) / e(Jac)^2, divided
+    once by e(P^{3g-3}), is e(M(3, d1)) / e(Jac).
     """
     _require_int(g, "genus", 2)
-    low = e_n31_closed(g, 6 * g - 5, 0, chamber=1)
-    fixed = divide_exact(low.fixed, e_projective(3 * g - 2).poly)
-    poly = _times_jacobian(fixed, g)
-    return HodgeResult(poly, 9 * g - 8, smooth_projective=True, fixed=fixed)
+    return _base_of_lowest_chamber(e_n31_closed, 3, 6 * g - 5, g)
 
 
 def poincare(h: HodgeResult | LaurentPoly) -> LaurentPoly:

@@ -26,10 +26,18 @@ from .series import extract, sym_series
 from .stability import (
     TripleType, _require_critical, _require_int, chi_triples
 )
-from .zoo import HodgeResult, _ChamberMemo, _jacobian_factors, _times_jacobian
+from .zoo import (
+    HodgeResult,
+    _ChamberMemo,
+    _JacobianMultiple,
+    _jacobian_factors,
+    _times_jacobian,
+    e_projective,
+)
 
 __all__ = [
     "e_m2_odd",
+    "e_m2_odd_via_pipeline",
     "e_m2s_even",
     "e_triples21",
     "e_triples21_critical_stable",
@@ -50,6 +58,30 @@ def e_m2_odd(g: int) -> HodgeResult:
     fixed = divide_exact(_wall_kernel(g), den)
     poly = _times_jacobian(fixed, g)
     return HodgeResult(poly, 4 * g - 3, smooth_projective=True, fixed=fixed)
+
+
+def e_m2_odd_via_pipeline(g: int) -> HodgeResult:
+    """M(2, d1) recovered from the triple space at small sigma.
+
+    For d2 = 0, d1 = 4g - 3 and sigma in the lowest chamber, the triple
+    space fibers over M(2, d1) x Jac(X) with projective fibers
+    P^{2g-2}, so the chamber's e(N_0) = e(N_sigma) / e(Jac)^2, divided
+    once by e(P^{2g-2}), is e(M(2, d1)) / e(Jac).
+    """
+    _require_int(g, "genus", 2)
+    return _base_of_lowest_chamber(e_triples21, 2, 4 * g - 3, g)
+
+
+def _base_of_lowest_chamber(route, n1: int, d1: int, g: int) -> HodgeResult:
+    # e(M(n1, d1)) from chamber 1 of route's N_sigma(n1, 1, d1, 0) when
+    # that chamber fibers over M(n1, d1) x Jac in P^(h-1)'s, h = d1 -
+    # n1 (g - 1): its fixed-determinant value divided by e(P^(h-1)),
+    # times e(Jac).  NonDivisible signals a d1 without that fibration.
+    low = route(g, d1, 0, chamber=1)
+    fixed = divide_exact(low.fixed, e_projective(d1 - n1 * (g - 1)).poly)
+    poly = _times_jacobian(fixed, g)
+    dim = n1 * n1 * (g - 1) + 1
+    return HodgeResult(poly, dim, smooth_projective=True, fixed=fixed)
 
 
 @memo
@@ -79,7 +111,8 @@ def e_m2s_even(g: int) -> HodgeResult:
         raise NonIntegral(
             "stable-locus polynomial has odd coefficients"
         ) from exc
-    poly = _times_jacobian(fixed, g)
+    # flips reads fixed alone, so poly is multiplied out on its first read
+    poly = _JacobianMultiple(fixed, g, 1)
     return HodgeResult(poly, 4 * g - 3, smooth_projective=False, fixed=fixed)
 
 
@@ -134,7 +167,7 @@ def _closed_21(
     c2 = extract(w, [UV**2], k)
     bracket = UV**k * c1 - UV ** (g - 1 - d1 + 2 * d0) * c2
     fixed = divide_exact(bracket, ONE - UV)
-    return _times_jacobian(fixed, g, 2), fixed
+    return _JacobianMultiple(fixed, g, 2), fixed
 
 
 def e_triples21_critical_stable(

@@ -36,6 +36,7 @@ from .zoo import (
 )
 from .rank2 import (
     e_m2_odd,
+    e_m2_odd_via_pipeline,
     e_m2s_even,
     e_triples21,
     e_triples21_critical_stable,
@@ -289,6 +290,8 @@ def _suite_rank2(grid: Grid) -> list[Case]:
                 raise _CheckFailed(f"g={g}: {bad[0]}")
             if h.poly.coefficient(0, 0) != 1:
                 raise _CheckFailed(f"g={g}: constant term != 1")
+            if h.poly != e_m2_odd_via_pipeline(g).poly:
+                raise _CheckFailed(f"g={g}: closed form != pipeline quotient")
         return f"duality and degree at g in {m2_gs}"
 
     def m2even():

@@ -58,7 +58,9 @@ class HodgeResult:
             k = 2 for triple chambers and the (2, 1) critical stable
             locus and k = 1 for M(2, odd), M^s(2, even) and M(3).  None
             where no route has it (the flip sums, the zoo varieties).
-            Equality and repr ignore it.
+            Equality and repr ignore it.  Where a caller may read fixed
+            alone (the closed triple chambers, M^s(2, even)), poly is
+            multiplied out on its first read, once.
     """
 
     poly: LaurentPoly
@@ -80,9 +82,11 @@ class _ChamberMemo(Table):
     sigma only through the chamber's upper wall.  Queries walk one type
     at a time, so the memo maps only the last queried type's walls to
     the pairs (poly, fixed) that build returns, the full polynomial and
-    the fixed-determinant one (None for the flip sum), so a read
-    multiplies nothing.  The flip sum adds each wall it passes.  It is
-    the ``_memo.Table`` named after build, which ``clear_all`` empties.
+    the fixed-determinant one (None for the flip sum).  A closed route's
+    poly is a ``_JacobianMultiple`` of fixed, so the first ``.poly``
+    read multiplies once and the memo keeps the product.  The flip sum
+    adds each wall it passes.  It is the ``_memo.Table`` named after
+    build, which ``clear_all`` empties.
     """
 
     def __init__(self, build: Callable[[TripleType, int], tuple]):
@@ -160,6 +164,29 @@ def _jacobian_factors(k: int) -> dict[LaurentPoly, int]:
 def _times_jacobian(poly: LaurentPoly, g: int, power: int = 1) -> LaurentPoly:
     """``poly`` times e(Jac)^power, with e(Jac) = (1 + u)^g (1 + v)^g."""
     return _binomial_sum([(1, 0, 0, poly, _jacobian_factors(power * g))])
+
+
+class _JacobianMultiple(LaurentPoly):
+    """fixed * e(Jac)^power, which ``_times_jacobian`` multiplies out the
+    first time its terms are read; a plain LaurentPoly from then on.
+
+    For the builds whose callers may read only the fixed-determinant
+    value: a caller that never reads the polynomial never pays for it.
+    """
+
+    __slots__ = ("_fixed", "_g", "_power")
+
+    def __init__(self, fixed: LaurentPoly, g: int, power: int):
+        self._fixed, self._g, self._power = fixed, g, power
+        self._hash = None
+
+    def __getattr__(self, name):
+        # reached only while the _terms slot is empty
+        if name != "_terms":
+            raise AttributeError(name)
+        product = _times_jacobian(self._fixed, self._g, self._power)
+        self._terms = product._terms
+        return self._terms
 
 
 @memo

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import triplehodge
-from triplehodge import laurent, moduli, rank2
+from triplehodge import laurent, moduli, rank2, zoo
 from triplehodge import (
     CriticalSigma,
     LaurentPoly,
@@ -21,6 +21,7 @@ from triplehodge import (
     e_grassmannian,
     e_jacobian,
     e_m2_odd,
+    e_m2_odd_via_pipeline,
     e_m2s_even,
     e_m3,
     e_m3_via_pipeline,
@@ -376,7 +377,8 @@ def _fixed_results(g):
     # (result, k) for every route that sets fixed, poly = e(Jac)^k fixed:
     # the bundle routes, then the value corpus's triple types
     yield from ((r, 1) for r in (e_m2_odd(g), e_m2s_even(g), e_m3(g),
-                                 e_m3_via_pipeline(g)))
+                                 e_m3_via_pipeline(g),
+                                 e_m2_odd_via_pipeline(g)))
     for d1, d2 in product((2 * g + 3, 2 * g + 4), (0, 1)):
         for n1, route in ((3, e_n31_closed), (2, e_triples21)):
             t = TripleType(n1, 1, d1, d2, g)
@@ -433,7 +435,7 @@ def _spy(monkeypatch, name, calls):
 
 
 @pytest.mark.parametrize("g", [2, 3, 5])
-def test_pipeline_divides_once_and_a_warm_read_multiplies_nothing(
+def test_pipeline_divides_once_and_never_multiplies_out_its_chamber(
     monkeypatch, g
 ):
     # cold but for the zoo's e(P^{3g-3}), the pipeline's divisions
@@ -453,14 +455,101 @@ def test_pipeline_divides_once_and_a_warm_read_multiplies_nothing(
     _spy(monkeypatch, "divide_exact", divisions)
     pipeline = e_m3_via_pipeline(g)
     assert [den for _num, den in divisions] == [projective]
-    # the chamber memo holds e(N_0) beside e(N_sigma), so a warm read of
-    # the chamber multiplies nothing in
+    # the chamber memo holds e(N_0) beside the deferred e(N_sigma), so
+    # a warm query multiplies nothing in until its poly is read
     products = []
     _spy(monkeypatch, "_times_jacobian", products)
     low = e_n31_closed(g, 6 * g - 5, 0, chamber=1)
     assert products == []
     assert divisions[0][0] == low.fixed
     assert pipeline.fixed == divide_exact(low.fixed, projective)
+
+
+def _powers(products):
+    # (g, power) of each recorded call _times_jacobian(poly, g[, power])
+    return [(*args, 1)[1:3] for args in products]
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+@pytest.mark.parametrize("route", [e_m3_via_pipeline, e_m2_odd_via_pipeline])
+def test_deferred_chamber_leaves_a_cold_pipeline_one_product(
+    monkeypatch, route, g
+):
+    # the chamber's e(Jac)^2 product is never made: the one product is
+    # the pipeline's own e(Jac), multiplied into the quotient
+    triplehodge._memo.clear_all()
+    products = []
+    _spy(monkeypatch, "_times_jacobian", products)
+    route(g)
+    assert _powers(products) == [(g, 1)]
+
+
+@pytest.mark.parametrize("g", [2, 4])
+def test_deferred_chamber_multiplies_on_its_first_poly_read_only(
+    monkeypatch, g
+):
+    triplehodge._memo.clear_all()
+    products = []
+    _spy(monkeypatch, "_times_jacobian", products)
+    low = e_n31_closed(g, 2 * g + 3, 0, chamber=1)
+    assert products == []
+    eager = laurent._binomial_sum(
+        [(1, 0, 0, low.fixed, zoo._jacobian_factors(2 * g))]
+    )
+    assert low.poly.terms == eager.terms
+    assert _powers(products) == [(g, 2)]
+    # a second read, and a second query of the chamber, reuse the product
+    assert low.poly.terms == eager.terms
+    again = e_n31_closed(g, 2 * g + 3, 0, chamber=1)
+    assert again.poly is low.poly and again.poly == eager
+    assert len(products) == 1
+
+
+def _deferred(fixed, g):
+    return zoo._JacobianMultiple(fixed, g, 2)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_deferred_poly_behaves_as_its_eager_product(g):
+    fixed = e_n31_closed(g, 2 * g + 3, 0, chamber=2).fixed
+    eager = zoo._times_jacobian(fixed, g, 2)
+    assert type(eager) is LaurentPoly
+    jac = e_jacobian(g).poly
+    filled = _deferred(fixed, g)
+    assert filled.terms == eager.terms
+    # each check on a fresh, unfilled value, then on the filled one
+    for make in (lambda: _deferred(fixed, g), lambda: filled):
+        assert make() == eager and eager == make()
+        assert hash(make()) == hash(eager)
+        assert repr(make()) == repr(eager)
+        assert make().to_json() == eager.to_json()
+        assert make() + ONE == eager + ONE and ONE + make() == eager + 1
+        assert make() * jac == eager * jac and jac * make() == jac * eager
+        assert divide_exact(make(), jac * jac) == fixed
+        assert divide_exact(eager * UV, make()) == UV
+        pieces = [(1, 0, 0, make(), {ONE + UV: 2})]
+        assert laurent._binomial_sum(pieces) == eager * (ONE + UV) ** 2
+        assert {make(): 1}[eager] == 1
+
+
+def test_deferred_poly_answers_only_its_terms():
+    p = _deferred(e_m3(2).fixed, 2)
+    with pytest.raises(AttributeError):
+        p.coefficients
+    assert not hasattr(p, "__deepcopy__")
+    assert p.coefficient(0, 0) == 1
+
+
+def test_routes_whose_callers_read_poly_multiply_eagerly():
+    # deferral pays only where a caller may read fixed alone: every
+    # caller of these reads poly, so each builds a plain LaurentPoly
+    results = [e_m3(3), e_m2_odd(3), e_m3_via_pipeline(3),
+               e_m2_odd_via_pipeline(3), e_jacobian(3)]
+    t = TripleType(2, 1, 9, 0, 3)
+    results += [e_triples21_critical_stable(3, 9, 0, d_m)
+                for d_m, _sigma in criticals(t)]
+    assert len(results) > 5
+    assert all(type(r.poly) is LaurentPoly for r in results)
 
 
 def test_production_divisors_split_and_only_grassmannian_ones_reach_the_heap(

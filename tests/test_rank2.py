@@ -7,6 +7,7 @@ import pytest
 import oracles
 from triplehodge import (
     CriticalSigma,
+    NonDivisible,
     NotCritical,
     OutOfRange,
     TripleType,
@@ -14,6 +15,7 @@ from triplehodge import (
     criticals,
     e_jacobian,
     e_m2_odd,
+    e_m2_odd_via_pipeline,
     e_m2s_even,
     e_projective,
     e_sym,
@@ -22,7 +24,8 @@ from triplehodge import (
     e_triples21_flipsum,
     flip_contribution,
 )
-from triplehodge.laurent import ZERO, FractionUV
+from triplehodge import rank2
+from triplehodge.laurent import ONE, UV, ZERO, FractionUV
 from triplehodge.zoo import smooth_projective_failures
 
 
@@ -43,6 +46,35 @@ def test_m2_odd_invariants():
         assert smooth_projective_failures(h.poly, h.dim) == []
     with pytest.raises(OutOfRange):
         e_m2_odd(1)
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_m2_odd_via_pipeline_equals_closed_form(g):
+    h = e_m2_odd_via_pipeline(g)
+    assert h == e_m2_odd(g)
+    assert h.fixed == e_m2_odd(g).fixed
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_wall_kernel_anchor_via_pipeline(g):
+    # K e(Jac) = e(M(2, odd)) (1 - uv) (1 - (uv)^2), with M(2, odd) from
+    # the triple space rather than from K itself
+    lhs = rank2._wall_kernel(g) * e_jacobian(g).poly
+    assert lhs == e_m2_odd_via_pipeline(g).poly * (ONE - UV) * (ONE - UV**2)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_via_pipeline_needs_d1_4g_minus_3(g):
+    # chamber 1 of (2, 1, 4g - 5, 0) does not fiber over M(2, 4g - 5) in
+    # P^(2g-4)'s: the quotient is wrong at g = 2, 3 and inexact beyond
+    def base():
+        return rank2._base_of_lowest_chamber(e_triples21, 2, 4 * g - 5, g)
+
+    if g < 4:
+        assert base().poly != e_m2_odd(g).poly
+    else:
+        with pytest.raises(NonDivisible):
+            base()
 
 
 def test_m2_even_stable_locus():
