@@ -27,6 +27,7 @@ from triplehodge import (
     e_grassmannian,
     e_jacobian,
     e_m2_odd,
+    e_m2_odd_via_pipeline,
     e_m2s_even,
     e_n31_closed,
     e_n31_flipsum,
@@ -284,9 +285,10 @@ def test_verify_suites_build_each_wall_once(monkeypatch):
 @pytest.mark.parametrize("g", range(2, 11))
 def test_wall_kernel_anchor(g):
     # the kernel's numerator over (1 - uv)^2 (1 - (uv)^2), times e(Jac),
-    # is e(M(2, odd)) (1 - uv) (1 - (uv)^2)
+    # is e(M(2, odd)) (1 - uv) (1 - (uv)^2), with M(2, odd) from the
+    # triple space rather than from K itself
     lhs = rank2._wall_kernel(g) * e_jacobian(g).poly
-    assert lhs == e_m2_odd(g).poly * (ONE - UV) * (ONE - UV**2)
+    assert lhs == e_m2_odd_via_pipeline(g).poly * (ONE - UV) * (ONE - UV**2)
     # e_m2_odd's numerator is the kernel too, so anchor K itself on the
     # dict oracle: (1 + u^2 v)^g (1 + u v^2)^g - (uv)^g e(Jac)
     one = {(0, 0): 1}

@@ -540,16 +540,20 @@ def test_deferred_poly_answers_only_its_terms():
     assert p.coefficient(0, 0) == 1
 
 
-def test_routes_whose_callers_read_poly_multiply_eagerly():
-    # deferral pays only where a caller may read fixed alone: every
-    # caller of these reads poly, so each builds a plain LaurentPoly
-    results = [e_m3(3), e_m2_odd(3), e_m3_via_pipeline(3),
-               e_m2_odd_via_pipeline(3), e_jacobian(3)]
+def test_deferred_only_where_a_caller_may_read_fixed_alone():
+    # the pipelines read the closed chambers' fixed and the flip strata
+    # read e_m2s_even's; every caller of the other routes reads poly, so
+    # each of those builds a plain LaurentPoly
+    deferred = [e_m2s_even(3), e_n31_closed(3, 9, 0, chamber=1),
+                e_triples21(3, 9, 0, chamber=1)]
+    assert all(type(r.poly) is zoo._JacobianMultiple for r in deferred)
+    eager = [e_m3(3), e_m2_odd(3), e_m3_via_pipeline(3),
+             e_m2_odd_via_pipeline(3), e_jacobian(3)]
     t = TripleType(2, 1, 9, 0, 3)
-    results += [e_triples21_critical_stable(3, 9, 0, d_m)
-                for d_m, _sigma in criticals(t)]
-    assert len(results) > 5
-    assert all(type(r.poly) is LaurentPoly for r in results)
+    eager += [e_triples21_critical_stable(3, 9, 0, d_m)
+              for d_m, _sigma in criticals(t)]
+    assert len(eager) > 5
+    assert all(type(r.poly) is LaurentPoly for r in eager)
 
 
 def test_production_divisors_split_and_only_grassmannian_ones_reach_the_heap(

@@ -25,7 +25,7 @@ from triplehodge import (
     flip_contribution,
 )
 from triplehodge import rank2
-from triplehodge.laurent import ONE, UV, ZERO, FractionUV
+from triplehodge.laurent import ZERO, FractionUV
 from triplehodge.zoo import smooth_projective_failures
 
 
@@ -53,14 +53,6 @@ def test_m2_odd_via_pipeline_equals_closed_form(g):
     h = e_m2_odd_via_pipeline(g)
     assert h == e_m2_odd(g)
     assert h.fixed == e_m2_odd(g).fixed
-
-
-@pytest.mark.parametrize("g", range(2, 11))
-def test_wall_kernel_anchor_via_pipeline(g):
-    # K e(Jac) = e(M(2, odd)) (1 - uv) (1 - (uv)^2), with M(2, odd) from
-    # the triple space rather than from K itself
-    lhs = rank2._wall_kernel(g) * e_jacobian(g).poly
-    assert lhs == e_m2_odd_via_pipeline(g).poly * (ONE - UV) * (ONE - UV**2)
 
 
 @pytest.mark.parametrize("g", range(2, 7))
